@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -282,7 +283,10 @@ def cmd_bigness(args) -> int:
 # -- driver --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state on it, and building it
+    anew for every in-process call costs time and leaves cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="pqsurf", description="Exact invariants of product-quotient surfaces"
     )

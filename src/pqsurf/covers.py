@@ -113,10 +113,22 @@ def validate_system(sys: SphericalSystem) -> SystemReport:
     return SystemReport(True)
 
 
-def require_valid(sys: SphericalSystem) -> None:
-    report = validate_system(sys)
-    if not report.ok:
-        raise ValidationError(f"invalid spherical system: {report.violation}")
+@dataclass(frozen=True)
+class ValidSystem(SphericalSystem):
+    """A spherical system that passed ``validate_system`` when it was built."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        report = validate_system(self)
+        if not report.ok:
+            raise ValidationError(f"invalid spherical system: {report.violation}")
+
+
+def require_valid(sys: SphericalSystem) -> ValidSystem:
+    """The system as a ``ValidSystem``; validates only systems not yet known valid."""
+    if isinstance(sys, ValidSystem):
+        return sys
+    return ValidSystem(sys.group, sys.base_genus, sys.generators, sys.signature, sys.hyperbolic_pairs)
 
 
 def rh_genus(sys: SphericalSystem) -> int:

@@ -111,51 +111,75 @@ class FiniteGroup:
     """A finite permutation group with a fixed, deterministic element order.
 
     Element 0 is the identity.  Elements are addressed by index everywhere;
-    use ``element(i)`` for the underlying permutation.
+    products compose raw image tuples and look the result up by its images.
+    Use ``element(i)`` for the underlying permutation.
     """
 
-    def __init__(self, elements: Sequence[Permutation], generator_indices: Sequence[int]):
-        self.elements: tuple[Permutation, ...] = tuple(elements)
+    def __init__(self, images: Sequence[tuple[int, ...]], generator_indices: Sequence[int]):
+        self.images: tuple[tuple[int, ...], ...] = tuple(images)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
-        self._index: dict[Permutation, int] = {p: i for i, p in enumerate(self.elements)}
-        if not self.elements[0].is_identity():
+        self._index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(self.images)}
+        if self.images[0] != tuple(range(len(self.images[0]))):
             raise EngineInconsistencyError("element 0 must be the identity")
-        self._order_cache: dict[int, int] = {}
+        self._inverse = [self._index[_inverse_images(p)] for p in self.images]
+        self._powers: dict[int, list[int]] = {}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def identity(self) -> int:
         return 0
 
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(p) for p in self.images)
+
     def element(self, i: int) -> Permutation:
-        return self.elements[i]
+        return Permutation(self.images[i])
 
     def index_of(self, p: Permutation) -> int:
         try:
-            return self._index[p]
+            return self._index[p.images]
         except KeyError:
             raise ValidationError(f"permutation {p.cycle_string()} is not in the group") from None
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self.elements[i] * self.elements[j]]
+        a = self.images[i]
+        return self._index[tuple([a[x] for x in self.images[j]])]
 
     def inv(self, i: int) -> int:
-        return self._index[self.elements[i].inverse()]
+        return self._inverse[i]
 
     def conjugate(self, i: int, t: int) -> int:
         """t i t^-1."""
-        return self.mul(self.mul(t, i), self.inv(t))
+        return self.mul(self.mul(t, i), self._inverse[t])
+
+    def powers(self, i: int) -> list[int]:
+        """[e, i, i^2, ..., i^(m-1)] with m the order of i; cached on the group."""
+        cached = self._powers.get(i)
+        if cached is None:
+            cached = [self.identity]
+            acc = i
+            while acc != self.identity:
+                cached.append(acc)
+                acc = self.mul(acc, i)
+            self._powers[i] = cached
+        return cached
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inv(i), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, i)
-        return acc
+            i, k = self._inverse[i], -k
+        cycle = self.powers(i)
+        return cycle[k % len(cycle)]
+
+
+def _inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -186,45 +210,33 @@ def group_from_generators(
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise DomainMismatchError("generators act on different domains")
-    identity = Permutation.identity(degree)
-    elements = [identity]
+    identity = tuple(range(degree))
+    images = [identity]
     index = {identity: 0}
     frontier = [identity]
+    # a repeated generator only ever yields products already found
+    distinct = list(dict.fromkeys(g.images for g in gens))
     while frontier:
         next_frontier = []
         for p in frontier:
-            for g in gens:
-                q = p * g
+            for g in distinct:
+                q = tuple([p[x] for x in g])
                 if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
+                    index[q] = len(images)
+                    images.append(q)
                     next_frontier.append(q)
-                    if len(elements) > cap:
+                    if len(images) > cap:
                         raise OrderCapExceededError(f"group order exceeds cap {cap}")
         frontier = next_frontier
-    group = FiniteGroup(elements, [index[g] for g in gens])
-    return group
+    return FiniteGroup(images, [index[g.images] for g in gens])
 
 
 def element_order(group: FiniteGroup, g: int) -> int:
-    cached = group._order_cache.get(g)
-    if cached is not None:
-        return cached
-    k, acc = 1, g
-    while acc != group.identity:
-        acc = group.mul(acc, g)
-        k += 1
-    group._order_cache[g] = k
-    return k
+    return len(group.powers(g))
 
 
 def cyclic_subgroup(group: FiniteGroup, g: int) -> Subgroup:
-    members = {group.identity}
-    acc = g
-    while acc != group.identity:
-        members.add(acc)
-        acc = group.mul(acc, g)
-    return Subgroup(group, frozenset(members))
+    return Subgroup(group, frozenset(group.powers(g)))
 
 
 def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, t: int) -> Subgroup:
@@ -240,23 +252,21 @@ def intersect_subgroups(group: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgr
     return Subgroup(group, frozenset(members))
 
 
+def coset_reps(group: FiniteGroup, sub: Subgroup) -> list[int]:
+    """For each element g, the least element index of its left coset g*sub."""
+    rep = [-1] * group.order
+    for g in range(group.order):
+        if rep[g] < 0:
+            for h in sub.members:
+                rep[group.mul(g, h)] = g
+    return rep
+
+
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     """Representatives of the left cosets gH, each the least element index in its coset."""
-    assigned: dict[int, int] = {}
-    reps = []
-    for g in range(group.order):
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in sub.members:
-            assigned[group.mul(g, h)] = g
+    reps = [g for g, r in enumerate(coset_reps(group, sub)) if g == r]
     assert len(reps) * sub.order == group.order
     return reps
-
-
-def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:
-    """Canonical representative (least element index) of the coset g*sub."""
-    return min(group.mul(g, h) for h in sub.members)
 
 
 def orbit_partition(
@@ -268,7 +278,7 @@ def orbit_partition(
     points = list(points)
     point_set = set(points)
     _spot_check_action(group, points, point_set, action)
-    gens = group.generator_indices or tuple(range(group.order))
+    gens = _distinct_generators(group) or tuple(range(group.order))
     seen: set[Hashable] = set()
     orbits: list[list[Hashable]] = []
     for p in points:
@@ -296,10 +306,14 @@ def _spot_check_action(group, points, point_set, action) -> None:
     for p in sample:
         if action(group.identity, p) != p:
             raise ActionAxiomError("identity does not act trivially")
-    gens = group.generator_indices or (group.identity,)
+    gens = _distinct_generators(group) or (group.identity,)
     for g in gens:
         for h in gens:
             gh = group.mul(g, h)
             for p in sample:
                 if action(g, action(h, p)) != action(gh, p):
                     raise ActionAxiomError("action is not compatible with composition")
+
+
+def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(group.generator_indices))

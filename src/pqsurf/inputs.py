@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import SphericalSystem, make_system, require_valid
+from .covers import ValidSystem, make_system, require_valid
 from .errors import ParseError, ValidationError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, group_from_generators
 from .singularities import SingularityType, normalized_key
@@ -136,7 +136,7 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
 
 def realize(
     desc: InputDescription, cap: int = DEFAULT_ORDER_CAP
-) -> tuple[FiniteGroup, SphericalSystem, SphericalSystem]:
+) -> tuple[FiniteGroup, ValidSystem, ValidSystem]:
     perms = [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
     group = group_from_generators(perms, cap=cap)
     named = {name: group.index_of(p) for (name, _), p in zip(desc.generators, perms)}
@@ -148,8 +148,7 @@ def realize(
             raise ValidationError(
                 f"declared signature {spec.signature} != derived {sys.signature}"
             )
-        require_valid(sys)
-        systems.append(sys)
+        systems.append(require_valid(sys))
     return group, systems[0], systems[1]
 
 

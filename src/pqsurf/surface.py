@@ -295,8 +295,7 @@ def build_surface_model(
 ) -> SurfaceModel:
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
-    require_valid(sys1)
-    require_valid(sys2)
+    sys1, sys2 = require_valid(sys1), require_valid(sys2)
     require_genus_at_least_two(sys1)
     require_genus_at_least_two(sys2)
     if locus is None:

@@ -3,10 +3,12 @@ import pytest
 from pqsurf.covers import (
     GenusTooSmallError,
     NonIntegralGenusError,
+    ValidSystem,
     branch_fiber,
     make_system,
     quotient_data,
     require_genus_at_least_two,
+    require_valid,
     rh_genus,
     validate_system,
 )
@@ -58,6 +60,26 @@ class TestValidation:
     def test_non_generating_tuple(self):
         report = validate_system(z5sq_triple([(1, 0), (2, 0), (2, 0)]))
         assert not report.ok and "generate" in report.violation
+
+
+class TestValidSystem:
+    def test_require_valid_returns_a_valid_system(self):
+        sys = z2_system(6)
+        valid = require_valid(sys)
+        assert isinstance(valid, ValidSystem)
+        assert (valid.group, valid.generators, valid.signature) == (
+            sys.group,
+            sys.generators,
+            sys.signature,
+        )
+        assert require_valid(valid) is valid
+
+    def test_invalid_system_cannot_be_valid(self):
+        sys = z2_system(3)
+        with pytest.raises(ValidationError, match="long relation"):
+            require_valid(sys)
+        with pytest.raises(ValidationError, match="long relation"):
+            ValidSystem(sys.group, 0, sys.generators, sys.signature)
 
 
 class TestGenus:

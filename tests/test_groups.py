@@ -6,6 +6,7 @@ from pqsurf.errors import ParseError, ValidationError
 from pqsurf.groups import (
     ActionAxiomError,
     DomainMismatchError,
+    FiniteGroup,
     OrderCapExceededError,
     Permutation,
     Subgroup,
@@ -23,6 +24,19 @@ PSL27_GENS = [
     Permutation.from_cycles("(0 3 1)(2 4 5)", 7),
     Permutation.from_cycles("(1 5)(2 6)", 7),
 ]
+
+
+def count_mul(monkeypatch) -> list[int]:
+    """Count FiniteGroup.mul calls from here on; the count is calls[0]."""
+    calls = [0]
+    original = FiniteGroup.mul
+
+    def counted(self, i, j):
+        calls[0] += 1
+        return original(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    return calls
 
 
 def z5_squared():
@@ -85,6 +99,13 @@ class TestClosure:
         g2 = group_from_generators(PSL27_GENS)
         assert g1.elements == g2.elements
 
+    @pytest.mark.parametrize("gens", [[SWAP], PSL27_GENS])
+    def test_repeated_generators_give_the_same_group(self, gens):
+        plain = group_from_generators(gens)
+        repeated = group_from_generators(gens * 24)
+        assert repeated.elements == plain.elements
+        assert repeated.generator_indices == plain.generator_indices * 24
+
     def test_group_laws(self):
         group = group_from_generators(PSL27_GENS)
         for i in range(group.order):
@@ -93,6 +114,31 @@ class TestClosure:
         for _ in range(50):
             a, b, c = (rng.randrange(group.order) for _ in range(3))
             assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+
+
+class TestPower:
+    def test_huge_exponent_costs_at_most_the_group_order(self, monkeypatch):
+        group = group_from_generators([SWAP])
+        t = group.generator_indices[0]
+        calls = count_mul(monkeypatch)
+        assert group.power(t, 1_000_000_001) == t
+        assert calls[0] <= group.order + 2
+
+    def test_huge_negative_exponent(self, monkeypatch):
+        group = group_from_generators([Permutation.from_cycles("(0 1 2 3 4 5 6)")])
+        r = group.generator_indices[0]
+        calls = count_mul(monkeypatch)
+        assert group.power(r, -1_000_000_001) == group.power(group.inv(r), 1_000_000_001 % 7)
+        assert calls[0] <= group.order + 2
+
+    def test_matches_repeated_products(self):
+        group = group_from_generators(PSL27_GENS)
+        for g in group.generator_indices + (5, 77):
+            acc = group.identity
+            for k in range(12):
+                assert group.power(g, k) == acc
+                assert group.power(g, -k) == group.inv(acc)
+                acc = group.mul(acc, g)
 
 
 class TestElementOrder:
@@ -216,6 +262,18 @@ class TestOrbits:
         orbits = orbit_partition(group, pts, lambda g, p: group.element(g)(p))
         assert sorted(x for o in orbits for x in o) == pts
         assert len(orbits) == 2
+
+    @pytest.mark.parametrize("gens", [[SWAP], PSL27_GENS])
+    def test_repeated_generators_cost_no_extra_products(self, gens, monkeypatch):
+        calls = count_mul(monkeypatch)
+        counts = []
+        for generator_list in (gens, gens * 24):
+            group = group_from_generators(generator_list)
+            calls[0] = 0
+            orbits = orbit_partition(group, range(group.order), lambda g, p: group.mul(g, p))
+            assert len(orbits) == 1
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
     def test_axiom_violation_detected(self):
         group = group_from_generators([SWAP])

@@ -1,0 +1,73 @@
+"""The double-coset singular locus against the brute-force pair enumeration
+of ``tests.locus_oracle``: the same points in the same order, the same
+representatives and the same free-orbit counts, in both system orders."""
+
+from functools import lru_cache
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pqsurf.covers import make_system, validate_system
+from pqsurf.groups import Permutation, group_from_generators
+from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.singularities import enumerate_singularities
+from tests.locus_oracle import enumerate_singularities as oracle_singularities
+
+# groups of order <= 60 as permutation groups; Z/n is drawn separately
+GROUPS = {
+    "(Z/2)^2": (4, ("(0 1)", "(2 3)")),
+    "(Z/5)^2": (10, ("(0 1 2 3 4)", "(5 6 7 8 9)")),
+    "S3": (3, ("(0 1)", "(0 1 2)")),
+    "D4": (4, ("(0 1 2 3)", "(1 3)")),
+    "D5": (5, ("(0 1 2 3 4)", "(1 4)(2 3)")),
+    "A4": (4, ("(0 1 2)", "(0 1)(2 3)")),
+    "S4": (4, ("(0 1 2 3)", "(0 1)")),
+    "A5": (5, ("(0 1 2 3 4)", "(0 1 2)")),
+}
+
+
+@lru_cache(maxsize=None)
+def build_group(name: str):
+    if name.startswith("Z/"):
+        n = int(name[2:])
+        degree, cycles = n, ("(" + " ".join(map(str, range(n))) + ")",)
+    else:
+        degree, cycles = GROUPS[name]
+    return group_from_generators([Permutation.from_cycles(c, degree) for c in cycles])
+
+
+@st.composite
+def generating_vector(draw, group):
+    """g_1, ..., g_r with g_r = (g_1 ... g_{r-1})^-1, kept only if it is a
+    valid spherical system."""
+    elements = [draw(st.integers(1, group.order - 1)) for _ in range(draw(st.integers(2, 4)))]
+    acc = group.identity
+    for g in elements:
+        acc = group.mul(acc, g)
+    elements.append(group.inv(acc))
+    sys = make_system(group, elements)
+    assume(validate_system(sys).ok)
+    return sys
+
+
+@st.composite
+def system_pairs(draw):
+    name = draw(st.sampled_from(sorted(GROUPS)) | st.integers(2, 24).map(lambda n: f"Z/{n}"))
+    group = build_group(name)
+    return draw(generating_vector(group)), draw(generating_vector(group))
+
+
+def assert_same_locus(sys1, sys2):
+    for a, b in ((sys1, sys2), (sys2, sys1)):
+        assert enumerate_singularities(a, b) == oracle_singularities(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(system_pairs())
+def test_double_cosets_match_pair_enumeration(pair):
+    assert_same_locus(*pair)
+
+
+def test_a6_matches_pair_enumeration():
+    _, sys1, sys2 = realize(parse_input(fixture_path("a6_245_334.pq").read_text()))
+    assert_same_locus(sys1, sys2)

@@ -105,6 +105,10 @@ class TestEnumeration:
             == Counter(normalized_key(p.type) for p in swapped.points)
         )
 
+    def test_invalid_plain_system_rejected(self):
+        with pytest.raises(ValidationError, match="long relation"):
+            enumerate_singularities(*[z2_system(3)] * 2)
+
     def test_different_groups_rejected(self):
         with pytest.raises(ValidationError):
             enumerate_singularities(z2_system(6), z5sq_triple(BEAUVILLE_1))

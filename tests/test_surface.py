@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from pqsurf import covers
 from pqsurf.errors import ValidationError
+from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.singularities import enumerate_singularities
 from pqsurf.surface import BasisCurve, DivisorClass, build_surface_model
+from tests.test_covers import z2_system
 
 
 class TestDivisorAlgebra:
@@ -171,6 +175,20 @@ class TestGates:
         _, t1, _ = toy
         with pytest.raises(ValidationError):
             build_surface_model(b1, t1)
+
+    def test_invalid_plain_system_rejected(self):
+        with pytest.raises(ValidationError, match="long relation"):
+            build_surface_model(*[z2_system(3)] * 2)
+
+    def test_each_system_is_validated_once(self, monkeypatch):
+        calls = []
+        original = covers.validate_system
+        monkeypatch.setattr(covers, "validate_system", lambda s: calls.append(s) or original(s))
+        _, sys1, sys2 = realize(parse_input(fixture_path("a5_255_335.pq").read_text()))
+        locus = enumerate_singularities(sys1, sys2)
+        build_surface_model(sys1, sys2, locus)
+        build_surface_model(sys1, sys2)
+        assert len(calls) == 2
 
     def test_intersection_is_symmetric_and_rational(self, z4_mixed_model):
         m = z4_mixed_model
