@@ -17,22 +17,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import differentials as diff_mod
-from .errors import EngineInconsistencyError, ParseError, PQError
-from .groups import DEFAULT_ORDER_CAP
-from .hj import leading_minors, string_for, string_intersection_matrix
-from .inputs import (
-    SCHEMA_VERSION,
-    formula_invariants,
-    parse_input,
-    parse_rows,
-    realize,
-    run_invariants,
-)
-from .singularities import SingularityType, dual_type, enumerate_singularities
-from .surface import build_surface_model
+from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
+from .limits import DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_HJ_ORDER
 
+# Each subcommand imports the layers it uses when it runs, so that a short
+# command such as `hj` or `bigness` does not load the group engine.
+
+SCHEMA_VERSION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ENGINE = 4
@@ -49,6 +40,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _load_description(path: str):
+    from .inputs import parse_input
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -60,6 +53,10 @@ def _load_description(path: str):
 
 
 def cmd_hj(args) -> int:
+    from .hj import SingularityType, dual_type, leading_minors, string_for, string_intersection_matrix
+
+    if args.n > MAX_HJ_ORDER:
+        raise ValidationError(f"hj: n = {args.n} is above the ceiling {MAX_HJ_ORDER} of the dense string matrix")
     t = SingularityType(args.n, args.a)
     s = string_for(t)
     matrix = string_intersection_matrix(s)
@@ -87,6 +84,8 @@ def cmd_hj(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .inputs import run_invariants
+
     desc = _load_description(args.file)
     summary = run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order)
     if args.json:
@@ -105,6 +104,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_singularities(args) -> int:
+    from .inputs import realize
+    from .singularities import enumerate_singularities
+
     desc = _load_description(args.file)
     _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     locus = enumerate_singularities(sys1, sys2)
@@ -123,14 +125,18 @@ def cmd_singularities(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import degree_bound_report, lemma_cc_check
+    from .inputs import realize
+    from .surface import build_surface_model
+
     desc = _load_description(args.file)
     _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     model = build_surface_model(sys1, sys2)
     reports = [
-        bounds_mod.degree_bound_report(model, curve)
+        degree_bound_report(model, curve)
         for curve in [model.F1, model.F2, *model.N, *model.M]
     ]
-    cc = bounds_mod.lemma_cc_check(model, in_scope=desc.in_scope_c1sq6)
+    cc = lemma_cc_check(model, in_scope=desc.in_scope_c1sq6)
     if args.json:
         _emit_json(
             {
@@ -153,6 +159,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .inputs import formula_invariants, parse_rows, run_invariants
+
     summaries = []
     errors = []
     for path in args.files:
@@ -231,12 +239,14 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 
 
 def cmd_local_check(args) -> int:
+    from .differentials import SourceSection, gamma_pullback, invariance_check, is_holomorphic
+
     terms = parse_polynomial(args.section)
-    section = diff_mod.SourceSection(args.m, terms)
-    pullback = diff_mod.gamma_pullback(section)
-    holomorphic = diff_mod.is_holomorphic(pullback)
+    section = SourceSection(args.m, terms)
+    pullback = gamma_pullback(section)
+    holomorphic = is_holomorphic(pullback)
     order = pullback.min_mu1_exponent()
-    invariant = diff_mod.invariance_check(section)
+    invariant = invariance_check(section)
     if args.json:
         _emit_json(
             {
@@ -260,7 +270,9 @@ def cmd_local_check(args) -> int:
 
 
 def cmd_bigness(args) -> int:
-    cert = diff_mod.bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
+    from .differentials import bigness_certificate
+
+    cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
     if args.json:
         _emit_json(
             {
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ksq", type=int, required=True)
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--max-m", type=int, default=diff_mod.MAX_CERTIFICATE_POWER)
+    p.add_argument("--max-m", type=int, default=MAX_CERTIFICATE_POWER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bigness)
 

@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ValidationError
-
-MAX_CERTIFICATE_POWER = 100
+from .limits import MAX_CERTIFICATE_POWER
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
-
-DEFAULT_ORDER_CAP = 10_000
+from .limits import DEFAULT_ORDER_CAP
 
 
 class DomainMismatchError(ValidationError):

@@ -1,4 +1,5 @@
-"""Hirzebruch-Jung continued fractions and exceptional-string intersection data.
+"""Cyclic quotient singularity types, Hirzebruch-Jung continued fractions and
+exceptional-string intersection data.
 
 n/a = b_1 - 1/(b_2 - 1/(... - 1/b_l)) with every b_i >= 2; the expansion is
 unique and computed by the greedy ceiling recursion in exact integers.
@@ -8,9 +9,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import EngineInconsistencyError, ValidationError
-from .singularities import SingularityType
+
+
+@dataclass(frozen=True, order=True)
+class SingularityType:
+    n: int
+    a: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2 or not 1 <= self.a <= self.n - 1 or gcd(self.a, self.n) != 1:
+            raise ValidationError(f"not a valid singularity type 1/{self.n}(1,{self.a})")
+
+    def __str__(self) -> str:
+        return f"1/{self.n}(1,{self.a})"
+
+
+def dual_type(t: SingularityType) -> SingularityType:
+    """(n, a') with a*a' = 1 mod n."""
+    return SingularityType(t.n, pow(t.a, -1, t.n))
+
+
+def normalized_key(t: SingularityType) -> SingularityType:
+    """The lexicographically smaller of (n, a) and its dual; convention-free reporting key."""
+    return min(t, dual_type(t))
 
 
 def hj_expand(n: int, a: int) -> list[int]:

@@ -39,14 +39,15 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .covers import ValidSystem, make_system, require_valid
 from .errors import ParseError, ValidationError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, group_from_generators
-from .singularities import SingularityType, normalized_key
-from .surface import build_surface_model
+from .hj import SingularityType, normalized_key, string_length
+from .limits import DEFAULT_ORDER_CAP
 
-SCHEMA_VERSION = 1
+if TYPE_CHECKING:
+    from .covers import ValidSystem
+    from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,7 @@ class InputDescription:
 
 def parse_input(text: str) -> InputDescription:
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # generator names are case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -92,7 +94,10 @@ def parse_input(text: str) -> InputDescription:
         if "generators" not in sec:
             raise ParseError(f"missing 'generators' in [{section}]")
         words = tuple(w.strip() for w in sec["generators"].split(",") if w.strip())
-        base_genus = int(sec.get("base_genus", "0"))
+        try:
+            base_genus = int(sec.get("base_genus", "0"))
+        except ValueError:
+            raise ParseError(f"bad base_genus {sec['base_genus']!r} in [{section}]") from None
         signature = None
         if "signature" in sec:
             try:
@@ -137,6 +142,9 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
 def realize(
     desc: InputDescription, cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[FiniteGroup, ValidSystem, ValidSystem]:
+    from .covers import make_system, require_valid
+    from .groups import Permutation, group_from_generators
+
     perms = [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
     group = group_from_generators(perms, cap=cap)
     named = {name: group.index_of(p) for (name, _), p in zip(desc.generators, perms)}
@@ -186,6 +194,8 @@ class TableRowSummary:
 
 
 def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_ORDER_CAP) -> TableRowSummary:
+    from .surface import build_surface_model
+
     group, sys1, sys2 = realize(desc, cap=cap)
     model = build_surface_model(sys1, sys2)
     inv = model.numerical_invariants()
@@ -281,8 +291,10 @@ def parse_rows(text: str) -> list[FormulaRow]:
 def formula_invariants(row: FormulaRow) -> TableRowSummary:
     """Stratified Euler count from (|G|, g1, g2, singularity multiset); base
     quotients are assumed rational (q = 0), as in the P_g = 0 classification."""
-    from .hj import string_length
-
+    if row.group_order < 1:
+        raise ValidationError(f"group order {row.group_order} is not positive")
+    if row.g1 < 2 or row.g2 < 2:
+        raise ValidationError(f"g1, g2 = {row.g1}, {row.g2}: both genera must be at least 2")
     e = Fraction((2 - 2 * row.g1) * (2 - 2 * row.g2), row.group_order)
     sings = []
     for n, a, count in row.singularities:

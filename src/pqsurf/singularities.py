@@ -22,34 +22,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from .covers import SphericalSystem, require_valid
 from .errors import EngineInconsistencyError, ValidationError
 from .groups import FiniteGroup, coset_reps, cyclic_subgroup
-
-
-@dataclass(frozen=True, order=True)
-class SingularityType:
-    n: int
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or not 1 <= self.a <= self.n - 1 or gcd(self.a, self.n) != 1:
-            raise ValidationError(f"not a valid singularity type 1/{self.n}(1,{self.a})")
-
-    def __str__(self) -> str:
-        return f"1/{self.n}(1,{self.a})"
-
-
-def dual_type(t: SingularityType) -> SingularityType:
-    """(n, a') with a*a' = 1 mod n."""
-    return SingularityType(t.n, pow(t.a, -1, t.n))
-
-
-def normalized_key(t: SingularityType) -> SingularityType:
-    """The lexicographically smaller of (n, a) and its dual; convention-free reporting key."""
-    return min(t, dual_type(t))
+from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (dual_type is re-exported)
 
 
 @dataclass(frozen=True)

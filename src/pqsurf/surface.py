@@ -28,13 +28,8 @@ from typing import Mapping
 
 from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
-from .hj import hj_expand
-from .singularities import (
-    SingularLocus,
-    SingularityType,
-    dual_type,
-    enumerate_singularities,
-)
+from .hj import SingularityType, dual_type, hj_expand
+from .singularities import SingularLocus, enumerate_singularities
 
 
 @dataclass(frozen=True, order=True)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,51 @@ class TestBigness:
         )
         payload = json.loads(out)
         assert payload["certificate"] == {"m_star": 2, "value": "9"}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("zero,0,2,2,,", "group order 0"),
+            ("negative,-4,2,2,,", "group order -4"),
+            ("low_g1,2,1,3,,", "at least 2"),
+            ("low_g2,2,3,0,,", "at least 2"),
+        ],
+    )
+    def test_rows_bad_order_or_genus(self, capsys, tmp_path, row, message):
+        path = tmp_path / "bad.rows"
+        path.write_text("name,group_order,g1,g2,singularities,ksq\n" + row + "\n")
+        code, out, _ = run(capsys, "table", str(path))
+        records = list(csv.DictReader(io.StringIO(out)))
+        assert code == 3
+        assert len(records) == 1
+        name = row.split(",")[0]
+        assert records[0]["error"].startswith(f"{name}: ") and message in records[0]["error"]
+
+    def test_bad_base_genus(self, capsys, tmp_path):
+        path = tmp_path / "bad.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        path.write_text(text.replace("base_genus = 0", "base_genus = x", 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "base_genus" in err and "[system1]" in err
+
+    def test_upper_case_generator_names(self, capsys, tmp_path):
+        path = tmp_path / "beauville_55.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        text = re.sub(r"(?m)^([ab]) = ", lambda m: m[1].upper() + " = ", text)
+        text = re.sub(r"(?m)^(generators = )(.*)$", lambda m: m[1] + m[2].upper(), text)
+        assert "A = (0 1 2 3 4)" in text and "generators = A, B, A^4*B^4" in text
+        path.write_text(text)
+        code, out, _ = run(capsys, "invariants", str(path), "--json")
+        _, want, _ = run(capsys, "invariants", BEAUVILLE, "--json")
+        assert code == 0 and out == want
+
+    def test_hj_above_ceiling(self, capsys):
+        from pqsurf.limits import MAX_HJ_ORDER
+
+        n = MAX_HJ_ORDER + 1
+        code, out, err = run(capsys, "hj", str(n), str(n - 1))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and str(MAX_HJ_ORDER) in err
