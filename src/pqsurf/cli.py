@@ -18,7 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
-from .limits import DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_HJ_ORDER
+from .limits import (DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_CERTIFICATE_SEARCH, MAX_HJ_ORDER,
+                     MAX_LOCAL_M, MAX_ORDER_CAP)
 
 # Each subcommand imports the layers it uses when it runs, so that a short
 # command such as `hj` or `bigness` does not load the group engine.
@@ -37,6 +38,11 @@ def fmt(value) -> str:
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2))
+
+
+def _require_at_most(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise ValidationError(f"{flag} = {value} is above the ceiling {ceiling}")
 
 
 def _load_description(path: str):
@@ -159,7 +165,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .inputs import formula_invariants, parse_rows, run_invariants
+    from .inputs import format_singularity_multiset, formula_invariants, parse_rows, run_invariants
 
     summaries = []
     errors = []
@@ -191,9 +197,7 @@ def cmd_table(args) -> int:
             records.append({"name": "", "error": error})
             continue
         record = summary.to_json()
-        record["singularities"] = "+".join(
-            f"{n}/{a}x{c}" for n, a, c in summary.singularities
-        )
+        record["singularities"] = format_singularity_multiset(summary.singularities)
         record["error"] = ""
         records.append(record)
     if args.json:
@@ -241,6 +245,7 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 def cmd_local_check(args) -> int:
     from .differentials import SourceSection, gamma_pullback, invariance_check, is_holomorphic
 
+    _require_at_most("local-check --m", args.m, MAX_LOCAL_M)
     terms = parse_polynomial(args.section)
     section = SourceSection(args.m, terms)
     pullback = gamma_pullback(section)
@@ -272,6 +277,7 @@ def cmd_local_check(args) -> int:
 def cmd_bigness(args) -> int:
     from .differentials import bigness_certificate
 
+    _require_at_most("bigness --max-m", args.max_m, MAX_CERTIFICATE_SEARCH)
     cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
     if args.json:
         _emit_json(
@@ -366,6 +372,7 @@ def _exit_code_for(exc: PQError) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_at_most("--max-group-order", args.max_group_order, MAX_ORDER_CAP)
         return args.func(args)
     except PQError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Branched G-covers of curves encoded by spherical systems of generators.
+"""Branched G-covers of P^1 encoded by spherical systems of generators.
 
-A spherical system over a base of genus g' is an ordered tuple of group
-elements whose product (together with the commutators of the hyperbolic
-pairs, when g' > 0) is the identity and which generates the group.  The
-points of the cover over branch point i correspond to the left cosets of
-the cyclic subgroup generated by the i-th element.
+A spherical system is an ordered tuple of group elements whose product is
+the identity and which generates the group; it encodes a G-cover C -> P^1
+branched over one point per element.  Bases of positive genus are out of
+scope: with P_g = 0 and chi >= 1 the irregularity is 0, so both quotients
+C_i/G of a product-quotient surface are rational.  The points of the cover
+over branch point i correspond to the left cosets of the cyclic subgroup
+generated by the i-th element.
 
 Rotation convention: the distinguished generator t*g_i*t^-1 of the
 stabilizer of the coset-t point acts on the tangent line at that point as
@@ -22,6 +24,7 @@ from .errors import ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    conjugate_subgroup,
     cyclic_subgroup,
     element_order,
     group_from_generators,
@@ -40,19 +43,12 @@ class GenusTooSmallError(ValidationError):
 @dataclass(frozen=True)
 class SphericalSystem:
     group: FiniteGroup
-    base_genus: int
     generators: tuple[int, ...]
     signature: tuple[int, ...]
-    # each pair (u, v) contributes the commutator [u, v] to the long relation
-    hyperbolic_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_genus < 0:
-            raise ValidationError("base genus must be non-negative")
         if len(self.generators) != len(self.signature):
             raise ValidationError("signature length must match generator count")
-        if len(self.hyperbolic_pairs) != self.base_genus:
-            raise ValidationError("need one hyperbolic pair per handle of the base")
 
     @property
     def branch_count(self) -> int:
@@ -75,25 +71,17 @@ class SystemReport:
     violation: str | None = None
 
 
-def make_system(
-    group: FiniteGroup,
-    generators: tuple[int, ...] | list[int],
-    base_genus: int = 0,
-    hyperbolic_pairs: tuple[tuple[int, int], ...] = (),
-) -> SphericalSystem:
+def make_system(group: FiniteGroup, generators: tuple[int, ...] | list[int]) -> SphericalSystem:
     """Build a system with the signature derived from the element orders."""
     gens = tuple(generators)
     signature = tuple(element_order(group, g) for g in gens)
-    return SphericalSystem(group, base_genus, gens, signature, hyperbolic_pairs)
+    return SphericalSystem(group, gens, signature)
 
 
 def validate_system(sys: SphericalSystem) -> SystemReport:
     """Check the long relation, the signature and generation; report the first failure."""
     group = sys.group
     acc = group.identity
-    for u, v in sys.hyperbolic_pairs:
-        comm = group.mul(group.mul(u, v), group.mul(group.inv(u), group.inv(v)))
-        acc = group.mul(acc, comm)
     for g in sys.generators:
         acc = group.mul(acc, g)
     if acc != group.identity:
@@ -106,8 +94,6 @@ def validate_system(sys: SphericalSystem) -> SystemReport:
                 False, f"order mismatch: element has order {element_order(group, g)}, signature says {m}"
             )
     perms = [group.element(g) for g in sys.generators]
-    for u, v in sys.hyperbolic_pairs:
-        perms.extend([group.element(u), group.element(v)])
     if group_from_generators(perms, cap=group.order).order != group.order:
         return SystemReport(False, "generators do not generate the whole group")
     return SystemReport(True)
@@ -128,13 +114,13 @@ def require_valid(sys: SphericalSystem) -> ValidSystem:
     """The system as a ``ValidSystem``; validates only systems not yet known valid."""
     if isinstance(sys, ValidSystem):
         return sys
-    return ValidSystem(sys.group, sys.base_genus, sys.generators, sys.signature, sys.hyperbolic_pairs)
+    return ValidSystem(sys.group, sys.generators, sys.signature)
 
 
 def rh_genus(sys: SphericalSystem) -> int:
-    """Genus of the cover by Riemann-Hurwitz:
-    2g - 2 = |G| (2g' - 2 + sum_i (1 - 1/m_i))."""
-    total = Fraction(2 * sys.base_genus - 2)
+    """Genus of the cover by Riemann-Hurwitz over P^1:
+    2g - 2 = |G| (-2 + sum_i (1 - 1/m_i))."""
+    total = Fraction(-2)
     for m in sys.signature:
         total += 1 - Fraction(1, m)
     rhs = sys.group.order * total
@@ -159,18 +145,12 @@ def branch_fiber(sys: SphericalSystem, i: int) -> list[CoverPoint]:
     base = cyclic_subgroup(group, g)
     points = []
     for t in left_cosets(group, base):
-        stab = Subgroup(group, frozenset(group.conjugate(h, t) for h in base.members))
         points.append(
             CoverPoint(
                 branch_index=i,
                 coset_rep=t,
-                stabilizer=stab,
+                stabilizer=conjugate_subgroup(group, base, t),
                 rotation_generator=group.conjugate(g, t),
             )
         )
     return points
-
-
-def quotient_data(sys: SphericalSystem) -> tuple[int, int]:
-    """(base genus, branch point count)."""
-    return sys.base_genus, sys.branch_count

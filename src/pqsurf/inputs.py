@@ -10,6 +10,9 @@ Two input modes:
   when K^2 is supplied, the Noether chi and P_g.  This exists because the
   classification tables list invariants, not spherical systems.
 
+Both modes compute e, chi and P_g in ``euler_chi_pg``; full mode feeds it
+the K^2 of the divisor lattice.
+
 .pq grammar (INI sections)::
 
     [group]
@@ -18,15 +21,20 @@ Two input modes:
     b = (5 6 7 8 9)
 
     [system1]
+    ; optional: C1/G is P^1, so 0 is the only value accepted
     base_genus = 0
     generators = a, b, a^4*b^4
-    signature = 5, 5, 5        ; optional, derived when absent
+    ; optional, derived when absent
+    signature = 5, 5, 5
 
     [system2]
     ...
 
     [flags]
-    in_scope_c1sq6 = false     ; optional
+    ; optional
+    in_scope_c1sq6 = false
+
+Comments take whole lines (configparser strips no inline comments).
 
 Generator words are '*'-separated factors ``name`` or ``name^k`` (k may be
 negative).
@@ -36,7 +44,6 @@ from __future__ import annotations
 
 import configparser
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -52,7 +59,6 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    base_genus: int
     words: tuple[str, ...]
     signature: tuple[int, ...] | None = None
 
@@ -98,13 +104,15 @@ def parse_input(text: str) -> InputDescription:
             base_genus = int(sec.get("base_genus", "0"))
         except ValueError:
             raise ParseError(f"bad base_genus {sec['base_genus']!r} in [{section}]") from None
+        if base_genus != 0:
+            raise ParseError(f"base_genus = {base_genus} in [{section}]: only rational bases (0) are supported")
         signature = None
         if "signature" in sec:
             try:
                 signature = tuple(int(x) for x in sec["signature"].split(","))
             except ValueError:
                 raise ParseError(f"bad signature in [{section}]") from None
-        systems.append(SystemSpec(base_genus, words, signature))
+        systems.append(SystemSpec(words, signature))
     in_scope = False
     if "flags" in parser:
         in_scope = parser["flags"].getboolean("in_scope_c1sq6", fallback=False)
@@ -115,8 +123,7 @@ def serialize_input(desc: InputDescription) -> str:
     lines = ["[group]", f"degree = {desc.degree}"]
     lines += [f"{name} = {cycles}" for name, cycles in desc.generators]
     for label, spec in (("system1", desc.system1), ("system2", desc.system2)):
-        lines += ["", f"[{label}]", f"base_genus = {spec.base_genus}"]
-        lines.append("generators = " + ", ".join(spec.words))
+        lines += ["", f"[{label}]", "generators = " + ", ".join(spec.words)]
         if spec.signature is not None:
             lines.append("signature = " + ", ".join(map(str, spec.signature)))
     lines += ["", "[flags]", f"in_scope_c1sq6 = {str(desc.in_scope_c1sq6).lower()}"]
@@ -151,7 +158,7 @@ def realize(
     systems = []
     for spec in (desc.system1, desc.system2):
         elements = tuple(_evaluate_word(group, named, w) for w in spec.words)
-        sys = make_system(group, elements, base_genus=spec.base_genus)
+        sys = make_system(group, elements)
         if spec.signature is not None and spec.signature != sys.signature:
             raise ValidationError(
                 f"declared signature {spec.signature} != derived {sys.signature}"
@@ -199,14 +206,13 @@ def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_OR
     group, sys1, sys2 = realize(desc, cap=cap)
     model = build_surface_model(sys1, sys2)
     inv = model.numerical_invariants()
-    counts = Counter(normalized_key(p.type) for p in model.locus.points)
-    sings = tuple(sorted((t.n, t.a, c) for t, c in counts.items()))
+    counts = model.locus.normalized_counts()
     return TableRowSummary(
         name=name,
         group_order=group.order,
         g1=model.g1,
         g2=model.g2,
-        singularities=sings,
+        singularities=tuple(sorted((t.n, t.a, c) for t, c in counts.items())),
         e=inv.e,
         ksq=inv.ksq,
         chi=inv.chi,
@@ -288,36 +294,44 @@ def parse_rows(text: str) -> list[FormulaRow]:
     return rows
 
 
+def euler_chi_pg(group_order: int, g1: int, g2: int, singularities, ksq: int | None) -> tuple:
+    """(e, chi, P_g) of S from |G|, g1, g2, the (n, a, count) multiset and K^2.
+
+    e is the stratified count (2 - 2g1)(2 - 2g2)/|G| plus 1 - 1/n + l(n, a)
+    per singular point; chi = (K^2 + e)/12 by Noether, and P_g = chi - 1 as
+    q = 0.  Without K^2, chi and P_g are None.  Gates raise ValidationError."""
+    e = Fraction((2 - 2 * g1) * (2 - 2 * g2), group_order)
+    for n, a, count in singularities:
+        e += count * (1 - Fraction(1, n) + string_length(SingularityType(n, a)))
+    if e.denominator != 1:
+        raise ValidationError(f"Euler number {e} is not an integer")
+    if ksq is None:
+        return int(e), None, None
+    chi = Fraction(ksq + int(e), 12)
+    if chi.denominator != 1 or chi <= 0:
+        raise ValidationError(f"chi = (K^2 + e)/12 = {chi} is not a positive integer")
+    return int(e), int(chi), int(chi) - 1
+
+
 def formula_invariants(row: FormulaRow) -> TableRowSummary:
-    """Stratified Euler count from (|G|, g1, g2, singularity multiset); base
-    quotients are assumed rational (q = 0), as in the P_g = 0 classification."""
+    """The invariants of a table row; base quotients are rational (q = 0), as
+    in the P_g = 0 classification."""
     if row.group_order < 1:
         raise ValidationError(f"group order {row.group_order} is not positive")
     if row.g1 < 2 or row.g2 < 2:
         raise ValidationError(f"g1, g2 = {row.g1}, {row.g2}: both genera must be at least 2")
-    e = Fraction((2 - 2 * row.g1) * (2 - 2 * row.g2), row.group_order)
     sings = []
     for n, a, count in row.singularities:
-        t = SingularityType(n, a)
-        e += count * (1 - Fraction(1, n)) + count * string_length(t)
-        key = normalized_key(t)
+        key = normalized_key(SingularityType(n, a))
         sings.append((key.n, key.a, count))
-    if e.denominator != 1:
-        raise ValidationError(f"Euler number {e} is not an integer")
-    chi = pg = None
-    if row.ksq is not None:
-        chi_f = Fraction(row.ksq + int(e), 12)
-        if chi_f.denominator != 1 or chi_f <= 0:
-            raise ValidationError(f"chi = (K^2 + e)/12 = {chi_f} is not a positive integer")
-        chi = int(chi_f)
-        pg = chi - 1
+    e, chi, pg = euler_chi_pg(row.group_order, row.g1, row.g2, sings, row.ksq)
     return TableRowSummary(
         name=row.name,
         group_order=row.group_order,
         g1=row.g1,
         g2=row.g2,
         singularities=tuple(sorted(sings)),
-        e=int(e),
+        e=e,
         ksq=row.ksq,
         chi=chi,
         q=0,

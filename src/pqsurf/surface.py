@@ -29,6 +29,7 @@ from typing import Mapping
 from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import SingularityType, dual_type, hj_expand
+from .inputs import euler_chi_pg
 from .singularities import SingularLocus, enumerate_singularities
 
 
@@ -87,14 +88,6 @@ class Invariants:
     chi: int
     q: int
     pg: int
-
-    @property
-    def c1sq(self) -> int:
-        return self.ksq
-
-    @property
-    def c2(self) -> int:
-        return self.e
 
     def to_json(self) -> dict:
         return {"e": self.e, "Ksq": self.ksq, "chi": self.chi, "q": self.q, "pg": self.pg}
@@ -203,8 +196,8 @@ class SurfaceModel:
 
     def canonical_class(self) -> DivisorClass:
         coeffs: dict[BasisCurve, Fraction] = {
-            self.F1: Fraction(2 * self.sys1.base_genus - 2),
-            self.F2: Fraction(2 * self.sys2.base_genus - 2),
+            self.F1: Fraction(-2),
+            self.F2: Fraction(-2),
         }
         for i, curve in enumerate(self.N):
             coeffs[curve] = Fraction(self.sys1.signature[i] - 1)
@@ -220,27 +213,19 @@ class SurfaceModel:
     def exceptional_class(self) -> DivisorClass:
         return DivisorClass({c: Fraction(1) for comps in self.Z for c in comps})
 
-    def euler_number(self) -> int:
-        e = Fraction((2 - 2 * self.g1) * (2 - 2 * self.g2), self.group.order)
-        for point, comps in zip(self.locus.points, self.Z):
-            e += 1 - Fraction(1, point.type.n)
-            e += len(comps)
-        if e.denominator != 1:
-            raise EngineInconsistencyError(f"Euler number {e} is not an integer")
-        return int(e)
-
     def numerical_invariants(self) -> Invariants:
-        e = self.euler_number()
+        """K^2 from the lattice; e, chi and P_g from ``euler_chi_pg``, whose
+        failed gates are engine inconsistencies here."""
         k = self.canonical_class()
         ksq = self.intersect(k, k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
-        chi = Fraction(int(ksq) + e, 12)
-        if chi.denominator != 1 or chi <= 0:
-            raise EngineInconsistencyError(f"chi = (K^2 + e)/12 = {chi} is not a positive integer")
-        q = self.sys1.base_genus + self.sys2.base_genus
-        pg = int(chi) - 1 + q
-        return Invariants(e=e, ksq=int(ksq), chi=int(chi), q=q, pg=pg)
+        sings = [(t.n, t.a, c) for t, c in self.locus.normalized_counts().items()]
+        try:
+            e, chi, pg = euler_chi_pg(self.group.order, self.g1, self.g2, sings, int(ksq))
+        except ValidationError as exc:
+            raise EngineInconsistencyError(str(exc)) from None
+        return Invariants(e=e, ksq=int(ksq), chi=chi, q=0, pg=pg)
 
     def adjunction_genus(self, curve: BasisCurve) -> int:
         k = self.canonical_class()

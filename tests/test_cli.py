@@ -232,6 +232,16 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "base_genus" in err and "[system1]" in err
 
+    @pytest.mark.parametrize("value", ["1", "-1"])
+    def test_nonzero_base_genus(self, capsys, tmp_path, value):
+        # only rational bases: refused at parse time, before the group is closed
+        path = tmp_path / "bad.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        path.write_text(text.replace("base_genus = 0", f"base_genus = {value}", 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "base_genus" in err and "[system1]" in err
+
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"
         text = fixture_path("beauville_55.pq").read_text()
@@ -250,3 +260,20 @@ class TestInputErrors:
         code, out, err = run(capsys, "hj", str(n), str(n - 1))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and str(MAX_HJ_ORDER) in err
+
+    @pytest.mark.parametrize(
+        "ceiling, flag, argv",
+        [
+            ("MAX_LOCAL_M", "--m", ["local-check", "--section", "z1^2", "--m", None]),
+            ("MAX_CERTIFICATE_SEARCH", "--max-m", ["bigness", "--ksq", "1", "--chi", "1", "--points", "8", "--max-m", None]),
+            ("MAX_ORDER_CAP", "--max-group-order", ["--max-group-order", None, "invariants", BEAUVILLE]),
+        ],
+    )
+    def test_above_ceiling(self, capsys, ceiling, flag, argv):
+        # refused before any work; only ceiling + 1 is run
+        from pqsurf import limits
+
+        value = str(getattr(limits, ceiling) + 1)
+        code, out, err = run(capsys, *(value if a is None else a for a in argv))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and flag in err and value in err

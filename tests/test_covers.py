@@ -6,7 +6,6 @@ from pqsurf.covers import (
     ValidSystem,
     branch_fiber,
     make_system,
-    quotient_data,
     require_genus_at_least_two,
     require_valid,
     rh_genus,
@@ -44,7 +43,7 @@ class TestValidation:
 
     def test_order_mismatch_reported(self):
         sys = z2_system(2)
-        bad = type(sys)(sys.group, 0, sys.generators, (2, 3))
+        bad = type(sys)(sys.group, sys.generators, (2, 3))
         report = validate_system(bad)
         assert not report.ok and "order mismatch" in report.violation
 
@@ -79,7 +78,7 @@ class TestValidSystem:
         with pytest.raises(ValidationError, match="long relation"):
             require_valid(sys)
         with pytest.raises(ValidationError, match="long relation"):
-            ValidSystem(sys.group, 0, sys.generators, sys.signature)
+            ValidSystem(sys.group, sys.generators, sys.signature)
 
 
 class TestGenus:
@@ -99,21 +98,13 @@ class TestGenus:
         t = group.generator_indices[0]
         sys = make_system(group, (t, group.inv(t)))
         assert rh_genus(sys) == 0
-        bad = type(sys)(group, 0, (t,), (3,))
+        bad = type(sys)(group, (t,), (3,))
         with pytest.raises(NonIntegralGenusError):
             rh_genus(bad)
 
     def test_genus_floor_gate(self):
         with pytest.raises(GenusTooSmallError):
             require_genus_at_least_two(z2_system(2))
-
-    def test_positive_base_genus_enters_formula(self):
-        group = group_from_generators([Permutation.from_cycles("(0 1)", 2)])
-        t = group.generator_indices[0]
-        sys = type(z2_system(2))(group, 1, (t, t), (2, 2), ((0, 0),))
-        # 2g - 2 = 2 (0 + 1) = 2
-        assert rh_genus(sys) == 2
-        assert quotient_data(sys) == (1, 2)
 
 
 class TestBranchFibers:
@@ -157,9 +148,5 @@ class TestBranchFibers:
             (sys.signature[i - 1] - 1) * len(branch_fiber(sys, i))
             for i in range(1, sys.branch_count + 1)
         )
-        assert total == 2 * g - 2 - sys.group.order * (2 * sys.base_genus - 2)
-
-
-def test_quotient_data():
-    assert quotient_data(z2_system(6)) == (0, 6)
-    assert quotient_data(z5sq_triple(BEAUVILLE_1)) == (0, 3)
+        # Riemann-Hurwitz over P^1: 2g - 2 = -2|G| + sum of (e_p - 1) over ramification points
+        assert total == 2 * g - 2 + 2 * sys.group.order

@@ -33,7 +33,7 @@ class TestParseInput:
         assert desc.degree == 2
         assert desc.generators == (("t", "(0 1)"),)
         assert desc.system1.words == ("t",) * 6
-        assert desc.system1.base_genus == 0
+        assert parse_input(MINIMAL.replace("[system1]\n", "[system1]\nbase_genus = 0\n")) == desc
         assert desc.system1.signature is None
         assert not desc.in_scope_c1sq6
 

@@ -15,7 +15,8 @@ import pqsurf
 
 SRC = Path(pqsurf.__file__).resolve().parent.parent
 
-# pqsurf.__all__ as it was when the package imported every submodule eagerly
+# pqsurf.__all__ as it was when the package imported every submodule eagerly,
+# less quotient_data, which is deleted
 ALL = [
     "DivisorClass", "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
     "Permutation", "SingularityType", "SourceSection", "SphericalSystem", "Subgroup",
@@ -24,7 +25,7 @@ ALL = [
     "dual_type", "element_order", "enumerate_singularities", "errors", "gamma_pullback",
     "group_from_generators", "groups", "hj", "hj_evaluate", "hj_expand", "inputs",
     "intersect_subgroups", "invariance_check", "is_holomorphic", "left_cosets", "make_system",
-    "normalized_key", "orbit_partition", "parse_input", "quotient_data", "realize", "rh_genus",
+    "normalized_key", "orbit_partition", "parse_input", "realize", "rh_genus",
     "run_invariants", "serialize_input", "singularities", "string_intersection_matrix",
     "string_length", "surface", "validate_system", "vanishing_conditions",
 ]
@@ -65,6 +66,13 @@ def test_hj_command_skips_the_engine():
     modules = loaded("-m", "pqsurf.cli", "hj", "7", "3", "--json")
     assert "hj" in modules
     assert not modules & ENGINE
+
+
+def test_rows_table_skips_the_engine():
+    # formula mode computes e, chi and P_g in inputs, without the group engine or the lattice
+    modules = loaded("-m", "pqsurf.cli", "table", str(SRC / "pqsurf" / "fixtures" / "table_c1sq6.rows"))
+    assert "inputs" in modules
+    assert not modules & {"groups", "covers", "singularities", "surface", "bounds", "differentials"}
 
 
 def test_package_import_loads_no_submodule():

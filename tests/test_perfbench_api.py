@@ -1,0 +1,59 @@
+"""The benchmark's traced run keeps working against the package's API.
+
+``perfbench/layers.py`` counts calls by patching pqsurf names and times the
+public call into each layer; a renamed or deleted name there would only show
+in ``perfbench/run.py --trace 1``.  This module imports ``layers`` and
+``workloads`` from the checkout and changes nothing in them.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from pqsurf import cli
+from pqsurf.inputs import fixture_path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+STAGED_KEYS = {
+    "inputs.parse_ms", "groups.closure_ms", "inputs.realize_ms", "covers.fiber_ms",
+    "singularities.locus_ms", "surface.model_ms", "surface.invariants_ms", "bounds.reports_ms",
+    "bounds.crosscheck_ms", "hj.expand_ms", "differentials.pullback_ms", "differentials.bigness_ms",
+}
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    # workloads imports its sibling `reference` as a top-level module
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        import layers
+        import workloads
+    return layers, workloads
+
+
+def test_counting_sees_each_validation(perfbench, capsys):
+    layers, _ = perfbench
+    with layers.counting() as counts:
+        assert cli.main(["invariants", str(fixture_path("beauville_55.pq")), "--json"]) == 0
+    capsys.readouterr()
+    assert counts["covers.validate_calls"] == 2
+    assert counts["groups.mul_calls"] > 0 and counts["surface.intersect_calls"] > 0
+
+
+@pytest.mark.parametrize("fixture", ["beauville_55.pq", "z2_hyperelliptic.pq"])
+def test_staged_pass_reaches_every_layer(perfbench, fixture):
+    layers, workloads = perfbench
+    op = workloads.Op(
+        kind="surface",
+        commands=[],
+        check=lambda payloads: [],
+        pq=Path(fixture_path(fixture)),
+        section=(2, ((2, 0, Fraction(1)), (0, 2, Fraction(-1)))),
+        hj_types=[(5, 2)],
+    )
+    samples = defaultdict(list)
+    layers.staged(op, samples)
+    assert set(samples) == STAGED_KEYS

@@ -55,7 +55,6 @@ class TestEnumeration:
         group_sys1 = z5sq_triple(BEAUVILLE_1)
         sys2 = type(group_sys1)(
             group_sys1.group,
-            0,
             z5sq_triple(BEAUVILLE_2).generators,
             (5, 5, 5),
         )

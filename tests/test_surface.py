@@ -53,8 +53,8 @@ class TestBeauville:
     def test_invariants(self, beauville_model):
         inv = beauville_model.numerical_invariants()
         assert (inv.e, inv.ksq, inv.chi, inv.q, inv.pg) == (4, 8, 1, 0, 0)
-        assert inv.c1sq == 8 and inv.c2 == 4
-        assert inv.c1sq + inv.c2 == 12 * inv.chi
+        assert inv.ksq == 8 and inv.e == 4
+        assert inv.ksq + inv.e == 12 * inv.chi
 
     def test_no_exceptional_curves(self, beauville_model):
         m = beauville_model
