@@ -1,0 +1,83 @@
+"""Byte-for-byte pins of the CLI's standard output and exit codes.
+
+Each case runs ``pqsurf.cli.main`` in this process and compares what it
+prints with ``tests/golden/<case>.out`` and its exit code with
+``tests/golden/exit_codes.json``.  The cases: ``invariants``,
+``singularities`` and ``bounds`` (text and ``--json``) on the five ``.pq``
+fixtures, ``table`` (CSV and ``--json``) on all six fixtures together, and
+one ``hj``, one ``local-check`` and one ``bigness`` call.
+
+A change that is meant to change output rewrites the files from the root of
+the checkout with
+
+    PYTHONPATH=src python -m tests.test_golden_outputs
+
+and the diff of ``tests/golden/`` then shows every byte it changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from pqsurf import cli
+from pqsurf.inputs import fixture_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+PQ = ["a5_255_335", "a6_245_334", "a7_247_357", "beauville_55", "z2_hyperelliptic"]
+ALL_FIXTURES = [str(fixture_path(f"{stem}.pq")) for stem in PQ] + [str(fixture_path("table_c1sq6.rows"))]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for command in ("invariants", "singularities", "bounds"):
+        for stem in PQ:
+            path = str(fixture_path(f"{stem}.pq"))
+            cases[f"{command}-{stem}"] = [command, path]
+            cases[f"{command}-{stem}-json"] = [command, path, "--json"]
+    cases["table"] = ["table", *ALL_FIXTURES]
+    cases["table-json"] = ["table", *ALL_FIXTURES, "--json"]
+    cases["hj-7-3"] = ["hj", "7", "3"]
+    cases["local-check"] = ["local-check", "--m", "2", "--section", "z1^2 + 3*z1*z2 - 1/2*z2^2"]
+    cases["bigness"] = ["bigness", "--ksq", "6", "--chi", "1", "--points", "2"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_and_exit_code(case):
+    code, out = run(CASES[case])
+    assert out == (GOLDEN / f"{case}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[case]
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case, argv in sorted(CASES.items()):
+        codes[case], out = run(argv)
+        (GOLDEN / f"{case}.out").write_bytes(out)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
