@@ -13,7 +13,7 @@ _EXPORTS = {
                       "is_holomorphic", "vanishing_conditions"),
     "errors": ("EngineInconsistencyError", "ParseError", "PQError", "ValidationError"),
     "groups": ("FiniteGroup", "Permutation", "Subgroup", "conjugate_subgroup", "cyclic_subgroup", "element_order",
-               "group_from_generators", "intersect_subgroups", "left_cosets", "orbit_partition"),
+               "group_from_generators", "left_cosets"),
     "hj": ("SingularityType", "dual_type", "hj_evaluate", "hj_expand", "normalized_key",
            "string_intersection_matrix", "string_length"),
     "inputs": ("parse_input", "realize", "run_invariants", "serialize_input"),

@@ -3,9 +3,15 @@
 Verifies, curve by curve, the inequality (K - E).C <= 2(2g(C) - 2) for
 curves not contained in the exceptional divisor, together with the
 tangent-case arithmetic for central components (K_Y.Y, Y.E, Y^2 and the
-non-negative string defect r - sum a_i/n_i) and the two-route genus
-cross-check (adjunction on S against Riemann-Hurwitz for the quotient of
-the opposite curve by the local stabilizer).
+non-negative string defect r - sum a_i/n_i).
+
+The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
+two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
+locus, whose points over branch point i of C1 give the ramification of
+C2 -> C2/H_i.  ``lemma_cc_check`` reads every central genus through that
+cross-check, so each ``bounds`` report runs it; a mismatch raises
+EngineInconsistencyError (exit 4).  Everything here is read off the model
+and its locus: no group products, no subgroup arithmetic.
 """
 
 from __future__ import annotations
@@ -13,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import branch_fiber, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
-from .groups import cyclic_subgroup, intersect_subgroups
+from .hj import dual_type
 from .surface import BasisCurve, DivisorClass, SurfaceModel
 
 
@@ -94,49 +99,40 @@ def _string_defect(model: SurfaceModel, curve: BasisCurve) -> Fraction:
         if curve.kind == "N" and i == curve.index:
             defect += 1 - Fraction(data.type.a, data.type.n)
         elif curve.kind == "M" and j == curve.index:
-            a_dual = pow(data.type.a, -1, data.type.n)
-            defect += 1 - Fraction(a_dual, data.type.n)
+            defect += 1 - Fraction(dual_type(data.type).a, data.type.n)
     return defect
 
 
-@dataclass(frozen=True)
-class GenusCrossCheck:
-    curve: BasisCurve
-    adjunction_genus: int
-    rh_genus: int
+def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -> int:
+    """Genus of a central component by Riemann-Hurwitz over the singular locus,
+    gated against adjunction on S.
 
-    @property
-    def equal(self) -> bool:
-        return self.adjunction_genus == self.rh_genus
-
-
-def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -> GenusCrossCheck:
-    """Genus of a central component two ways: adjunction on S, and Riemann-Hurwitz
-    for (opposite curve)/H with H the cyclic group of the branch generator."""
-    if curve.kind not in ("N", "M"):
-        raise ValidationError("cross-check applies to central components only")
-    adj = model.adjunction_genus(curve)
+    N_i is C2/H_i with H_i cyclic of order m_i.  A singular point p over the
+    branch pair (i, j) puts m_i/n_p points of C2 with an H_i-stabilizer of
+    order n_p over one point of C1, and every other point of C2 is free, so
+    2g(N_i) - 2 = (2g2 - 2 - sum_p (m_i/n_p)(n_p - 1)) / m_i.  M_j is C1/K_j,
+    the same with the factors swapped."""
     if curve.kind == "N":
-        own, other = model.sys1, model.sys2
+        side, m, genus_cover = 0, model.sys1.signature[curve.index - 1], model.g2
+    elif curve.kind == "M":
+        side, m, genus_cover = 1, model.sys2.signature[curve.index - 1], model.g1
     else:
-        own, other = model.sys2, model.sys1
-    group = own.group
-    h = cyclic_subgroup(group, own.generators[curve.index - 1])
-    genus_cover = rh_genus(other)
-    ramification = 0
-    for j in range(1, other.branch_count + 1):
-        for point in branch_fiber(other, j):
-            ramification += intersect_subgroups(group, h, point.stabilizer).order - 1
-    two_g_minus_2 = Fraction(2 * genus_cover - 2 - ramification, h.order)
-    if two_g_minus_2.denominator != 1 or (int(two_g_minus_2) + 2) % 2 != 0:
-        raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {two_g_minus_2}")
-    rh = (int(two_g_minus_2) + 2) // 2
-    check = GenusCrossCheck(curve, adj, rh)
-    if not check.equal:
+        raise ValidationError("cross-check applies to central components only")
+    ramification = sum(
+        Fraction(m, p.type.n) * (p.type.n - 1)
+        for p in model.locus.points
+        if p.branch_pair[side] == curve.index
+    )
+    two_g_minus_2 = Fraction(2 * genus_cover - 2 - ramification) / m
+    if two_g_minus_2.denominator != 1 or two_g_minus_2.numerator % 2 != 0:
+        raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {two_g_minus_2} on {curve.label}")
+    rh = two_g_minus_2.numerator // 2 + 1
+    adj = model.adjunction_genus(curve)
+    if adj != rh:
         raise EngineInconsistencyError(
             f"genus mismatch on {curve.label}: adjunction {adj}, Riemann-Hurwitz {rh}"
         )
-    return check
+    return rh
 
 
 @dataclass(frozen=True)
@@ -151,12 +147,13 @@ class LemmaCCReport:
 
 
 def lemma_cc_check(model: SurfaceModel, in_scope: bool) -> LemmaCCReport:
-    """Report central-component genera; assert genus >= 1 only when the caller
-    declares the surface in the P_g = 0, c_1^2 = 6 class."""
+    """Report central-component genera, each through the Riemann-Hurwitz
+    cross-check; assert genus >= 1 only when the caller declares the surface
+    in the P_g = 0, c_1^2 = 6 class."""
     genera = []
     violations = []
     for curve in model.N + model.M:
-        g = model.adjunction_genus(curve)
+        g = central_component_genus_crosscheck(model, curve)
         genera.append((curve.label, g))
         if g == 0:
             violations.append(curve.label)

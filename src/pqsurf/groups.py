@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
 from .limits import DEFAULT_ORDER_CAP
@@ -21,10 +21,6 @@ class DomainMismatchError(ValidationError):
 
 
 class OrderCapExceededError(ValidationError):
-    pass
-
-
-class ActionAxiomError(EngineInconsistencyError):
     pass
 
 
@@ -242,15 +238,6 @@ def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, t: int) -> Subgroup:
     return Subgroup(group, frozenset(group.conjugate(h, t) for h in sub.members))
 
 
-def intersect_subgroups(group: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup:
-    members = h1.members & h2.members
-    for a in members:
-        for b in members:
-            if group.mul(a, b) not in members:
-                raise EngineInconsistencyError("subgroup intersection not closed")
-    return Subgroup(group, frozenset(members))
-
-
 def coset_reps(group: FiniteGroup, sub: Subgroup) -> list[int]:
     """For each element g, the least element index of its left coset g*sub."""
     rep = [-1] * group.order
@@ -266,53 +253,3 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     reps = [g for g, r in enumerate(coset_reps(group, sub)) if g == r]
     assert len(reps) * sub.order == group.order
     return reps
-
-
-def orbit_partition(
-    group: FiniteGroup,
-    points: Iterable[Hashable],
-    action: Callable[[int, Hashable], Hashable],
-) -> list[list[Hashable]]:
-    """Partition points into G-orbits; orbit order follows first appearance."""
-    points = list(points)
-    point_set = set(points)
-    _spot_check_action(group, points, point_set, action)
-    gens = _distinct_generators(group) or tuple(range(group.order))
-    seen: set[Hashable] = set()
-    orbits: list[list[Hashable]] = []
-    for p in points:
-        if p in seen:
-            continue
-        orbit = [p]
-        seen.add(p)
-        queue = [p]
-        while queue:
-            q = queue.pop()
-            for g in gens:
-                r = action(g, q)
-                if r not in point_set:
-                    raise ActionAxiomError(f"action leaves the point set: {r!r}")
-                if r not in seen:
-                    seen.add(r)
-                    orbit.append(r)
-                    queue.append(r)
-        orbits.append(orbit)
-    return orbits
-
-
-def _spot_check_action(group, points, point_set, action) -> None:
-    sample = points[:5]
-    for p in sample:
-        if action(group.identity, p) != p:
-            raise ActionAxiomError("identity does not act trivially")
-    gens = _distinct_generators(group) or (group.identity,)
-    for g in gens:
-        for h in gens:
-            gh = group.mul(g, h)
-            for p in sample:
-                if action(g, action(h, p)) != action(gh, p):
-                    raise ActionAxiomError("action is not compatible with composition")
-
-
-def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
-    return tuple(dict.fromkeys(group.generator_indices))

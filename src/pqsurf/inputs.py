@@ -11,7 +11,8 @@ Two input modes:
   classification tables list invariants, not spherical systems.
 
 Both modes compute e, chi and P_g in ``euler_chi_pg``; full mode feeds it
-the K^2 of the divisor lattice.
+the K^2 of the divisor lattice.  Both report the singularity multiset
+through ``singularity_multiset``, which merges each type with its dual.
 
 .pq grammar (INI sections)::
 
@@ -115,7 +116,10 @@ def parse_input(text: str) -> InputDescription:
         systems.append(SystemSpec(words, signature))
     in_scope = False
     if "flags" in parser:
-        in_scope = parser["flags"].getboolean("in_scope_c1sq6", fallback=False)
+        try:
+            in_scope = parser["flags"].getboolean("in_scope_c1sq6", fallback=False)
+        except ValueError:
+            raise ParseError(f"bad in_scope_c1sq6 {parser['flags']['in_scope_c1sq6']!r} in [flags]") from None
     return InputDescription(degree, generators, systems[0], systems[1], in_scope)
 
 
@@ -206,13 +210,12 @@ def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_OR
     group, sys1, sys2 = realize(desc, cap=cap)
     model = build_surface_model(sys1, sys2)
     inv = model.numerical_invariants()
-    counts = model.locus.normalized_counts()
     return TableRowSummary(
         name=name,
         group_order=group.order,
         g1=model.g1,
         g2=model.g2,
-        singularities=tuple(sorted((t.n, t.a, c) for t, c in counts.items())),
+        singularities=singularity_multiset((t.n, t.a, c) for t, c in model.locus.type_counts().items()),
         e=inv.e,
         ksq=inv.ksq,
         chi=inv.chi,
@@ -256,6 +259,16 @@ def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
             raise ParseError(f"bad count in {chunk!r}")
         items.append((n, a, count))
     return tuple(items)
+
+
+def singularity_multiset(items) -> tuple[tuple[int, int, int], ...]:
+    """(n, a, count) items as both modes report them: each type replaced by
+    the smaller of it and its dual, equal types merged, sorted."""
+    counts: dict[tuple[int, int], int] = {}
+    for n, a, count in items:
+        key = normalized_key(SingularityType(n, a))
+        counts[key.n, key.a] = counts.get((key.n, key.a), 0) + count
+    return tuple(sorted((n, a, c) for (n, a), c in counts.items()))
 
 
 def format_singularity_multiset(items) -> str:
@@ -320,17 +333,14 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
         raise ValidationError(f"group order {row.group_order} is not positive")
     if row.g1 < 2 or row.g2 < 2:
         raise ValidationError(f"g1, g2 = {row.g1}, {row.g2}: both genera must be at least 2")
-    sings = []
-    for n, a, count in row.singularities:
-        key = normalized_key(SingularityType(n, a))
-        sings.append((key.n, key.a, count))
+    sings = singularity_multiset(row.singularities)
     e, chi, pg = euler_chi_pg(row.group_order, row.g1, row.g2, sings, row.ksq)
     return TableRowSummary(
         name=row.name,
         group_order=row.group_order,
         g1=row.g1,
         g2=row.g2,
-        singularities=tuple(sorted(sings)),
+        singularities=sings,
         e=e,
         ksq=row.ksq,
         chi=chi,

@@ -48,9 +48,6 @@ class SingularLocus:
     def type_counts(self) -> Counter:
         return Counter(p.type for p in self.points)
 
-    def normalized_counts(self) -> Counter:
-        return Counter(normalized_key(p.type) for p in self.points)
-
     def to_json(self) -> list[dict]:
         return [
             {

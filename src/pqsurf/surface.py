@@ -29,7 +29,7 @@ from typing import Mapping
 from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import SingularityType, dual_type, hj_expand
-from .inputs import euler_chi_pg
+from .inputs import euler_chi_pg, singularity_multiset
 from .singularities import SingularLocus, enumerate_singularities
 
 
@@ -220,7 +220,7 @@ class SurfaceModel:
         ksq = self.intersect(k, k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
-        sings = [(t.n, t.a, c) for t, c in self.locus.normalized_counts().items()]
+        sings = singularity_multiset((t.n, t.a, c) for t, c in self.locus.type_counts().items())
         try:
             e, chi, pg = euler_chi_pg(self.group.order, self.g1, self.g2, sings, int(ksq))
         except ValidationError as exc:
@@ -239,12 +239,12 @@ class SurfaceModel:
         return g
 
     def strings_meeting(self, curve: BasisCurve) -> list[int]:
-        """Indices of singular points whose string meets the given curve."""
-        out = []
-        for data, comps in zip(self.strings, self.Z):
-            if any(self.pair(curve, comp) != 0 for comp in comps):
-                out.append(data.point_index)
-        return out
+        """Indices of the singular points over the branch point of the central
+        component N[i] or M[j], whose strings meet it; none for other curves."""
+        if curve.kind not in ("N", "M"):
+            return []
+        side = 0 if curve.kind == "N" else 1
+        return [d.point_index for d in self.strings if d.branch_pair[side] == curve.index]
 
 
 def _string_multiplicities(b: tuple[int, ...], m: int, first_end: bool) -> tuple[int, ...]:

@@ -1,29 +1,114 @@
-"""The singular locus by brute force: every coset pair of every branch-pair
-cell is classified on its own, then the fixed pairs are split into G-orbits.
+"""Independent oracles for the differential tests, and the group helpers
+only they use.
 
-This is the pair enumeration that ``pqsurf.singularities`` replaced with the
-double-coset walk.  It costs |G/H_i| * |G/K_j| classifications per cell, so
-it is kept only as an independent oracle for the differential tests.
+* ``enumerate_singularities``: the singular locus by brute force.  Every coset
+  pair of every branch-pair cell is classified on its own, then the fixed
+  pairs are split into G-orbits.  This is the pair enumeration that
+  ``pqsurf.singularities`` replaced with the double-coset walk; it costs
+  |G/H_i| * |G/K_j| classifications per cell.
+* ``fibre_genus``: the genus of a central component by Riemann-Hurwitz over
+  the branch fibres of the opposite curve, intersecting subgroups point by
+  point.  ``pqsurf.bounds`` reads the same genus off the singular locus.
+* ``orbit_partition`` and ``intersect_subgroups``, the generic group
+  operations both oracles are built from.
 """
 
 from __future__ import annotations
 
-from pqsurf.covers import SphericalSystem, branch_fiber, require_valid
+from fractions import Fraction
+from typing import Callable, Hashable, Iterable
+
+from pqsurf.covers import SphericalSystem, branch_fiber, require_valid, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
-from pqsurf.groups import (
-    FiniteGroup,
-    Subgroup,
-    cyclic_subgroup,
-    element_order,
-    intersect_subgroups,
-    orbit_partition,
-)
+from pqsurf.groups import FiniteGroup, Subgroup, cyclic_subgroup, element_order
 from pqsurf.singularities import (
     SingularityType,
     SingularLocus,
     SingularPoint,
     rotation_exponent,
 )
+from pqsurf.surface import BasisCurve, SurfaceModel
+
+
+class ActionAxiomError(EngineInconsistencyError):
+    pass
+
+
+def intersect_subgroups(group: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup:
+    members = h1.members & h2.members
+    for a in members:
+        for b in members:
+            if group.mul(a, b) not in members:
+                raise EngineInconsistencyError("subgroup intersection not closed")
+    return Subgroup(group, frozenset(members))
+
+
+def orbit_partition(
+    group: FiniteGroup,
+    points: Iterable[Hashable],
+    action: Callable[[int, Hashable], Hashable],
+) -> list[list[Hashable]]:
+    """Partition points into G-orbits; orbit order follows first appearance."""
+    points = list(points)
+    point_set = set(points)
+    _spot_check_action(group, points, point_set, action)
+    gens = _distinct_generators(group) or tuple(range(group.order))
+    seen: set[Hashable] = set()
+    orbits: list[list[Hashable]] = []
+    for p in points:
+        if p in seen:
+            continue
+        orbit = [p]
+        seen.add(p)
+        queue = [p]
+        while queue:
+            q = queue.pop()
+            for g in gens:
+                r = action(g, q)
+                if r not in point_set:
+                    raise ActionAxiomError(f"action leaves the point set: {r!r}")
+                if r not in seen:
+                    seen.add(r)
+                    orbit.append(r)
+                    queue.append(r)
+        orbits.append(orbit)
+    return orbits
+
+
+def _spot_check_action(group, points, point_set, action) -> None:
+    sample = points[:5]
+    for p in sample:
+        if action(group.identity, p) != p:
+            raise ActionAxiomError("identity does not act trivially")
+    gens = _distinct_generators(group) or (group.identity,)
+    for g in gens:
+        for h in gens:
+            gh = group.mul(g, h)
+            for p in sample:
+                if action(g, action(h, p)) != action(gh, p):
+                    raise ActionAxiomError("action is not compatible with composition")
+
+
+def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(group.generator_indices))
+
+
+def fibre_genus(model: SurfaceModel, curve: BasisCurve) -> int:
+    """Genus of N_i = C2/H_i (or M_j = C1/K_j): every point of the opposite
+    curve adds |H_i ∩ its stabilizer| - 1 to the ramification."""
+    if curve.kind not in ("N", "M"):
+        raise ValidationError("central components only")
+    own, other = (model.sys1, model.sys2) if curve.kind == "N" else (model.sys2, model.sys1)
+    group = own.group
+    h = cyclic_subgroup(group, own.generators[curve.index - 1])
+    ramification = 0
+    for j in range(1, other.branch_count + 1):
+        for point in branch_fiber(other, j):
+            ramification += intersect_subgroups(group, h, point.stabilizer).order - 1
+    two_g_minus_2 = Fraction(2 * rh_genus(other) - 2 - ramification, h.order)
+    if two_g_minus_2.denominator != 1 or two_g_minus_2.numerator % 2 != 0:
+        raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {two_g_minus_2} on {curve.label}")
+    return two_g_minus_2.numerator // 2 + 1
 
 
 def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:

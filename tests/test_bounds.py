@@ -1,5 +1,6 @@
 import pytest
 
+from pqsurf import cli
 from pqsurf.bounds import (
     central_component_genus_crosscheck,
     degree_bound_report,
@@ -7,6 +8,8 @@ from pqsurf.bounds import (
     solve_two_branch_elliptic,
 )
 from pqsurf.errors import ValidationError
+from pqsurf.inputs import fixture_path
+from pqsurf.surface import SurfaceModel
 
 
 class TestDegreeBounds:
@@ -64,21 +67,26 @@ class TestGenusCrossCheck:
     def test_beauville(self, beauville_model, which, index):
         m = beauville_model
         curve = (m.N if which == "N" else m.M)[index]
-        check = central_component_genus_crosscheck(m, curve)
-        assert check.equal and check.adjunction_genus == 2
+        assert central_component_genus_crosscheck(m, curve) == 2
 
     def test_toy(self, toy_model):
         for curve in toy_model.N + toy_model.M:
-            check = central_component_genus_crosscheck(toy_model, curve)
-            assert check.equal and check.adjunction_genus == 0
+            assert central_component_genus_crosscheck(toy_model, curve) == 0
 
     def test_mixed(self, z4_mixed_model):
         for curve in z4_mixed_model.N + z4_mixed_model.M:
-            assert central_component_genus_crosscheck(z4_mixed_model, curve).equal
+            assert central_component_genus_crosscheck(z4_mixed_model, curve) == z4_mixed_model.adjunction_genus(curve)
 
     def test_rejects_fiber_classes(self, toy_model):
         with pytest.raises(ValidationError):
             central_component_genus_crosscheck(toy_model, toy_model.F1)
+
+    def test_mismatch_fails_bounds_with_exit_4(self, monkeypatch, capsys):
+        adjunction = SurfaceModel.adjunction_genus
+        monkeypatch.setattr(SurfaceModel, "adjunction_genus", lambda self, curve: adjunction(self, curve) + 1)
+        assert cli.main(["bounds", str(fixture_path("beauville_55.pq"))]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: genus mismatch on N1: adjunction 3, Riemann-Hurwitz 2\n"
 
 
 class TestLemmaCC:

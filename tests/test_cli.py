@@ -128,6 +128,15 @@ class TestTable:
         assert records[0]["error"] == "" and records[0]["chi"] == "5"
         assert "bad" in records[1]["error"]
 
+    def test_dual_types_merge_in_formula_mode(self, capsys, tmp_path):
+        # 1/5(1,3) is the dual of 1/5(1,2): one normalized type, as in full mode
+        rows = tmp_path / "dup.rows"
+        rows.write_text("name,group_order,g1,g2,singularities,ksq\ndup,25,6,6,5/2x2+5/3x3,\n")
+        code, out, _ = run(capsys, "table", str(rows))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 0
+        assert record["singularities"] == "5/2x5"
+
     def test_empty_rows_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.rows"
         empty.write_text("# nothing here\n")
@@ -241,6 +250,14 @@ class TestInputErrors:
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "base_genus" in err and "[system1]" in err
+
+    def test_bad_in_scope_flag(self, capsys, tmp_path):
+        path = tmp_path / "bad.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        path.write_text(text.replace("in_scope_c1sq6 = false", "in_scope_c1sq6 = maybe", 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "in_scope_c1sq6" in err and "[flags]" in err
 
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"

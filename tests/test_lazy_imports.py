@@ -16,7 +16,8 @@ import pqsurf
 SRC = Path(pqsurf.__file__).resolve().parent.parent
 
 # pqsurf.__all__ as it was when the package imported every submodule eagerly,
-# less quotient_data, which is deleted
+# less quotient_data, which is deleted, and orbit_partition and
+# intersect_subgroups, which only the test oracles use (tests/locus_oracle.py)
 ALL = [
     "DivisorClass", "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
     "Permutation", "SingularityType", "SourceSection", "SphericalSystem", "Subgroup",
@@ -24,8 +25,8 @@ ALL = [
     "build_surface_model", "conjugate_subgroup", "covers", "cyclic_subgroup", "differentials",
     "dual_type", "element_order", "enumerate_singularities", "errors", "gamma_pullback",
     "group_from_generators", "groups", "hj", "hj_evaluate", "hj_expand", "inputs",
-    "intersect_subgroups", "invariance_check", "is_holomorphic", "left_cosets", "make_system",
-    "normalized_key", "orbit_partition", "parse_input", "realize", "rh_genus",
+    "invariance_check", "is_holomorphic", "left_cosets", "make_system",
+    "normalized_key", "parse_input", "realize", "rh_genus",
     "run_invariants", "serialize_input", "singularities", "string_intersection_matrix",
     "string_length", "surface", "validate_system", "vanishing_conditions",
 ]

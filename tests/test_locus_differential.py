@@ -1,17 +1,24 @@
 """The double-coset singular locus against the brute-force pair enumeration
 of ``tests.locus_oracle``: the same points in the same order, the same
-representatives and the same free-orbit counts, in both system orders."""
+representatives and the same free-orbit counts, in both system orders.  The
+genus of every central component, read off the locus by
+``central_component_genus_crosscheck``, equals the fibre-route oracle."""
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pqsurf.bounds import central_component_genus_crosscheck
 from pqsurf.covers import make_system, validate_system
+from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.singularities import enumerate_singularities
+from pqsurf.surface import SurfaceModel, build_surface_model
 from tests.locus_oracle import enumerate_singularities as oracle_singularities
+from tests.locus_oracle import fibre_genus
 
 # groups of order <= 60 as permutation groups; Z/n is drawn separately
 GROUPS = {
@@ -62,10 +69,32 @@ def assert_same_locus(sys1, sys2):
         assert enumerate_singularities(a, b) == oracle_singularities(a, b)
 
 
+def assert_same_central_genera(model):
+    for curve in model.N + model.M:
+        assert central_component_genus_crosscheck(model, curve) == fibre_genus(model, curve)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(system_pairs())
 def test_double_cosets_match_pair_enumeration(pair):
     assert_same_locus(*pair)
+    for a, b in (pair, pair[::-1]):
+        # genera below 2 are kept: Riemann-Hurwitz and adjunction hold for them too
+        try:
+            model = SurfaceModel(a, b, enumerate_singularities(a, b))
+        except ValidationError as exc:
+            # the lattice refuses some valid systems with a non-integral N^2 or M^2
+            assert "non-integral self-intersection" in str(exc)
+            continue
+        assert_same_central_genera(model)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq", "z2_hyperelliptic.pq"]
+)
+def test_fixture_genera_match_fibre_route(fixture):
+    _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
+    assert_same_central_genera(build_surface_model(sys1, sys2))
 
 
 def test_a6_matches_pair_enumeration():
