@@ -4,8 +4,11 @@ Each case runs ``pqsurf.cli.main`` in this process and compares what it
 prints with ``tests/golden/<case>.out`` and its exit code with
 ``tests/golden/exit_codes.json``.  The cases: ``invariants``,
 ``singularities`` and ``bounds`` (text and ``--json``) on the five ``.pq``
-fixtures, ``table`` (CSV and ``--json``) on all six fixtures together, and
-one ``hj``, one ``local-check`` and one ``bigness`` call.
+fixtures and on the two in-scope copies in ``tests/data/`` (whose Lemma CC
+verdicts differ), ``table`` (default, ``--csv`` and ``--json``) on all six
+fixtures together and (text and ``--json``) on a ``.rows`` file with a
+failing row, and ``hj``, ``local-check`` and ``bigness`` calls, text and
+``--json``, one of them a ``bigness`` search that finds no certificate.
 
 A change that is meant to change output rewrites the files from the root of
 the checkout with
@@ -28,6 +31,7 @@ from pqsurf import cli
 from pqsurf.inputs import fixture_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 
 PQ = ["a5_255_335", "a6_245_334", "a7_247_357", "beauville_55", "z2_hyperelliptic"]
@@ -41,11 +45,24 @@ def _cases() -> dict[str, list[str]]:
             path = str(fixture_path(f"{stem}.pq"))
             cases[f"{command}-{stem}"] = [command, path]
             cases[f"{command}-{stem}-json"] = [command, path, "--json"]
+    for stem in ("beauville_55_in_scope", "z2_hyperelliptic_in_scope"):
+        path = str(DATA / f"{stem}.pq")
+        cases[f"bounds-{stem}"] = ["bounds", path]
+        cases[f"bounds-{stem}-json"] = ["bounds", path, "--json"]
     cases["table"] = ["table", *ALL_FIXTURES]
+    cases["table-csv"] = ["table", *ALL_FIXTURES, "--csv"]
     cases["table-json"] = ["table", *ALL_FIXTURES, "--json"]
-    cases["hj-7-3"] = ["hj", "7", "3"]
-    cases["local-check"] = ["local-check", "--m", "2", "--section", "z1^2 + 3*z1*z2 - 1/2*z2^2"]
-    cases["bigness"] = ["bigness", "--ksq", "6", "--chi", "1", "--points", "2"]
+    cases["table-failing-row"] = ["table", str(DATA / "failing_row.rows")]
+    cases["table-failing-row-json"] = ["table", str(DATA / "failing_row.rows"), "--json"]
+    single = {
+        "hj-7-3": ["hj", "7", "3"],
+        "local-check": ["local-check", "--m", "2", "--section", "z1^2 + 3*z1*z2 - 1/2*z2^2"],
+        "bigness": ["bigness", "--ksq", "6", "--chi", "1", "--points", "2"],
+        "bigness-no-certificate": ["bigness", "--ksq", "1", "--chi", "1", "--points", "40", "--max-m", "3"],
+    }
+    for case, argv in single.items():
+        cases[case] = argv
+        cases[f"{case}-json"] = [*argv, "--json"]
     return cases
 
 
