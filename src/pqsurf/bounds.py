@@ -3,7 +3,9 @@
 Verifies, curve by curve, the inequality (K - E).C <= 2(2g(C) - 2) for
 curves not contained in the exceptional divisor, together with the
 tangent-case arithmetic for central components (K_Y.Y, Y.E, Y^2 and the
-non-negative string defect r - sum a_i/n_i).
+non-negative string defect r - sum a_i/n_i over the r strings meeting Y,
+where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
+for a point of type 1/n(1,a), a a' = 1 mod n).
 
 The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
 two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
@@ -42,24 +44,6 @@ class CurveReport:
     n1_e: int  # strings meeting the curve, counted without multiplicities
     tangent_case: TangentCaseData | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "curve": self.curve.label,
-            "genus": self.genus,
-            "KmE_degree": str(self.kme_degree),
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "N1_E": self.n1_e,
-        }
-        if self.tangent_case is not None:
-            out["tangent_case"] = {
-                "KY_dot_Y": str(self.tangent_case.ky_dot_y),
-                "Y_dot_E": str(self.tangent_case.y_dot_e),
-                "Y_sq": str(self.tangent_case.y_sq),
-                "string_defect": str(self.tangent_case.string_defect),
-            }
-        return out
-
 
 def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
     if curve.kind == "Z":
@@ -97,9 +81,9 @@ def _string_defect(model: SurfaceModel, curve: BasisCurve) -> Fraction:
     for data in model.strings:
         i, j = data.branch_pair
         if curve.kind == "N" and i == curve.index:
-            defect += 1 - Fraction(data.type.a, data.type.n)
-        elif curve.kind == "M" and j == curve.index:
             defect += 1 - Fraction(dual_type(data.type).a, data.type.n)
+        elif curve.kind == "M" and j == curve.index:
+            defect += 1 - Fraction(data.type.a, data.type.n)
     return defect
 
 

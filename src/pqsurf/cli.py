@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: invariants, table, singularities, hj, bounds, local-check,
-bigness.  All numeric output is exact; non-integral rationals print as
+bigness.  Each ``cmd_*`` computes one payload dict, and this module is the
+only one that defines its keys: with ``--json`` the payload is printed as
+JSON, and without it the command's ``render_*`` prints the text view of the
+same payload.  All numeric output is exact; non-integral rationals print as
 "p/q".  Exit codes: 0 success, 2 parse error, 3 validation error, 4 engine
 inconsistency.
 """
@@ -30,11 +33,6 @@ EXIT_VALIDATION = 3
 EXIT_ENGINE = 4
 
 
-def fmt(value) -> str:
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2))
@@ -55,82 +53,122 @@ def _load_description(path: str):
     return parse_input(text)
 
 
-# -- subcommands ---------------------------------------------------------------
+def _summary_payload(summary) -> dict:
+    return {
+        "name": summary.name,
+        "group_order": summary.group_order,
+        "g1": summary.g1,
+        "g2": summary.g2,
+        "singularities": [{"n": n, "a": a, "count": c} for n, a, c in summary.singularities],
+        "e": summary.e,
+        "Ksq": summary.ksq,
+        "chi": summary.chi,
+        "q": summary.q,
+        "pg": summary.pg,
+    }
 
 
-def cmd_hj(args) -> int:
+# -- subcommands: cmd_* returns the payload, render_* prints its text view -----
+
+
+def cmd_hj(args) -> dict:
     from .hj import SingularityType, dual_type, leading_minors, string_for, string_intersection_matrix
 
     if args.n > MAX_HJ_ORDER:
         raise ValidationError(f"hj: n = {args.n} is above the ceiling {MAX_HJ_ORDER} of the dense string matrix")
     t = SingularityType(args.n, args.a)
     s = string_for(t)
-    matrix = string_intersection_matrix(s)
-    det = leading_minors(s)[-1]
-    if args.json:
-        _emit_json(
-            {
-                "n": t.n,
-                "a": t.a,
-                "dual_a": dual_type(t).a,
-                "expansion": list(s.b),
-                "matrix": matrix,
-                "determinant": det,
-            }
-        )
-        return 0
-    print(f"type        {t}")
-    print(f"dual        {dual_type(t)}")
-    print(f"expansion   [{', '.join(map(str, s.b))}]")
+    return {
+        "n": t.n,
+        "a": t.a,
+        "dual_a": dual_type(t).a,
+        "expansion": list(s.b),
+        "matrix": string_intersection_matrix(s),
+        "determinant": leading_minors(s)[-1],
+    }
+
+
+def render_hj(p: dict, args) -> None:
+    print(f"type        1/{p['n']}(1,{p['a']})")
+    print(f"dual        1/{p['n']}(1,{p['dual_a']})")
+    print(f"expansion   [{', '.join(map(str, p['expansion']))}]")
     print("matrix")
-    for row in matrix:
+    for row in p["matrix"]:
         print("    " + " ".join(f"{x:3d}" for x in row))
-    print(f"determinant {det}")
-    return 0
+    print(f"determinant {p['determinant']}")
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
     from .inputs import run_invariants
 
     desc = _load_description(args.file)
-    summary = run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order)
-    if args.json:
-        _emit_json(summary.to_json())
-        return 0
-    sing = ", ".join(f"{c} x 1/{n}(1,{a})" for n, a, c in summary.singularities) or "none"
-    print(f"group order    {summary.group_order}")
-    print(f"g(C1), g(C2)   {summary.g1}, {summary.g2}")
+    return _summary_payload(run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order))
+
+
+def render_invariants(p: dict, args) -> None:
+    sing = ", ".join(f"{s['count']} x 1/{s['n']}(1,{s['a']})" for s in p["singularities"]) or "none"
+    print(f"group order    {p['group_order']}")
+    print(f"g(C1), g(C2)   {p['g1']}, {p['g2']}")
     print(f"singularities  {sing}")
-    print(f"e              {summary.e}")
-    print(f"K^2            {summary.ksq}")
-    print(f"chi            {summary.chi}")
-    print(f"q              {summary.q}")
-    print(f"pg             {summary.pg}")
-    return 0
+    print(f"e              {p['e']}")
+    print(f"K^2            {p['Ksq']}")
+    print(f"chi            {p['chi']}")
+    print(f"q              {p['q']}")
+    print(f"pg             {p['pg']}")
 
 
-def cmd_singularities(args) -> int:
+def cmd_singularities(args) -> dict:
+    from .hj import normalized_key
     from .inputs import realize
     from .singularities import enumerate_singularities
 
     desc = _load_description(args.file)
     _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     locus = enumerate_singularities(sys1, sys2)
-    if args.json:
-        _emit_json({"singularities": locus.to_json()})
-        return 0
-    if not locus.points:
+    return {
+        "singularities": [
+            {
+                "n": point.type.n,
+                "a": point.type.a,
+                "a_normalized": normalized_key(point.type).a,
+                "branch_pair": list(point.branch_pair),
+                "orbit_size": point.orbit_size,
+            }
+            for point in locus.points
+        ]
+    }
+
+
+def render_singularities(p: dict, args) -> None:
+    if not p["singularities"]:
         print("no singular points")
-        return 0
-    for entry in locus.to_json():
+    for entry in p["singularities"]:
         print(
             f"1/{entry['n']}(1,{entry['a']})  normalized a={entry['a_normalized']}"
             f"  branch pair {tuple(entry['branch_pair'])}  orbit size {entry['orbit_size']}"
         )
-    return 0
 
 
-def cmd_bounds(args) -> int:
+def _curve_payload(report) -> dict:
+    out = {
+        "curve": report.curve.label,
+        "genus": report.genus,
+        "KmE_degree": str(report.kme_degree),
+        "bound": report.bound,
+        "satisfied": report.satisfied,
+        "N1_E": report.n1_e,
+    }
+    if report.tangent_case is not None:
+        out["tangent_case"] = {
+            "KY_dot_Y": str(report.tangent_case.ky_dot_y),
+            "Y_dot_E": str(report.tangent_case.y_dot_e),
+            "Y_sq": str(report.tangent_case.y_sq),
+            "string_defect": str(report.tangent_case.string_defect),
+        }
+    return out
+
+
+def cmd_bounds(args) -> dict:
     from .bounds import degree_bound_report, lemma_cc_check
     from .inputs import realize
     from .surface import build_surface_model
@@ -138,36 +176,41 @@ def cmd_bounds(args) -> int:
     desc = _load_description(args.file)
     _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     model = build_surface_model(sys1, sys2)
-    reports = [
-        degree_bound_report(model, curve)
+    curves = [
+        _curve_payload(degree_bound_report(model, curve))
         for curve in [model.F1, model.F2, *model.N, *model.M]
     ]
     cc = lemma_cc_check(model, in_scope=desc.in_scope_c1sq6)
-    if args.json:
-        _emit_json(
-            {
-                "curves": [r.to_json() for r in reports],
-                "central_genera": [{"curve": c, "genus": g} for c, g in cc.genera],
-                "lemma_cc_asserted": cc.asserted,
-                "rational_centrals": list(cc.violations),
-            }
-        )
-        return 0
+    return {
+        "curves": curves,
+        "central_genera": [{"curve": c, "genus": g} for c, g in cc.genera],
+        "lemma_cc_asserted": cc.asserted,
+        "rational_centrals": list(cc.violations),
+    }
+
+
+def render_bounds(p: dict, args) -> None:
     print(f"{'curve':<6} {'genus':>5} {'(K-E).C':>9} {'bound':>6}  ok")
-    for r in reports:
-        print(f"{r.curve.label:<6} {r.genus:>5} {fmt(r.kme_degree):>9} {r.bound:>6}  {r.satisfied}")
-    if desc.in_scope_c1sq6:
-        verdict = "all central components non-rational" if cc.all_nonrational else (
-            "RATIONAL central components: " + ", ".join(cc.violations)
+    for c in p["curves"]:
+        print(f"{c['curve']:<6} {c['genus']:>5} {c['KmE_degree']:>9} {c['bound']:>6}  {c['satisfied']}")
+    if p["lemma_cc_asserted"]:
+        rational = p["rational_centrals"]
+        verdict = "RATIONAL central components: " + ", ".join(rational) if rational else (
+            "all central components non-rational"
         )
         print(verdict)
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[dict, int]:
     from .inputs import format_singularity_multiset, formula_invariants, parse_rows, run_invariants
 
-    summaries = []
+    def record(summary) -> dict:
+        out = _summary_payload(summary)
+        out["singularities"] = format_singularity_multiset(summary.singularities)
+        out["error"] = ""
+        return out
+
+    records = []
     errors = []
     for path in args.files:
         if path.endswith(".rows"):
@@ -177,37 +220,25 @@ def cmd_table(args) -> int:
                 raise ParseError(f"cannot read {path}: {exc}") from None
             for row in rows:
                 try:
-                    summaries.append((formula_invariants(row), None))
+                    records.append(record(formula_invariants(row)))
                 except PQError as exc:
-                    summaries.append((None, f"{row.name}: {exc}"))
+                    records.append({"name": "", "error": f"{row.name}: {exc}"})
                     errors.append(exc)
         else:
             try:
                 desc = _load_description(path)
-                summaries.append(
-                    (run_invariants(desc, name=Path(path).stem, cap=args.max_group_order), None)
-                )
+                records.append(record(run_invariants(desc, name=Path(path).stem, cap=args.max_group_order)))
             except PQError as exc:
-                summaries.append((None, f"{path}: {exc}"))
+                records.append({"name": "", "error": f"{path}: {exc}"})
                 errors.append(exc)
+    return {"rows": records}, _exit_code_for(errors[0]) if errors else 0
+
+
+def render_table(p: dict, args) -> None:
     header = ["name", "group_order", "g1", "g2", "singularities", "e", "Ksq", "chi", "q", "pg", "error"]
-    records = []
-    for summary, error in summaries:
-        if summary is None:
-            records.append({"name": "", "error": error})
-            continue
-        record = summary.to_json()
-        record["singularities"] = format_singularity_multiset(summary.singularities)
-        record["error"] = ""
-        records.append(record)
-    if args.json:
-        _emit_json({"rows": records})
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=header, restval="")
-        writer.writeheader()
-        for record in records:
-            writer.writerow({k: record.get(k, "") for k in header})
-    return _exit_code_for(errors[0]) if errors else 0
+    writer = csv.DictWriter(sys.stdout, fieldnames=header, restval="")
+    writer.writeheader()
+    writer.writerows(p["rows"])
 
 
 _POLY_TERM = re.compile(
@@ -242,60 +273,52 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
     return tuple(terms)
 
 
-def cmd_local_check(args) -> int:
+def cmd_local_check(args) -> dict:
     from .differentials import SourceSection, gamma_pullback, invariance_check, is_holomorphic
 
     _require_at_most("local-check --m", args.m, MAX_LOCAL_M)
-    terms = parse_polynomial(args.section)
-    section = SourceSection(args.m, terms)
+    section = SourceSection(args.m, parse_polynomial(args.section))
     pullback = gamma_pullback(section)
-    holomorphic = is_holomorphic(pullback)
     order = pullback.min_mu1_exponent()
-    invariant = invariance_check(section)
-    if args.json:
-        _emit_json(
-            {
-                "m": args.m,
-                "invariant": invariant,
-                "holomorphic": holomorphic,
-                "mu1_order": None if order is None else str(order),
-                "terms": [
-                    {"mu1": str(p), "mu2": q, "dmu1": alpha, "dmu2": beta, "coeff": str(c)}
-                    for p, q, alpha, beta, c in pullback.terms
-                ],
-            }
-        )
-        return 0
-    for p, q, alpha, beta, c in pullback.terms:
-        print(f"{fmt(c):>8}  mu1^{fmt(p)} mu2^{q} dmu1^{alpha} dmu2^{beta}")
-    print(f"invariant under (z1,z2) -> (-z1,-z2): {invariant}")
-    print(f"holomorphic: {holomorphic}")
-    print(f"vanishing order along mu1 = 0: {'-' if order is None else fmt(order)}")
-    return 0
+    return {
+        "m": args.m,
+        "invariant": invariance_check(section),
+        "holomorphic": is_holomorphic(pullback),
+        "mu1_order": None if order is None else str(order),
+        "terms": [
+            {"mu1": str(p), "mu2": q, "dmu1": alpha, "dmu2": beta, "coeff": str(c)}
+            for p, q, alpha, beta, c in pullback.terms
+        ],
+    }
 
 
-def cmd_bigness(args) -> int:
+def render_local_check(p: dict, args) -> None:
+    for t in p["terms"]:
+        print(f"{t['coeff']:>8}  mu1^{t['mu1']} mu2^{t['mu2']} dmu1^{t['dmu1']} dmu2^{t['dmu2']}")
+    print(f"invariant under (z1,z2) -> (-z1,-z2): {p['invariant']}")
+    print(f"holomorphic: {p['holomorphic']}")
+    print(f"vanishing order along mu1 = 0: {'-' if p['mu1_order'] is None else p['mu1_order']}")
+
+
+def cmd_bigness(args) -> dict:
     from .differentials import bigness_certificate
 
     _require_at_most("bigness --max-m", args.max_m, MAX_CERTIFICATE_SEARCH)
     cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
-    if args.json:
-        _emit_json(
-            {
-                "ksq": args.ksq,
-                "chi": args.chi,
-                "points": args.points,
-                "certificate": None
-                if cert is None
-                else {"m_star": cert.m_star, "value": str(cert.value)},
-            }
-        )
-        return 0
+    return {
+        "ksq": args.ksq,
+        "chi": args.chi,
+        "points": args.points,
+        "certificate": None if cert is None else {"m_star": cert.m_star, "value": str(cert.value)},
+    }
+
+
+def render_bigness(p: dict, args) -> None:
+    cert = p["certificate"]
     if cert is None:
         print(f"no certificate for m <= {args.max_m}")
     else:
-        print(f"m* = {cert.m_star}, section-count lower bound = {fmt(cert.value)}")
-    return 0
+        print(f"m* = {cert['m_star']}, section-count lower bound = {cert['value']}")
 
 
 # -- driver --------------------------------------------------------------------
@@ -320,35 +343,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("a", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hj)
+    p.set_defaults(func=cmd_hj, render=render_hj)
 
     p = sub.add_parser("invariants", help="numerical invariants from a .pq file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invariants)
+    p.set_defaults(func=cmd_invariants, render=render_invariants)
 
     p = sub.add_parser("singularities", help="singular locus from a .pq file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_singularities)
+    p.set_defaults(func=cmd_singularities, render=render_singularities)
 
     p = sub.add_parser("bounds", help="degree-bound reports for the basis curves")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, render=render_bounds)
 
     p = sub.add_parser("table", help="batch table from .pq and/or .rows files")
     p.add_argument("files", nargs="+")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true")
     group.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, render=render_table)
 
     p = sub.add_parser("local-check", help="pull a section back through the 1/2(1,1) chart")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--section", required=True, help='polynomial in z1, z2, e.g. "z1^2 + 3*z1*z2"')
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_local_check)
+    p.set_defaults(func=cmd_local_check, render=render_local_check)
 
     p = sub.add_parser("bigness", help="section-count bigness certificate for K - E")
     p.add_argument("--ksq", type=int, required=True)
@@ -356,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--max-m", type=int, default=MAX_CERTIFICATE_POWER)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bigness)
+    p.set_defaults(func=cmd_bigness, render=render_bigness)
 
     return parser
 
@@ -373,10 +396,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _require_at_most("--max-group-order", args.max_group_order, MAX_ORDER_CAP)
-        return args.func(args)
+        result = args.func(args)
     except PQError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    payload, code = result if isinstance(result, tuple) else (result, 0)
+    if args.json:
+        _emit_json(payload)
+    else:
+        args.render(payload, args)
+    return code
 
 
 if __name__ == "__main__":

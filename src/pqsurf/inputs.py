@@ -78,7 +78,11 @@ def parse_input(text: str) -> InputDescription:
     parser.optionxform = str  # generator names are case-sensitive
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
+    except configparser.MissingSectionHeaderError as exc:
+        raise ParseError(f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header") from None
+    except configparser.ParsingError as exc:
+        raise ParseError(f"line {exc.errors[0][0]}: neither a [section] header nor 'key = value'") from None
+    except configparser.Error as exc:  # duplicate sections and keys: one line, with the line number
         raise ParseError(str(exc)) from None
     for section in ("group", "system1", "system2"):
         if section not in parser:
@@ -186,22 +190,6 @@ class TableRowSummary:
     chi: int | None
     q: int
     pg: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "group_order": self.group_order,
-            "g1": self.g1,
-            "g2": self.g2,
-            "singularities": [
-                {"n": n, "a": a, "count": c} for n, a, c in self.singularities
-            ],
-            "e": self.e,
-            "Ksq": self.ksq,
-            "chi": self.chi,
-            "q": self.q,
-            "pg": self.pg,
-        }
 
 
 def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_ORDER_CAP) -> TableRowSummary:

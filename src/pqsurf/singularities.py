@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .covers import SphericalSystem, require_valid
 from .errors import EngineInconsistencyError, ValidationError
 from .groups import FiniteGroup, coset_reps, cyclic_subgroup
-from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (dual_type is re-exported)
+from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,6 @@ class SingularLocus:
 
     def type_counts(self) -> Counter:
         return Counter(p.type for p in self.points)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "n": p.type.n,
-                "a": p.type.a,
-                "a_normalized": normalized_key(p.type).a,
-                "branch_pair": list(p.branch_pair),
-                "orbit_size": p.orbit_size,
-            }
-            for p in self.points
-        ]
 
 
 def rotation_exponent(group: FiniteGroup, rotation_generator: int, h: int, n: int) -> int:

@@ -9,8 +9,11 @@ on fibers and strings) live in the invariants of this module.
 Pairing rules:
   F1.F1 = F2.F2 = 0, F1.F2 = |G|;
   F1.N = 0, F2.N[i] = |G|/m_i (and symmetrically for M);
-  N[i]^2 = -sum a/n over strings attached to N[i], must be an integer;
-  string internals from the H-J matrix, Z_1 meets N and Z_l meets M;
+  a point of type 1/n(1,a) (a taken relative to C1, see singularities) is
+  resolved by the H-J string of n/a', a a' = 1 mod n, whose Z_1 meets N[i]
+  and Z_l meets M[j];
+  N[i]^2 = -sum a'/n and M[j]^2 = -sum a/n over the strings meeting them,
+  each gated to be an integer;
   N[i].M[j] = number of free G-orbits of coset pairs over (i, j).
 
 The canonical class follows Serrano's formula with every component of every
@@ -89,9 +92,6 @@ class Invariants:
     q: int
     pg: int
 
-    def to_json(self) -> dict:
-        return {"e": self.e, "Ksq": self.ksq, "chi": self.chi, "q": self.q, "pg": self.pg}
-
 
 @dataclass
 class StringData:
@@ -99,7 +99,7 @@ class StringData:
 
     point_index: int
     branch_pair: tuple[int, int]
-    type: SingularityType
+    type: SingularityType  # as in the locus; b expands its dual n/a'
     b: tuple[int, ...]
     sigma1_multiplicities: tuple[int, ...]  # of Z_k inside the sigma_1 fiber
     sigma2_multiplicities: tuple[int, ...]
@@ -147,8 +147,8 @@ class SurfaceModel:
         m_selfs = [Fraction(0)] * len(self.M)
         for p_index, point in enumerate(self.locus.points):
             i, j = point.branch_pair
-            t = point.type
-            b = tuple(hj_expand(t.n, t.a))
+            n, a, a_dual = point.type.n, point.type.a, dual_type(point.type).a
+            b = tuple(hj_expand(n, a_dual))
             comps = [BasisCurve("Z", p_index, k) for k in range(1, len(b) + 1)]
             self.Z.append(comps)
             for k, comp in enumerate(comps):
@@ -157,13 +157,13 @@ class SurfaceModel:
                     self._set(comp, comps[k + 1], 1)
             self._set(comps[0], self.N[i - 1], 1)
             self._set(comps[-1], self.M[j - 1], 1)
-            n_selfs[i - 1] -= Fraction(t.a, t.n)
-            m_selfs[j - 1] -= Fraction(dual_type(t).a, t.n)
+            n_selfs[i - 1] -= Fraction(a_dual, n)
+            m_selfs[j - 1] -= Fraction(a, n)
             self.strings.append(
                 StringData(
                     point_index=p_index,
                     branch_pair=(i, j),
-                    type=t,
+                    type=point.type,
                     b=b,
                     sigma1_multiplicities=_string_multiplicities(b, self.sys1.signature[i - 1], first_end=True),
                     sigma2_multiplicities=_string_multiplicities(b, self.sys2.signature[j - 1], first_end=False),

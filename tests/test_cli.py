@@ -97,6 +97,23 @@ class TestBounds:
         assert payload["rational_centrals"] == []
 
 
+class TestLattice:
+    def test_string_oriented_by_dual_type(self, capsys, tmp_path):
+        # a valid Z/5 system whose N1^2 is -1 only when the string meeting N1
+        # resolves the dual type; the closed form K^2 = 8/5 - (5*9/5 + 4*2/5)
+        # of Bauer-Pignatelli gives the same -9
+        path = tmp_path / "z5.pq"
+        path.write_text(
+            "[group]\ndegree = 5\nx = (0 1 2 3 4)\n\n"
+            "[system1]\ngenerators = x, x, x^3\n\n[system2]\ngenerators = x, x, x^3\n"
+        )
+        code, out, _ = run(capsys, "invariants", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["singularities"] == [{"n": 5, "a": 1, "count": 5}, {"n": 5, "a": 2, "count": 4}]
+        assert (payload["e"], payload["Ksq"], payload["chi"], payload["pg"]) == (21, -9, 1, 0)
+
+
 class TestTable:
     def test_rows_csv(self, capsys):
         code, out, _ = run(capsys, "table", ROWS)
@@ -258,6 +275,21 @@ class TestInputErrors:
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "in_scope_c1sq6" in err and "[flags]" in err
+
+    def test_no_section_header(self, capsys, tmp_path):
+        path = tmp_path / "bare.pq"
+        path.write_text("degree = 5\n")
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "line 1" in err
+
+    def test_no_section_header_in_table_cell(self, capsys, tmp_path):
+        path = tmp_path / "bare.pq"
+        path.write_text("degree = 5\n")
+        code, out, _ = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2
+        assert "line 1" in record["error"] and "\n" not in record["error"]
 
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"

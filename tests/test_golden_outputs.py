@@ -9,6 +9,7 @@ verdicts differ), ``table`` (default, ``--csv`` and ``--json``) on all six
 fixtures together and (text and ``--json``) on a ``.rows`` file with a
 failing row, and ``hj``, ``local-check`` and ``bigness`` calls, text and
 ``--json``, one of them a ``bigness`` search that finds no certificate.
+Each text golden is also rendered from the payload of its ``--json`` twin.
 
 A change that is meant to change output rewrites the files from the root of
 the checkout with
@@ -81,6 +82,19 @@ def test_output_bytes_and_exit_code(case):
     code, out = run(CASES[case])
     assert out == (GOLDEN / f"{case}.out").read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if f"{c}-json" in CASES))
+def test_text_view_renders_the_json_payload(case):
+    """Each text golden is the command's renderer applied to the payload of
+    its ``--json`` golden: the text view is a function of the JSON."""
+    args = cli.build_parser().parse_args(CASES[case])
+    payload = json.loads((GOLDEN / f"{case}-json.out").read_text())
+    del payload["schema_version"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        args.render(payload, args)
+    assert out.getvalue().encode() == (GOLDEN / f"{case}.out").read_bytes()
 
 
 def test_every_golden_file_has_a_case():

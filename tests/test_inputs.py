@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from pqsurf.cli import main
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.inputs import (
     FormulaRow,
@@ -93,9 +96,11 @@ class TestRunInvariants:
         assert s.singularities == ((2, 1, 36),)
         assert (s.e, s.ksq, s.chi, s.q, s.pg) == (56, 4, 5, 0, 4)
 
-    def test_json_shape(self):
-        desc = parse_input(fixture_path("z2_hyperelliptic.pq").read_text())
-        record = run_invariants(desc, name="toy").to_json()
+    def test_json_shape(self, capsys, tmp_path):
+        path = tmp_path / "toy.pq"
+        path.write_text(fixture_path("z2_hyperelliptic.pq").read_text())
+        assert main(["invariants", str(path), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
         assert record["name"] == "toy"
         assert record["singularities"] == [{"n": 2, "a": 1, "count": 36}]
         assert record["Ksq"] == 4

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pqsurf.bounds import central_component_genus_crosscheck
 from pqsurf.covers import make_system, validate_system
-from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.singularities import enumerate_singularities
@@ -80,12 +79,8 @@ def test_double_cosets_match_pair_enumeration(pair):
     assert_same_locus(*pair)
     for a, b in (pair, pair[::-1]):
         # genera below 2 are kept: Riemann-Hurwitz and adjunction hold for them too
-        try:
-            model = SurfaceModel(a, b, enumerate_singularities(a, b))
-        except ValidationError as exc:
-            # the lattice refuses some valid systems with a non-integral N^2 or M^2
-            assert "non-integral self-intersection" in str(exc)
-            continue
+        model = SurfaceModel(a, b, enumerate_singularities(a, b))
+        model.numerical_invariants()
         assert_same_central_genera(model)
 
 

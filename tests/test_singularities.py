@@ -1,8 +1,11 @@
+import json
 from collections import Counter
 
 import pytest
 
+from pqsurf.cli import main
 from pqsurf.errors import ValidationError
+from pqsurf.inputs import fixture_path
 from pqsurf.singularities import (
     SingularityType,
     dual_type,
@@ -112,9 +115,8 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             enumerate_singularities(z2_system(6), z5sq_triple(BEAUVILLE_1))
 
-    def test_json_shape(self):
-        sys = z2_system(6)
-        locus = enumerate_singularities(sys, sys)
-        entry = locus.to_json()[0]
+    def test_json_shape(self, capsys):
+        assert main(["singularities", str(fixture_path("z2_hyperelliptic.pq")), "--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)["singularities"][0]
         assert set(entry) == {"n", "a", "a_normalized", "branch_pair", "orbit_size"}
         assert entry["n"] == 2 and entry["a"] == 1
