@@ -18,24 +18,22 @@ and its locus: no group products, no subgroup arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import dual_type
 from .surface import BasisCurve, DivisorClass, SurfaceModel
 
 
-@dataclass(frozen=True)
-class TangentCaseData:
+class TangentCaseData(NamedTuple):
     ky_dot_y: Fraction  # K_Y.Y = (K_S + Y).Y
     y_dot_e: Fraction
     y_sq: Fraction
     string_defect: Fraction  # r - sum a_i/n_i, must be >= 0
 
 
-@dataclass(frozen=True)
-class CurveReport:
+class CurveReport(NamedTuple):
     curve: BasisCurve
     genus: int
     kme_degree: Fraction  # (K - E).C
@@ -119,8 +117,7 @@ def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -
     return rh
 
 
-@dataclass(frozen=True)
-class LemmaCCReport:
+class LemmaCCReport(NamedTuple):
     genera: tuple[tuple[str, int], ...]
     asserted: bool  # whether the non-rationality claim was in scope
     violations: tuple[str, ...]

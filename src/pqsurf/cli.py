@@ -3,16 +3,15 @@
 Subcommands: invariants, table, singularities, hj, bounds, local-check,
 bigness.  Each ``cmd_*`` computes one payload dict, and this module is the
 only one that defines its keys: with ``--json`` the payload is printed as
-JSON, and without it the command's ``render_*`` prints the text view of the
-same payload.  All numeric output is exact; non-integral rationals print as
-"p/q".  Exit codes: 0 success, 2 parse error, 3 validation error, 4 engine
-inconsistency.
+JSON, and without it the command's ``render_*`` prints the text view from
+that payload alone.  All numeric output is exact; non-integral rationals
+print as "p/q".  Exit codes: 0 success, 2 parse error, 3 validation error,
+4 engine inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import re
@@ -43,14 +42,22 @@ def _require_at_most(flag: str, value: int, ceiling: int) -> None:
         raise ValidationError(f"{flag} = {value} is above the ceiling {ceiling}")
 
 
-def _load_description(path: str):
-    from .inputs import parse_input
-
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_input(text)
+
+
+def _load_description(path: str):
+    """The parsed .pq file; a parse error names the file."""
+    from .inputs import parse_input
+
+    text = _read_text(path)
+    try:
+        return parse_input(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _summary_payload(summary) -> dict:
@@ -88,7 +95,7 @@ def cmd_hj(args) -> dict:
     }
 
 
-def render_hj(p: dict, args) -> None:
+def render_hj(p: dict) -> None:
     print(f"type        1/{p['n']}(1,{p['a']})")
     print(f"dual        1/{p['n']}(1,{p['dual_a']})")
     print(f"expansion   [{', '.join(map(str, p['expansion']))}]")
@@ -105,7 +112,7 @@ def cmd_invariants(args) -> dict:
     return _summary_payload(run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order))
 
 
-def render_invariants(p: dict, args) -> None:
+def render_invariants(p: dict) -> None:
     sing = ", ".join(f"{s['count']} x 1/{s['n']}(1,{s['a']})" for s in p["singularities"]) or "none"
     print(f"group order    {p['group_order']}")
     print(f"g(C1), g(C2)   {p['g1']}, {p['g2']}")
@@ -139,7 +146,7 @@ def cmd_singularities(args) -> dict:
     }
 
 
-def render_singularities(p: dict, args) -> None:
+def render_singularities(p: dict) -> None:
     if not p["singularities"]:
         print("no singular points")
     for entry in p["singularities"]:
@@ -189,7 +196,7 @@ def cmd_bounds(args) -> dict:
     }
 
 
-def render_bounds(p: dict, args) -> None:
+def render_bounds(p: dict) -> None:
     print(f"{'curve':<6} {'genus':>5} {'(K-E).C':>9} {'bound':>6}  ok")
     for c in p["curves"]:
         print(f"{c['curve']:<6} {c['genus']:>5} {c['KmE_degree']:>9} {c['bound']:>6}  {c['satisfied']}")
@@ -202,7 +209,7 @@ def render_bounds(p: dict, args) -> None:
 
 
 def cmd_table(args) -> tuple[dict, int]:
-    from .inputs import format_singularity_multiset, formula_invariants, parse_rows, run_invariants
+    from .inputs import format_singularity_multiset, formula_invariants, parse_input, parse_rows, run_invariants
 
     def record(summary) -> dict:
         out = _summary_payload(summary)
@@ -214,19 +221,15 @@ def cmd_table(args) -> tuple[dict, int]:
     errors = []
     for path in args.files:
         if path.endswith(".rows"):
-            try:
-                rows = parse_rows(Path(path).read_text())
-            except OSError as exc:
-                raise ParseError(f"cannot read {path}: {exc}") from None
-            for row in rows:
+            for row in parse_rows(_read_text(path)):
                 try:
                     records.append(record(formula_invariants(row)))
                 except PQError as exc:
                     records.append({"name": "", "error": f"{row.name}: {exc}"})
                     errors.append(exc)
         else:
-            try:
-                desc = _load_description(path)
+            try:  # the error cell names the file
+                desc = parse_input(_read_text(path))
                 records.append(record(run_invariants(desc, name=Path(path).stem, cap=args.max_group_order)))
             except PQError as exc:
                 records.append({"name": "", "error": f"{path}: {exc}"})
@@ -234,7 +237,9 @@ def cmd_table(args) -> tuple[dict, int]:
     return {"rows": records}, _exit_code_for(errors[0]) if errors else 0
 
 
-def render_table(p: dict, args) -> None:
+def render_table(p: dict) -> None:
+    import csv
+
     header = ["name", "group_order", "g1", "g2", "singularities", "e", "Ksq", "chi", "q", "pg", "error"]
     writer = csv.DictWriter(sys.stdout, fieldnames=header, restval="")
     writer.writeheader()
@@ -274,11 +279,13 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 
 
 def cmd_local_check(args) -> dict:
-    from .differentials import SourceSection, gamma_pullback, invariance_check, is_holomorphic
+    from .differentials import SourceSection, gamma_closed_form, gamma_pullback, invariance_check, is_holomorphic
 
     _require_at_most("local-check --m", args.m, MAX_LOCAL_M)
     section = SourceSection(args.m, parse_polynomial(args.section))
     pullback = gamma_pullback(section)
+    if pullback != gamma_closed_form(section):
+        raise EngineInconsistencyError(f"local-check: the pullback for m = {args.m} differs from its closed form")
     order = pullback.min_mu1_exponent()
     return {
         "m": args.m,
@@ -292,7 +299,7 @@ def cmd_local_check(args) -> dict:
     }
 
 
-def render_local_check(p: dict, args) -> None:
+def render_local_check(p: dict) -> None:
     for t in p["terms"]:
         print(f"{t['coeff']:>8}  mu1^{t['mu1']} mu2^{t['mu2']} dmu1^{t['dmu1']} dmu2^{t['dmu2']}")
     print(f"invariant under (z1,z2) -> (-z1,-z2): {p['invariant']}")
@@ -309,14 +316,15 @@ def cmd_bigness(args) -> dict:
         "ksq": args.ksq,
         "chi": args.chi,
         "points": args.points,
+        "max_m": args.max_m,
         "certificate": None if cert is None else {"m_star": cert.m_star, "value": str(cert.value)},
     }
 
 
-def render_bigness(p: dict, args) -> None:
+def render_bigness(p: dict) -> None:
     cert = p["certificate"]
     if cert is None:
-        print(f"no certificate for m <= {args.max_m}")
+        print(f"no certificate for m <= {p['max_m']}")
     else:
         print(f"m* = {cert['m_star']}, section-count lower bound = {cert['value']}")
 
@@ -404,7 +412,7 @@ def main(argv=None) -> int:
     if args.json:
         _emit_json(payload)
     else:
-        args.render(payload, args)
+        args.render(payload)
     return code
 
 

@@ -17,8 +17,8 @@ would detect the flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .groups import (
@@ -40,23 +40,27 @@ class GenusTooSmallError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class SphericalSystem:
+class _SphericalSystemFields(NamedTuple):
     group: FiniteGroup
     generators: tuple[int, ...]
     signature: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.generators) != len(self.signature):
+
+class SphericalSystem(_SphericalSystemFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...], signature: tuple[int, ...]):
+        if len(generators) != len(signature):
             raise ValidationError("signature length must match generator count")
+        return super().__new__(cls, group, generators, signature)
 
     @property
     def branch_count(self) -> int:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class CoverPoint:
+class CoverPoint(NamedTuple):
     """A point of the cover lying over branch point ``branch_index``."""
 
     branch_index: int
@@ -65,8 +69,7 @@ class CoverPoint:
     rotation_generator: int
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(NamedTuple):
     ok: bool
     violation: str | None = None
 
@@ -99,15 +102,17 @@ def validate_system(sys: SphericalSystem) -> SystemReport:
     return SystemReport(True)
 
 
-@dataclass(frozen=True)
 class ValidSystem(SphericalSystem):
     """A spherical system that passed ``validate_system`` when it was built."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...], signature: tuple[int, ...]):
+        self = super().__new__(cls, group, generators, signature)
         report = validate_system(self)
         if not report.ok:
             raise ValidationError(f"invalid spherical system: {report.violation}")
+        return self
 
 
 def require_valid(sys: SphericalSystem) -> ValidSystem:

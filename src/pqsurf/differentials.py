@@ -11,46 +11,56 @@ floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .limits import MAX_CERTIFICATE_POWER
 
 
-@dataclass(frozen=True)
-class SourceSection:
-    """a(z1,z2) (dz1 dz2)^m with a = sum of c * z1^i * z2^j."""
-
+class _SourceSectionFields(NamedTuple):
     m: int
     terms: tuple[tuple[int, int, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+
+class SourceSection(_SourceSectionFields):
+    """a(z1,z2) (dz1 dz2)^m with a = sum of c * z1^i * z2^j."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, m: int, terms: tuple[tuple[int, int, Fraction], ...]):
+        if m < 1:
             raise ValidationError("tensor power m must be >= 1")
-        for i, j, _ in self.terms:
+        for i, j, _ in terms:
             if i < 0 or j < 0:
                 raise ValidationError("source exponents must be non-negative")
+        return super().__new__(cls, m, terms)
 
     @classmethod
     def monomial(cls, m: int, i: int, j: int, coeff=1) -> "SourceSection":
         return cls(m, ((i, j, Fraction(coeff)),))
 
 
-@dataclass(frozen=True)
-class PuiseuxDifferential:
-    """sum of c * mu1^p * mu2^q * dmu1^alpha * dmu2^beta with alpha + beta = 2m."""
-
+class _PuiseuxDifferentialFields(NamedTuple):
     m: int
     terms: tuple[tuple[Fraction, int, int, int, Fraction], ...]  # (p, q, alpha, beta, c)
 
-    def __post_init__(self) -> None:
-        for p, q, alpha, beta, _ in self.terms:
-            if alpha + beta != 2 * self.m:
+
+class PuiseuxDifferential(_PuiseuxDifferentialFields):
+    """sum of c * mu1^p * mu2^q * dmu1^alpha * dmu2^beta with alpha + beta = 2m."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, m: int, terms: tuple[tuple[Fraction, int, int, int, Fraction], ...]):
+        for p, q, alpha, beta, _ in terms:
+            if alpha + beta != 2 * m:
                 raise ValidationError("every term must have total differential degree 2m")
             if p.denominator not in (1, 2):
                 raise ValidationError("mu1 exponents must be half-integers")
+        return super().__new__(cls, m, terms)
 
     def coefficient(self, p, q: int, alpha: int, beta: int) -> Fraction:
         p = Fraction(p)
@@ -144,8 +154,7 @@ def plurigenus_lower_bound(ksq: int, chi: int, m: int) -> int:
     return chi + m * (m - 1) // 2 * ksq
 
 
-@dataclass(frozen=True)
-class BignessCertificate:
+class BignessCertificate(NamedTuple):
     m_star: int
     value: Fraction
 

@@ -9,8 +9,7 @@ enumeration is reproducible bit-for-bit.  Composition convention:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
 from .limits import DEFAULT_ORDER_CAP
@@ -24,15 +23,39 @@ class OrderCapExceededError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of {0..d-1}, stored as the tuple of images."""
+    """A bijection of {0..d-1}, stored as the tuple of images.
 
-    images: tuple[int, ...]
+    A frozen ``__slots__`` class, not a named tuple: on a tuple, ``*``,
+    ``len`` and ``+`` mean repetition, length and concatenation, not
+    composition and degree."""
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValidationError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(len(images))):
+            raise ValidationError(f"not a bijection of 0..{len(images) - 1}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
 
     @property
     def degree(self) -> int:
@@ -177,16 +200,21 @@ def _inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its member element indices in the parent group."""
-
+class _SubgroupFields(NamedTuple):
     parent: FiniteGroup
     members: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.parent.identity not in self.members:
+
+class Subgroup(_SubgroupFields):
+    """A subgroup given by its member element indices in the parent group."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, parent: FiniteGroup, members: frozenset[int]):
+        if parent.identity not in members:
             raise ValidationError("subgroup must contain the identity")
+        return super().__new__(cls, parent, members)
 
     @property
     def order(self) -> int:

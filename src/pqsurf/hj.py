@@ -7,21 +7,31 @@ unique and computed by the greedy ceiling recursion in exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
 
 
-@dataclass(frozen=True, order=True)
-class SingularityType:
+# Records are named tuples: ``dataclasses`` imports ``inspect``, which costs a
+# short command more than its arithmetic.  A record that checks its fields
+# does so in the ``__new__`` of a thin subclass, since a NamedTuple body may
+# not define ``__new__``, and routes ``_make`` (which ``_replace`` calls)
+# through that constructor, so that no copy skips the check.
+class _SingularityTypeFields(NamedTuple):
     n: int
     a: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2 or not 1 <= self.a <= self.n - 1 or gcd(self.a, self.n) != 1:
-            raise ValidationError(f"not a valid singularity type 1/{self.n}(1,{self.a})")
+
+class SingularityType(_SingularityTypeFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n: int, a: int):
+        if n < 2 or not 1 <= a <= n - 1 or gcd(a, n) != 1:
+            raise ValidationError(f"not a valid singularity type 1/{n}(1,{a})")
+        return super().__new__(cls, n, a)
 
     def __str__(self) -> str:
         return f"1/{self.n}(1,{self.a})"
@@ -59,14 +69,19 @@ def hj_evaluate(b: list[int]) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class HJString:
+class _HJStringFields(NamedTuple):
     b: tuple[int, ...]
     source_type: SingularityType
 
-    def __post_init__(self) -> None:
-        if hj_evaluate(list(self.b)) != Fraction(self.source_type.n, self.source_type.a):
+
+class HJString(_HJStringFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, b: tuple[int, ...], source_type: SingularityType):
+        if hj_evaluate(list(b)) != Fraction(source_type.n, source_type.a):
             raise ValidationError("string does not evaluate to n/a of its source type")
+        return super().__new__(cls, b, source_type)
 
     @property
     def length(self) -> int:

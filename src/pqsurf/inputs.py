@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
@@ -58,14 +57,12 @@ if TYPE_CHECKING:
     from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     words: tuple[str, ...]
     signature: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class InputDescription:
+class InputDescription(NamedTuple):
     degree: int
     generators: tuple[tuple[str, str], ...]  # (name, cycle text), order matters
     system1: SystemSpec
@@ -82,7 +79,13 @@ def parse_input(text: str) -> InputDescription:
         raise ParseError(f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header") from None
     except configparser.ParsingError as exc:
         raise ParseError(f"line {exc.errors[0][0]}: neither a [section] header nor 'key = value'") from None
-    except configparser.Error as exc:  # duplicate sections and keys: one line, with the line number
+    except configparser.DuplicateOptionError as exc:
+        raise ParseError(
+            f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
+        ) from None
+    except configparser.DuplicateSectionError as exc:
+        raise ParseError(f"line {exc.lineno}: section {exc.section!r} already exists") from None
+    except configparser.Error as exc:
         raise ParseError(str(exc)) from None
     for section in ("group", "system1", "system2"):
         if section not in parser:
@@ -178,8 +181,7 @@ def realize(
 # -- summaries ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRowSummary:
+class TableRowSummary(NamedTuple):
     name: str
     group_order: int
     g1: int
@@ -215,8 +217,7 @@ def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_OR
 # -- formula mode ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaRow:
+class FormulaRow(NamedTuple):
     name: str
     group_order: int
     g1: int

@@ -21,7 +21,7 @@ groups, so everything stays exact and finite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covers import SphericalSystem, require_valid
 from .errors import EngineInconsistencyError, ValidationError
@@ -29,8 +29,7 @@ from .groups import FiniteGroup, coset_reps, cyclic_subgroup
 from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (re-exported)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """One G-orbit of fixed points, over branch pair (i, j)."""
 
     branch_pair: tuple[int, int]
@@ -39,8 +38,7 @@ class SingularPoint:
     rep: tuple[int, int]  # canonical coset representatives on each factor
 
 
-@dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(NamedTuple):
     points: tuple[SingularPoint, ...]
     # (i, j) -> number of free G-orbits of coset pairs over that branch pair
     free_orbit_counts: dict[tuple[int, int], int]

@@ -25,9 +25,8 @@ negative definite, so they are unique) and gated to be positive integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
@@ -36,8 +35,7 @@ from .inputs import euler_chi_pg, singularity_multiset
 from .singularities import SingularLocus, enumerate_singularities
 
 
-@dataclass(frozen=True, order=True)
-class BasisCurve:
+class BasisCurve(NamedTuple):
     kind: str  # "F1", "F2", "N", "M", "Z"
     index: int = 0  # branch index for N/M, singular-point index for Z
     pos: int = 0  # 1-based component position inside a string
@@ -84,8 +82,7 @@ class DivisorClass:
         return cls({curve: Fraction(1)})
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     e: int
     ksq: int
     chi: int
@@ -93,8 +90,7 @@ class Invariants:
     pg: int
 
 
-@dataclass
-class StringData:
+class StringData(NamedTuple):
     """Resolution data of one singular point, attached to N[i] and M[j]."""
 
     point_index: int

@@ -185,6 +185,14 @@ class TestLocalCheck:
         assert payload["holomorphic"] is True
         assert payload["mu1_order"] == "0"
 
+    def test_closed_form_mismatch_exits_4(self, capsys, monkeypatch):
+        from pqsurf import differentials
+
+        monkeypatch.setattr(differentials, "gamma_closed_form", lambda s: differentials.PuiseuxDifferential(s.m, ()))
+        code, out, err = run(capsys, "local-check", "--m", "2", "--section", "z1^2 + z2^2")
+        assert code == 4 and out == ""
+        assert err == "error: local-check: the pullback for m = 2 differs from its closed form\n"
+
     def test_bad_polynomial(self, capsys):
         code, _, err = run(capsys, "local-check", "--m", "1", "--section", "z3^2")
         assert code == 2
@@ -228,6 +236,14 @@ class TestBigness:
         )
         payload = json.loads(out)
         assert payload["certificate"] == {"m_star": 2, "value": "9"}
+
+
+PARSE_ERRORS = [
+    ("degree = 5\n", "line 1: 'degree = 5' comes before any [section] header"),
+    ("[group]\ndegree = 5\ndegree = 6\n", "line 3: option 'degree' in section 'group' already exists"),
+    ("[group]\ndegree = 5\n[group]\n", "line 3: section 'group' already exists"),
+]
+PARSE_ERROR_IDS = ["no-header", "duplicate-key", "duplicate-section"]
 
 
 class TestInputErrors:
@@ -290,6 +306,23 @@ class TestInputErrors:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2
         assert "line 1" in record["error"] and "\n" not in record["error"]
+
+    @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=PARSE_ERROR_IDS)
+    def test_parse_error_names_the_file(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "bad.pq"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=PARSE_ERROR_IDS)
+    def test_parse_error_names_the_file_once_in_table_cell(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.pq"
+        path.write_text(text)
+        code, out, _ = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2 and record["error"] == f"{path}: {message}"
 
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"

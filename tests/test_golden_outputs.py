@@ -93,7 +93,7 @@ def test_text_view_renders_the_json_payload(case):
     del payload["schema_version"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        args.render(payload, args)
+        args.render(payload)
     assert out.getvalue().encode() == (GOLDEN / f"{case}.out").read_bytes()
 
 

@@ -34,19 +34,42 @@ ALL = [
 ENGINE = {"groups", "covers", "surface", "inputs", "bounds"}
 
 
-def loaded(*args):
-    """The pqsurf submodules a fresh interpreter imports for ``args``."""
+def imported(*args):
+    """Every module a fresh interpreter imports for ``args``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    names = {
+    return {
         line.split("|")[-1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return {name.split(".", 1)[1] for name in names if name.startswith("pqsurf.")}
+
+
+def loaded(*args):
+    """The pqsurf submodules a fresh interpreter imports for ``args``."""
+    return {name.split(".", 1)[1] for name in imported(*args) if name.startswith("pqsurf.")}
+
+
+FIXTURES = SRC / "pqsurf" / "fixtures"
+COMMANDS = {
+    "hj": ["hj", "7", "3"],
+    "bigness": ["bigness", "--ksq", "6", "--chi", "1", "--points", "2"],
+    "local-check": ["local-check", "--m", "2", "--section", "z1^2 + z2^2"],
+    "table": ["table", str(FIXTURES / "table_c1sq6.rows"), str(FIXTURES / "beauville_55.pq")],
+    "invariants": ["invariants", str(FIXTURES / "beauville_55.pq")],
+    "singularities": ["singularities", str(FIXTURES / "z2_hyperelliptic.pq")],
+    "bounds": ["bounds", str(FIXTURES / "beauville_55.pq")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_imports_dataclasses(command):
+    # dataclasses pulls in inspect, ast and dis: more than a short command's own work
+    modules = imported("-m", "pqsurf.cli", *COMMANDS[command], "--json")
+    assert not modules & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
