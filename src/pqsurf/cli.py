@@ -12,6 +12,7 @@ print as "p/q".  Exit codes: 0 success, 2 parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -49,15 +50,22 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """A parse error raised inside the block names the file."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_description(path: str):
     """The parsed .pq file; a parse error names the file."""
     from .inputs import parse_input
 
     text = _read_text(path)
-    try:
+    with _naming(path):
         return parse_input(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
 
 
 def _summary_payload(summary) -> dict:
@@ -109,7 +117,9 @@ def cmd_invariants(args) -> dict:
     from .inputs import run_invariants
 
     desc = _load_description(args.file)
-    return _summary_payload(run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order))
+    with _naming(args.file):  # realizing the words can fail to parse too
+        summary = run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order)
+    return _summary_payload(summary)
 
 
 def render_invariants(p: dict) -> None:
@@ -130,7 +140,8 @@ def cmd_singularities(args) -> dict:
     from .singularities import enumerate_singularities
 
     desc = _load_description(args.file)
-    _, sys1, sys2 = realize(desc, cap=args.max_group_order)
+    with _naming(args.file):
+        _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     locus = enumerate_singularities(sys1, sys2)
     return {
         "singularities": [
@@ -181,7 +192,8 @@ def cmd_bounds(args) -> dict:
     from .surface import build_surface_model
 
     desc = _load_description(args.file)
-    _, sys1, sys2 = realize(desc, cap=args.max_group_order)
+    with _naming(args.file):
+        _, sys1, sys2 = realize(desc, cap=args.max_group_order)
     model = build_surface_model(sys1, sys2)
     curves = [
         _curve_payload(degree_bound_report(model, curve))
@@ -221,7 +233,10 @@ def cmd_table(args) -> tuple[dict, int]:
     errors = []
     for path in args.files:
         if path.endswith(".rows"):
-            for row in parse_rows(_read_text(path)):
+            text = _read_text(path)
+            with _naming(path):
+                rows = parse_rows(text)
+            for row in rows:
                 try:
                     records.append(record(formula_invariants(row)))
                 except PQError as exc:

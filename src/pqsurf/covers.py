@@ -27,7 +27,6 @@ from .groups import (
     conjugate_subgroup,
     cyclic_subgroup,
     element_order,
-    group_from_generators,
     left_cosets,
 )
 
@@ -82,7 +81,9 @@ def make_system(group: FiniteGroup, generators: tuple[int, ...] | list[int]) -> 
 
 
 def validate_system(sys: SphericalSystem) -> SystemReport:
-    """Check the long relation, the signature and generation; report the first failure."""
+    """Check the long relation, the signature and generation; report the first
+    failure.  Generation is decided on element indices through ``group.mul``,
+    with the early stop of ``_generates``."""
     group = sys.group
     acc = group.identity
     for g in sys.generators:
@@ -96,10 +97,30 @@ def validate_system(sys: SphericalSystem) -> SystemReport:
             return SystemReport(
                 False, f"order mismatch: element has order {element_order(group, g)}, signature says {m}"
             )
-    perms = [group.element(g) for g in sys.generators]
-    if group_from_generators(perms, cap=group.order).order != group.order:
+    if not _generates(group, sys.generators):
         return SystemReport(False, "generators do not generate the whole group")
     return SystemReport(True)
+
+
+def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
+    """Whether the elements generate the group.  Closes the subgroup they span
+    on element indices and stops as soon as it holds more than |G|/2
+    elements: by Lagrange a proper subgroup has at most half of them, so only
+    a non-generating tuple is closed in full.  An empty tuple is refused."""
+    if not generators:
+        raise ValidationError("need at least one generator")
+    half = group.order // 2
+    gens = list(dict.fromkeys(generators))
+    seen = {group.identity}
+    todo = [group.identity]
+    while todo and len(seen) <= half:
+        p = todo.pop()
+        for g in gens:
+            q = group.mul(p, g)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen) > half
 
 
 class ValidSystem(SphericalSystem):

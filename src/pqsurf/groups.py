@@ -4,11 +4,17 @@ Elements are permutations of {0..d-1}; a group enumerates its elements once
 (breadth-first from the identity, generator order fixed) so every downstream
 enumeration is reproducible bit-for-bit.  Composition convention:
 (p * q)(x) = p(q(x)), i.e. q acts first.
+
+Every product composes image tuples in C: ``itemgetter(*q)(p)`` is the
+tuple (p[q[0]], ..., p[q[d-1]]), the images of p * q.  A group keeps one
+such getter per element, so ``FiniteGroup.mul`` is one C call and one dict
+lookup and builds no ``Permutation``.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
@@ -21,6 +27,13 @@ class DomainMismatchError(ValidationError):
 
 class OrderCapExceededError(ValidationError):
     pass
+
+
+def _composer(q: tuple[int, ...]):
+    """The map p -> p * q on image tuples, q acting first.  Below degree 2 the
+    only permutation is the identity and p * q = p; itemgetter would return a
+    bare int there (one index) or refuse to be built (none)."""
+    return itemgetter(*q) if len(q) > 1 else tuple
 
 
 class Permutation:
@@ -67,7 +80,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DomainMismatchError(f"degrees {self.degree} and {other.degree} differ")
-        return Permutation(tuple(self.images[other.images[x]] for x in range(self.degree)))
+        return Permutation(_composer(other.images)(self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
@@ -129,8 +142,9 @@ class FiniteGroup:
     """A finite permutation group with a fixed, deterministic element order.
 
     Element 0 is the identity.  Elements are addressed by index everywhere;
-    products compose raw image tuples and look the result up by its images.
-    Use ``element(i)`` for the underlying permutation.
+    products compose raw image tuples with the cached getter of the right
+    factor and look the result up by its images.  Use ``element(i)`` for the
+    underlying permutation.
     """
 
     def __init__(self, images: Sequence[tuple[int, ...]], generator_indices: Sequence[int]):
@@ -140,6 +154,7 @@ class FiniteGroup:
         if self.images[0] != tuple(range(len(self.images[0]))):
             raise EngineInconsistencyError("element 0 must be the identity")
         self._inverse = [self._index[_inverse_images(p)] for p in self.images]
+        self._compose = [_composer(p) for p in self.images]
         self._powers: dict[int, list[int]] = {}
 
     @property
@@ -164,8 +179,7 @@ class FiniteGroup:
             raise ValidationError(f"permutation {p.cycle_string()} is not in the group") from None
 
     def mul(self, i: int, j: int) -> int:
-        a = self.images[i]
-        return self._index[tuple([a[x] for x in self.images[j]])]
+        return self._index[self._compose[j](self.images[i])]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
@@ -238,12 +252,12 @@ def group_from_generators(
     index = {identity: 0}
     frontier = [identity]
     # a repeated generator only ever yields products already found
-    distinct = list(dict.fromkeys(g.images for g in gens))
+    distinct = [_composer(images) for images in dict.fromkeys(g.images for g in gens)]
     while frontier:
         next_frontier = []
         for p in frontier:
-            for g in distinct:
-                q = tuple([p[x] for x in g])
+            for compose in distinct:
+                q = compose(p)
                 if q not in index:
                     index[q] = len(images)
                     images.append(q)

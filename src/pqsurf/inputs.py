@@ -97,6 +97,8 @@ def parse_input(text: str) -> InputDescription:
         degree = int(group_section["degree"])
     except ValueError:
         raise ParseError(f"bad degree {group_section['degree']!r}") from None
+    if degree < 1:
+        raise ParseError(f"degree = {degree} in [group]: a permutation domain needs at least one point")
     generators = tuple(
         (name, value) for name, value in group_section.items() if name != "degree"
     )

@@ -11,6 +11,9 @@ only they use.
   point.  ``pqsurf.bounds`` reads the same genus off the singular locus.
 * ``orbit_partition`` and ``intersect_subgroups``, the generic group
   operations both oracles are built from.
+* ``closure_images``: the group spanned by image tuples, breadth-first with
+  products composed by a plain list comprehension, in the discovery order
+  ``pqsurf.groups.group_from_generators`` must keep.
 """
 
 from __future__ import annotations
@@ -91,6 +94,26 @@ def _spot_check_action(group, points, point_set, action) -> None:
 
 def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(dict.fromkeys(group.generator_indices))
+
+
+def closure_images(generators: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every element of the group the image tuples generate, breadth-first
+    from the identity with the generators in their given order."""
+    identity = tuple(range(len(generators[0])))
+    found = [identity]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for p in frontier:
+            for g in generators:
+                q = tuple([p[x] for x in g])  # p * g: g acts first
+                if q not in seen:
+                    seen.add(q)
+                    found.append(q)
+                    next_frontier.append(q)
+        frontier = next_frontier
+    return found
 
 
 def fibre_genus(model: SurfaceModel, curve: BasisCurve) -> int:

@@ -324,6 +324,60 @@ class TestInputErrors:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2 and record["error"] == f"{path}: {message}"
 
+    @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("generators = a, b, a^4*b^4", "generators = a, c", "unknown generator 'c' in word 'c'"),
+            ("generators = a, b, a^4*b^4", "generators = a, b, a^4**b", "bad factor '' in word 'a^4**b'"),
+            ("a = (0 1 2 3 4)", "a = (0 1 2 3 4", "bad cycle notation: '(0 1 2 3 4'"),
+        ],
+        ids=["unknown-generator", "bad-factor", "bad-cycle"],
+    )
+    def test_realize_parse_error_names_the_file(self, capsys, tmp_path, command, old, new, message):
+        # raised after the grammar is parsed, while the words are evaluated
+        path = tmp_path / "bad.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_realize_parse_error_names_the_file_once_in_table_cell(self, capsys, tmp_path):
+        path = tmp_path / "bad.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace("a, b, a^4*b^4", "a, c", 1))
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2 and err == ""
+        assert record["error"] == f"{path}: unknown generator 'c' in word 'c'"
+
+    def test_rows_file_without_header_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.rows"
+        path.write_text("nam,order\nx,2\n")
+        code, out, err = run(capsys, "table", ROWS, str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {path}: rows file must have columns ['g1', 'g2', 'group_order', 'name', 'singularities']\n"
+        )
+
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_degree_below_one(self, capsys, tmp_path, degree):
+        path = tmp_path / "bad.pq"
+        path.write_text(f"[group]\ndegree = {degree}\nt = ()\n\n[system1]\ngenerators = t, t\n\n"
+                        "[system2]\ngenerators = t, t\n")
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: degree = {degree} in [group]") and err.count("\n") == 1
+
+    def test_degree_one_is_a_trivial_group(self, capsys, tmp_path):
+        # the only permutation of one point is the identity, of order 1
+        path = tmp_path / "one.pq"
+        path.write_text("[group]\ndegree = 1\nt = ()\n\n[system1]\ngenerators = t, t\n\n"
+                        "[system2]\ngenerators = t, t\n")
+        for command in ("invariants", "singularities", "bounds"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert err == "error: invalid spherical system: signature entry 1 < 2\n"
+
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"
         text = fixture_path("beauville_55.pq").read_text()

@@ -1,7 +1,11 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pqsurf.covers import make_system, validate_system
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.groups import (
     DomainMismatchError,
@@ -15,7 +19,8 @@ from pqsurf.groups import (
     group_from_generators,
     left_cosets,
 )
-from tests.locus_oracle import ActionAxiomError, intersect_subgroups, orbit_partition
+from pqsurf.inputs import fixture_path, parse_input
+from tests.locus_oracle import ActionAxiomError, closure_images, intersect_subgroups, orbit_partition
 
 SWAP = Permutation.from_cycles("(0 1)", 2)
 PSL27_GENS = [
@@ -277,3 +282,77 @@ class TestOrbits:
         group = group_from_generators([SWAP])
         with pytest.raises(ActionAxiomError):
             orbit_partition(group, [0, 1], lambda g, p: 1 - p if g else p and 0)
+
+
+def fixture_generators(name: str) -> list[Permutation]:
+    desc = parse_input(fixture_path(name).read_text())
+    return [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
+
+
+@lru_cache(maxsize=None)
+def symmetric_group(n: int):
+    cycle = "(" + " ".join(map(str, range(n))) + ")"
+    return group_from_generators([Permutation.from_cycles("(0 1)", n), Permutation.from_cycles(cycle, n)])
+
+
+class TestClosureAgainstOracle:
+    """Closure composes in C; the list-comprehension oracle fixes the
+    discovery order that element indices, the locus and every golden rest on."""
+
+    @pytest.mark.parametrize(
+        "gens",
+        [*(fixture_generators(f"{name}.pq") for name in ("a5_255_335", "a6_245_334", "a7_247_357")),
+         PSL27_GENS, PSL27_GENS[::-1], [SWAP, SWAP]],
+        ids=["A5", "A6", "A7", "PSL(2,7)", "PSL(2,7)-reversed", "repeated"],
+    )
+    def test_discovery_order(self, gens):
+        assert group_from_generators(gens).images == tuple(closure_images([g.images for g in gens]))
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_below_degree_two_the_group_is_trivial(self, degree):
+        identity = Permutation.identity(degree)
+        group = group_from_generators([identity, identity])
+        assert group.images == ((*range(degree),),)
+        assert group.mul(0, 0) == 0 and (identity * identity) == identity
+
+
+@st.composite
+def symmetric_systems(draw):
+    """A tuple of non-identity elements of S_n (n <= 6) with product 1 and any
+    span: the long relation and the signature hold, generation may not."""
+    group = symmetric_group(draw(st.integers(2, 6)))
+    elements = [draw(st.integers(1, group.order - 1)) for _ in range(draw(st.integers(1, 3)))]
+    acc = group.identity
+    for g in elements:
+        acc = group.mul(acc, g)
+    assume(acc != group.identity)
+    return make_system(group, (*elements, group.inv(acc)))
+
+
+class TestGenerationCheck:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(symmetric_systems())
+    def test_early_stop_verdict_matches_full_closure(self, sys):
+        group = sys.group
+        closes = len(closure_images([group.images[g] for g in sys.generators])) == group.order
+        report = validate_system(sys)
+        assert report.ok == closes
+        assert report.ok or report.violation == "generators do not generate the whole group"
+
+    def test_generating_system_stops_past_half_the_group(self, monkeypatch):
+        group = symmetric_group(6)
+        x, y = group.generator_indices
+        sys = make_system(group, (x, y, group.inv(group.mul(x, y))))
+        calls = count_mul(monkeypatch)
+        assert validate_system(sys).ok
+        # 3 products for the long relation (make_system cached the element
+        # orders), then 3 per element popped while at most |G|/2 are found;
+        # a full closure would take 3 per element of the group
+        assert calls[0] <= 3 + 3 * (group.order // 2 + 1)
+
+    def test_proper_subgroup_is_closed_in_full(self):
+        # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720
+        group = symmetric_group(6)
+        c = group.index_of(Permutation.from_cycles("(0 1 2)", 6))
+        report = validate_system(make_system(group, (c, group.inv(c))))
+        assert not report.ok and report.violation == "generators do not generate the whole group"

@@ -43,6 +43,27 @@ def test_counting_sees_each_validation(perfbench, capsys):
     assert counts["groups.mul_calls"] > 0 and counts["surface.intersect_calls"] > 0
 
 
+# the traced run's work counters for `invariants` then `bounds`; they are
+# deterministic, so a change in the work a command does shows here
+WORK_COUNTS = {
+    "beauville_55.pq": {"covers.validate_calls": 4, "groups.mul_calls": 404,
+                        "surface.intersect_calls": 41, "surface.canonical_class_calls": 23},
+    "a6_245_334.pq": {"covers.validate_calls": 4, "groups.mul_calls": 7220,
+                      "surface.intersect_calls": 41, "surface.canonical_class_calls": 23},
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(WORK_COUNTS))
+def test_work_counts_are_pinned(perfbench, capsys, fixture):
+    layers, _ = perfbench
+    path = str(fixture_path(fixture))
+    with layers.counting() as counts:
+        for command in ("invariants", "bounds"):
+            assert cli.main([command, path, "--json"]) == 0
+    capsys.readouterr()
+    assert {key: counts[key] for key in WORK_COUNTS[fixture]} == WORK_COUNTS[fixture]
+
+
 @pytest.mark.parametrize("fixture", ["beauville_55.pq", "z2_hyperelliptic.pq"])
 def test_staged_pass_reaches_every_layer(perfbench, fixture):
     layers, workloads = perfbench
