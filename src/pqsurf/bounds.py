@@ -5,7 +5,9 @@ curves not contained in the exceptional divisor, together with the
 tangent-case arithmetic for central components (K_Y.Y, Y.E, Y^2 and the
 non-negative string defect r - sum a_i/n_i over the r strings meeting Y,
 where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
-for a point of type 1/n(1,a), a a' = 1 mod n).
+for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 come from
+``SurfaceModel.lattice_numbers``, read once per curve off its row of the
+form, so a report builds no divisor class and calls no ``intersect``.
 
 The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
 two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import dual_type
-from .surface import BasisCurve, DivisorClass, SurfaceModel
+from .surface import BasisCurve, SurfaceModel
 
 
 class TangentCaseData(NamedTuple):
@@ -46,17 +48,13 @@ class CurveReport(NamedTuple):
 def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
     if curve.kind == "Z":
         raise ValidationError("string components lie inside E; the bound excludes them")
-    k = model.canonical_class()
-    e = model.exceptional_class()
-    d = DivisorClass.of(curve)
+    k_dot_c, e_dot_c, c_sq = model.lattice_numbers(curve)
     genus = model.adjunction_genus(curve)
-    kme = model.intersect(k - e, d)
+    kme = k_dot_c - e_dot_c
     bound = 2 * (2 * genus - 2)
     tangent = None
     if curve.kind in ("N", "M"):
-        y_sq = model.intersect(d, d)
-        y_dot_e = model.intersect(d, e)
-        ky_dot_y = model.intersect(k + d, d)
+        y_sq, y_dot_e, ky_dot_y = c_sq, e_dot_c, k_dot_c + c_sq
         defect = _string_defect(model, curve)
         if y_dot_e + y_sq != defect:
             raise EngineInconsistencyError(

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
-from .limits import DEFAULT_ORDER_CAP
+from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP
 
 if TYPE_CHECKING:
     from .covers import ValidSystem
@@ -99,6 +99,8 @@ def parse_input(text: str) -> InputDescription:
         raise ParseError(f"bad degree {group_section['degree']!r}") from None
     if degree < 1:
         raise ParseError(f"degree = {degree} in [group]: a permutation domain needs at least one point")
+    if degree > MAX_DEGREE:
+        raise ValidationError(f"degree = {degree} in [group] is above the ceiling {MAX_DEGREE}")
     generators = tuple(
         (name, value) for name, value in group_section.items() if name != "degree"
     )
@@ -281,6 +283,9 @@ def parse_rows(text: str) -> list[FormulaRow]:
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise ParseError(f"rows file must have columns {sorted(required)}")
     for record in reader:
+        short = sorted(c for c in required if record[c] is None)  # the line ended early
+        if short:
+            raise ParseError(f"bad row {record!r}: no value for {', '.join(short)}")
         try:
             ksq_text = (record.get("ksq") or "").strip()
             rows.append(
@@ -324,6 +329,10 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
         raise ValidationError(f"group order {row.group_order} is not positive")
     if row.g1 < 2 or row.g2 < 2:
         raise ValidationError(f"g1, g2 = {row.g1}, {row.g2}: both genera must be at least 2")
+    for n, a, _ in row.singularities:
+        # a point's order is that of a stabilizer in G, and its string has up to n - 1 components
+        if n > MAX_ORDER_CAP:
+            raise ValidationError(f"1/{n}(1,{a}): n is above the ceiling {MAX_ORDER_CAP} of the group order")
     sings = singularity_multiset(row.singularities)
     e, chi, pg = euler_chi_pg(row.group_order, row.g1, row.g2, sings, row.ksq)
     return TableRowSummary(

@@ -11,3 +11,8 @@ MAX_CERTIFICATE_POWER = 100  # largest m tried by the bigness certificate unless
 MAX_CERTIFICATE_SEARCH = 10_000  # largest bigness --max-m accepted
 MAX_LOCAL_M = 200  # largest local-check --m accepted
 MAX_HJ_ORDER = 1_000  # largest n that `hj n a` expands into a dense string matrix
+# A closed group keeps, per element, its image tuple and the getter that
+# composes with it, each `degree` references long: ~16 bytes a point.  So this
+# ceiling holds an element to ~16 KB and a closure at DEFAULT_ORDER_CAP to
+# ~160 MB; the .pq parser checks it before any permutation is built.
+MAX_DEGREE = 1_000  # largest [group] degree accepted in a .pq file

@@ -21,6 +21,16 @@ singular fiber weighted by (multiplicity - 1) plus the exceptional sum; the
 multiplicities of string components inside each fiber are solved exactly
 from the linear conditions fiber.Z = 0 and fiber.N = 0 (the string block is
 negative definite, so they are unique) and gated to be positive integers.
+
+Storage: the form is kept once, as one row {neighbour: pairing} per basis
+curve, diagonal included, holding only the curves it meets.  K and E are
+built once per model, and ``lattice_numbers`` reads (K.C, E.C, C^2) off the
+row of C in O(deg C), once per curve; adjunction and the bound reports read
+nothing else.  K^2 alone still goes through ``intersect``, which sums over
+every pair of coefficients: a K^2 linear in the basis size is to land with
+its closed-form gate (Bauer-Pignatelli, Serrano), and with a benchmark whose
+peak-memory reading does not grow with the number of operations it
+completes, since that reading would otherwise rise with the speed-up.
 """
 
 from __future__ import annotations
@@ -115,18 +125,28 @@ class SurfaceModel:
         self.M = [BasisCurve("M", j) for j in range(1, sys2.branch_count + 1)]
         self.strings: list[StringData] = []
         self.Z: list[list[BasisCurve]] = []
-        self._pairing: dict[tuple[BasisCurve, BasisCurve], Fraction] = {}
+        # one row per basis curve, in basis order: Z rows are added by _build
+        self._rows: dict[BasisCurve, dict[BasisCurve, Fraction]] = {
+            c: {} for c in (self.F1, self.F2, *self.N, *self.M)
+        }
         self._build()
+        self._k = self.canonical_class()
+        self._e = self.exceptional_class()
+        self._numbers: dict[BasisCurve, tuple[Fraction, Fraction, Fraction]] = {}
 
     # -- construction ------------------------------------------------------
 
     def _set(self, c1: BasisCurve, c2: BasisCurve, value) -> None:
-        key = (c1, c2) if c1 <= c2 else (c2, c1)
-        self._pairing[key] = Fraction(value)
+        self._rows[c1][c2] = self._rows[c2][c1] = Fraction(value)
+
+    def _row(self, curve: BasisCurve) -> dict[BasisCurve, Fraction]:
+        try:
+            return self._rows[curve]
+        except KeyError:
+            raise ValidationError(f"unknown basis element {curve.label}") from None
 
     def pair(self, c1: BasisCurve, c2: BasisCurve) -> Fraction:
-        key = (c1, c2) if c1 <= c2 else (c2, c1)
-        return self._pairing.get(key, Fraction(0))
+        return self._rows.get(c1, {}).get(c2, Fraction(0))
 
     def _build(self) -> None:
         order = self.group.order
@@ -147,6 +167,7 @@ class SurfaceModel:
             b = tuple(hj_expand(n, a_dual))
             comps = [BasisCurve("Z", p_index, k) for k in range(1, len(b) + 1)]
             self.Z.append(comps)
+            self._rows.update((comp, {}) for comp in comps)
             for k, comp in enumerate(comps):
                 self._set(comp, comp, -b[k])
                 if k + 1 < len(comps):
@@ -176,14 +197,11 @@ class SurfaceModel:
 
     @property
     def basis(self) -> list[BasisCurve]:
-        return [self.F1, self.F2, *self.N, *self.M, *(c for comps in self.Z for c in comps)]
+        return list(self._rows)
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-        known = set(self.basis)
-        for d in (d1, d2):
-            for c in d.coefficients:
-                if c not in known:
-                    raise ValidationError(f"unknown basis element {c.label}")
+        for c in (*d1.coefficients, *d2.coefficients):
+            self._row(c)  # raises on a curve outside the basis
         total = Fraction(0)
         for c1, v1 in d1.coefficients.items():
             for c2, v2 in d2.coefficients.items():
@@ -212,8 +230,7 @@ class SurfaceModel:
     def numerical_invariants(self) -> Invariants:
         """K^2 from the lattice; e, chi and P_g from ``euler_chi_pg``, whose
         failed gates are engine inconsistencies here."""
-        k = self.canonical_class()
-        ksq = self.intersect(k, k)
+        ksq = self.intersect(self._k, self._k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
         sings = singularity_multiset((t.n, t.a, c) for t, c in self.locus.type_counts().items())
@@ -223,10 +240,24 @@ class SurfaceModel:
             raise EngineInconsistencyError(str(exc)) from None
         return Invariants(e=e, ksq=int(ksq), chi=chi, q=0, pg=pg)
 
+    def lattice_numbers(self, curve: BasisCurve) -> tuple[Fraction, Fraction, Fraction]:
+        """(K.C, E.C, C^2) of one basis curve, read off its row of the form
+        and kept for the life of the model."""
+        numbers = self._numbers.get(curve)
+        if numbers is None:
+            row = self._row(curve)
+            k, e = self._k.coefficients, self._e.coefficients
+            numbers = (
+                sum((v * k.get(c, 0) for c, v in row.items()), Fraction(0)),
+                sum((v * e.get(c, 0) for c, v in row.items()), Fraction(0)),
+                row.get(curve, Fraction(0)),
+            )
+            self._numbers[curve] = numbers
+        return numbers
+
     def adjunction_genus(self, curve: BasisCurve) -> int:
-        k = self.canonical_class()
-        d = DivisorClass.of(curve)
-        two_g_minus_2 = self.intersect(k + d, d)
+        k_dot_c, _, c_sq = self.lattice_numbers(curve)
+        two_g_minus_2 = k_dot_c + c_sq
         if two_g_minus_2.denominator != 1 or (int(two_g_minus_2) + 2) % 2 != 0:
             raise EngineInconsistencyError(f"adjunction gives 2g - 2 = {two_g_minus_2} on {curve.label}")
         g = (int(two_g_minus_2) + 2) // 2

@@ -254,6 +254,8 @@ class TestInputErrors:
             ("negative,-4,2,2,,", "group order -4"),
             ("low_g1,2,1,3,,", "at least 2"),
             ("low_g2,2,3,0,,", "at least 2"),
+            # 1/n(1,n-1) has a string of n - 1 components: refused before it is expanded
+            ("huge_point,2,2,2,1000000000001/1000000000000x1,", "above the ceiling 100000"),
         ],
     )
     def test_rows_bad_order_or_genus(self, capsys, tmp_path, row, message):
@@ -358,6 +360,30 @@ class TestInputErrors:
         assert err == (
             f"error: {path}: rows file must have columns ['g1', 'g2', 'group_order', 'name', 'singularities']\n"
         )
+
+    def test_rows_line_ending_early(self, capsys, tmp_path):
+        path = tmp_path / "short.rows"
+        path.write_text("name,group_order,g1,g2,singularities,ksq\nr,2\n")
+        code, out, err = run(capsys, "table", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: bad row ") and err.count("\n") == 1
+        assert err.endswith(": no value for g1, g2, singularities\n")
+
+    def test_degree_above_ceiling(self, capsys, tmp_path, monkeypatch):
+        from pqsurf.groups import Permutation
+        from pqsurf.limits import MAX_DEGREE
+
+        def refuse(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(Permutation, "from_cycles", refuse)
+        path = tmp_path / "wide.pq"
+        path.write_text("[group]\ndegree = 100000000\nt = (0 1)\n\n[system1]\ngenerators = t, t\n\n"
+                        "[system2]\ngenerators = t, t\n")
+        for command in ("invariants", "singularities", "bounds"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert err == f"error: degree = 100000000 in [group] is above the ceiling {MAX_DEGREE}\n"
 
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_degree_below_one(self, capsys, tmp_path, degree):

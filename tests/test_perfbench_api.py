@@ -44,12 +44,15 @@ def test_counting_sees_each_validation(perfbench, capsys):
 
 
 # the traced run's work counters for `invariants` then `bounds`; they are
-# deterministic, so a change in the work a command does shows here
+# deterministic, so a change in the work a command does shows here; K is
+# built once per model and K^2 is the one intersect
 WORK_COUNTS = {
     "beauville_55.pq": {"covers.validate_calls": 4, "groups.mul_calls": 404,
-                        "surface.intersect_calls": 41, "surface.canonical_class_calls": 23},
+                        "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
     "a6_245_334.pq": {"covers.validate_calls": 4, "groups.mul_calls": 7220,
-                      "surface.intersect_calls": 41, "surface.canonical_class_calls": 23},
+                      "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
+    "z2_hyperelliptic.pq": {"covers.validate_calls": 4, "groups.mul_calls": 366,
+                            "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
@@ -212,3 +213,27 @@ class TestStringBlocks:
             )
             if d.coefficients:
                 assert m.intersect(d, d) < 0
+
+
+PQ_FIXTURES = sorted(p.name for p in (files("pqsurf") / "fixtures").iterdir() if p.name.endswith(".pq"))
+
+
+class TestLatticeNumbers:
+    """The per-curve numbers read off the rows equal the whole-form route:
+    ``intersect`` over full divisor classes, as the bound reports used it."""
+
+    @pytest.mark.parametrize("fixture", PQ_FIXTURES)
+    def test_rows_agree_with_intersect(self, fixture):
+        _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
+        m = build_surface_model(sys1, sys2)
+        k, e = m.canonical_class(), m.exceptional_class()
+        for curve in m.basis:
+            c = DivisorClass.of(curve)
+            numbers = (m.intersect(k, c), m.intersect(e, c), m.intersect(c, c))
+            assert m.lattice_numbers(curve) == numbers, curve.label
+            assert all(isinstance(x, Fraction) for x in m.lattice_numbers(curve))
+            assert m.adjunction_genus(curve) == (m.intersect(k + c, c) + 2) / 2, curve.label
+
+    def test_unknown_curve_rejected(self, toy_model):
+        with pytest.raises(ValidationError, match="unknown basis element N99"):
+            toy_model.lattice_numbers(BasisCurve("N", 99))
