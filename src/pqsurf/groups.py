@@ -6,9 +6,9 @@ enumeration is reproducible bit-for-bit.  Composition convention:
 (p * q)(x) = p(q(x)), i.e. q acts first.
 
 Every product composes image tuples in C: ``itemgetter(*q)(p)`` is the
-tuple (p[q[0]], ..., p[q[d-1]]), the images of p * q.  A group keeps one
-such getter per element, so ``FiniteGroup.mul`` is one C call and one dict
-lookup and builds no ``Permutation``.
+tuple (p[q[0]], ..., p[q[d-1]]), the images of p * q.  A group builds an
+element's getter on first use and keeps it, so ``FiniteGroup.mul`` is one C
+call and one dict lookup and builds no ``Permutation``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ def _composer(q: tuple[int, ...]):
     only permutation is the identity and p * q = p; itemgetter would return a
     bare int there (one index) or refuse to be built (none)."""
     return itemgetter(*q) if len(q) > 1 else tuple
+
+
+class _LazyTable(dict):
+    """A table whose entry for a key is ``build(key)``, made on first lookup."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class Permutation:
@@ -153,8 +164,9 @@ class FiniteGroup:
         self._index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(self.images)}
         if self.images[0] != tuple(range(len(self.images[0]))):
             raise EngineInconsistencyError("element 0 must be the identity")
-        self._inverse = [self._index[_inverse_images(p)] for p in self.images]
-        self._compose = [_composer(p) for p in self.images]
+        images, index = self.images, self._index  # not self: no cycle keeps a group alive
+        self._inverse = _LazyTable(lambda i: index[_inverse_images(images[i])])
+        self._compose = _LazyTable(lambda i: _composer(images[i]))
         self._powers: dict[int, list[int]] = {}
 
     @property
@@ -280,18 +292,14 @@ def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, t: int) -> Subgroup:
     return Subgroup(group, frozenset(group.conjugate(h, t) for h in sub.members))
 
 
-def coset_reps(group: FiniteGroup, sub: Subgroup) -> list[int]:
-    """For each element g, the least element index of its left coset g*sub."""
-    rep = [-1] * group.order
-    for g in range(group.order):
-        if rep[g] < 0:
-            for h in sub.members:
-                rep[group.mul(g, h)] = g
-    return rep
-
-
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     """Representatives of the left cosets gH, each the least element index in its coset."""
-    reps = [g for g, r in enumerate(coset_reps(group, sub)) if g == r]
+    covered = [False] * group.order
+    reps = []
+    for g in range(group.order):
+        if not covered[g]:
+            reps.append(g)
+            for h in sub.members:
+                covered[group.mul(g, h)] = True
     assert len(reps) * sub.order == group.order
     return reps

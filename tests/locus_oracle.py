@@ -2,10 +2,13 @@
 only they use.
 
 * ``enumerate_singularities``: the singular locus by brute force.  Every coset
-  pair of every branch-pair cell is classified on its own, then the fixed
-  pairs are split into G-orbits.  This is the pair enumeration that
-  ``pqsurf.singularities`` replaced with the double-coset walk; it costs
-  |G/H_i| * |G/K_j| classifications per cell.
+  pair of every branch-pair cell is classified on its own, by intersecting
+  the two stabilizers and reading rotation exponents off cyclic groups
+  (``rotation_exponent``), then the fixed pairs are split into G-orbits.
+  It costs |G/H_i| * |G/K_j| classifications per cell;
+  ``pqsurf.singularities`` counts the same orbits from conjugacy classes
+  without looking at a pair.  Points come in orbit discovery order within a
+  cell, so a comparison sorts each cell by (n, a).
 * ``fibre_genus``: the genus of a central component by Riemann-Hurwitz over
   the branch fibres of the opposite curve, intersecting subgroups point by
   point.  ``pqsurf.bounds`` reads the same genus off the singular locus.
@@ -24,12 +27,7 @@ from typing import Callable, Hashable, Iterable
 from pqsurf.covers import SphericalSystem, branch_fiber, require_valid, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.groups import FiniteGroup, Subgroup, cyclic_subgroup, element_order
-from pqsurf.singularities import (
-    SingularityType,
-    SingularLocus,
-    SingularPoint,
-    rotation_exponent,
-)
+from pqsurf.singularities import SingularityType, SingularLocus, SingularPoint
 from pqsurf.surface import BasisCurve, SurfaceModel
 
 
@@ -139,6 +137,23 @@ def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:
     return min(group.mul(g, h) for h in sub.members)
 
 
+def rotation_exponent(group: FiniteGroup, rotation_generator: int, h: int, n: int) -> int:
+    """Exponent k (mod n) with which h rotates the tangent line whose distinguished
+    generator is ``rotation_generator``: h = r^e with e = k * (m/n)."""
+    powers = group.powers(rotation_generator)
+    m = len(powers)
+    if m % n != 0:
+        raise EngineInconsistencyError("stabilizer order does not divide rotation order")
+    try:
+        e = powers.index(h)
+    except ValueError:
+        raise EngineInconsistencyError("element not in the cyclic group of its rotation") from None
+    step = m // n
+    if e % step != 0:
+        raise EngineInconsistencyError("rotation exponent is not a multiple of m/n")
+    return (e // step) % n
+
+
 def _classify_pair(group: FiniteGroup, p, q) -> SingularityType | None:
     """Oriented type of the fixed point (p, q), or None if the pair is free."""
     inter = intersect_subgroups(group, p.stabilizer, q.stabilizer)
@@ -199,5 +214,5 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
                     )
                 if any(types[other] != t for other in orbit):
                     raise EngineInconsistencyError("type varies along a G-orbit")
-                points.append(SingularPoint((i, j), t, len(orbit), rep))
+                points.append(SingularPoint((i, j), t, len(orbit)))
     return SingularLocus(tuple(points), free_counts)

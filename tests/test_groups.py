@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -356,3 +358,18 @@ class TestGenerationCheck:
         c = group.index_of(Permutation.from_cycles("(0 1 2)", 6))
         report = validate_system(make_system(group, (c, group.inv(c))))
         assert not report.ok and report.violation == "generators do not generate the whole group"
+
+
+def test_a_used_group_is_freed_by_reference_counting():
+    """The lazily built tables hold no reference back to their group, so a
+    group whose tables have been used leaves no cycle behind."""
+    gc.disable()
+    try:
+        group = group_from_generators(PSL27_GENS)
+        for g in range(group.order):
+            group.powers(group.conjugate(g, group.inv(g)))
+        ref = weakref.ref(group)
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -38,7 +38,7 @@ RECORDS = {
     "BasisCurve": lambda: BasisCurve("Z", 3, 2),
     "Invariants": lambda: Invariants(e=6, ksq=6, chi=1, q=0, pg=0),
     "StringData": lambda: StringData(0, (1, 1), SingularityType(2, 1), (2,), (1,), (1,)),
-    "SingularPoint": lambda: SingularPoint((1, 2), SingularityType(2, 1), 1, (0, 1)),
+    "SingularPoint": lambda: SingularPoint((1, 2), SingularityType(2, 1), 1),
     "SingularLocus": lambda: SingularLocus((), {(1, 1): 2}),
     "TangentCaseData": lambda: TangentCaseData(F(2), F(2), F(-2), F(0)),
     "CurveReport": lambda: CurveReport(BasisCurve("F1"), 1, F(0), 0, True, 0),

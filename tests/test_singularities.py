@@ -4,13 +4,14 @@ from collections import Counter
 import pytest
 
 from pqsurf.cli import main
-from pqsurf.errors import ValidationError
+from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.inputs import fixture_path
 from pqsurf.singularities import (
     SingularityType,
     dual_type,
     enumerate_singularities,
     normalized_key,
+    orbit_counts,
 )
 from tests.test_covers import BEAUVILLE_1, BEAUVILLE_2, z2_system, z5sq_triple
 
@@ -120,3 +121,32 @@ class TestEnumeration:
         entry = json.loads(capsys.readouterr().out)["singularities"][0]
         assert set(entry) == {"n", "a", "a_normalized", "branch_pair", "orbit_size"}
         assert entry["n"] == 2 and entry["a"] == 1
+
+
+class TestOrbitCounts:
+    """The inversion from the fixed-pair counts P(n, a) to orbits per exact type."""
+
+    def test_inverts_over_the_divisors(self):
+        # |G| = 8: E(4, 3) = 4, E(4, 1) = 2, E(2, 1) = 6 - 4 - 2 = 0, E(1, 0) = 14 - 6 = 8
+        fixed = {(1, 0): 14, (2, 1): 6, (4, 1): 2, (4, 3): 4}
+        counts = orbit_counts(fixed, 8, (1, 1))
+        assert counts == {(1, 0): 1, (2, 1): 0, (4, 1): 1, (4, 3): 2}
+        assert list(counts) == sorted(counts)
+
+    def test_one_node(self):
+        # Z/2 on two points: the one coset pair is fixed by the involution
+        assert orbit_counts({(1, 0): 1, (2, 1): 1}, 2, (1, 1)) == {(1, 0): 0, (2, 1): 1}
+
+    @pytest.mark.parametrize(
+        "fixed, message",
+        [
+            # -20 is a whole multiple of |G| = 20, so only the sign gives it away
+            ({(1, 0): 0, (2, 1): 20}, r"cell \(2, 3\): -20 coset pairs of type \(1, 0\)"),
+            ({(1, 0): 30, (2, 1): 5}, r"cell \(2, 3\): 5 coset pairs of type \(2, 1\)"),
+            ({(1, 0): 30, (2, 1): 10, (5, 2): 5}, r"cell \(2, 3\): 5 coset pairs of type \(5, 2\)"),
+        ],
+        ids=["negative", "partial-orbit", "partial-top-orbit"],
+    )
+    def test_negative_or_partial_orbits_raise(self, fixed, message):
+        with pytest.raises(EngineInconsistencyError, match=message):
+            orbit_counts(fixed, 20, (2, 3))
