@@ -16,9 +16,9 @@ _EXPORTS = {
                "group_from_generators", "left_cosets"),
     "hj": ("SingularityType", "dual_type", "hj_evaluate", "hj_expand", "normalized_key",
            "string_intersection_matrix", "string_length"),
-    "inputs": ("parse_input", "realize", "run_invariants", "serialize_input"),
+    "inputs": ("parse_input", "realize", "run_invariants"),
     "singularities": ("enumerate_singularities",),
-    "surface": ("DivisorClass", "SurfaceModel", "build_surface_model"),
+    "surface": ("SurfaceModel", "build_surface_model"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,7 +7,7 @@ non-negative string defect r - sum a_i/n_i over the r strings meeting Y,
 where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
 for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 come from
 ``SurfaceModel.lattice_numbers``, read once per curve off its row of the
-form, so a report builds no divisor class and calls no ``intersect``.
+form, so a report builds no divisor and calls no ``intersect``.
 
 The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
 two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
@@ -119,10 +119,6 @@ class LemmaCCReport(NamedTuple):
     genera: tuple[tuple[str, int], ...]
     asserted: bool  # whether the non-rationality claim was in scope
     violations: tuple[str, ...]
-
-    @property
-    def all_nonrational(self) -> bool:
-        return not self.violations
 
 
 def lemma_cc_check(model: SurfaceModel, in_scope: bool) -> LemmaCCReport:

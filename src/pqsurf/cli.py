@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
 from .limits import (DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_CERTIFICATE_SEARCH, MAX_HJ_ORDER,
-                     MAX_LOCAL_M, MAX_ORDER_CAP)
+                     MAX_LOCAL_M, MAX_ORDER_CAP, parse_int)
 
 # Each subcommand imports the layers it uses when it runs, so that a short
 # command such as `hj` or `bigness` does not load the group engine.
@@ -284,9 +284,15 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
         coeff_text = match.group("coeff")
         if coeff_text is None and not (has_z1 or has_z2):
             raise ParseError(f"bad polynomial term {chunk!r}")
-        coeff = sign * Fraction(coeff_text) if coeff_text else sign
-        i = int(match.group("i") or (1 if has_z1 else 0))
-        j = int(match.group("j") or (1 if has_z2 else 0))
+        coeff = sign
+        if coeff_text:
+            num, _, den_text = coeff_text.partition("/")
+            den = parse_int(den_text or "1", "denominator")
+            if not den:
+                raise ParseError(f"zero denominator in polynomial term {chunk!r}")
+            coeff *= Fraction(parse_int(num, "coefficient"), den)
+        i = parse_int(match.group("i"), "exponent") if match.group("i") else int(has_z1)
+        j = parse_int(match.group("j"), "exponent") if match.group("j") else int(has_z2)
         terms.append((i, j, coeff))
     if not terms:
         raise ParseError(f"empty polynomial {text!r}")

@@ -62,13 +62,6 @@ class PuiseuxDifferential(_PuiseuxDifferentialFields):
                 raise ValidationError("mu1 exponents must be half-integers")
         return super().__new__(cls, m, terms)
 
-    def coefficient(self, p, q: int, alpha: int, beta: int) -> Fraction:
-        p = Fraction(p)
-        for tp, tq, ta, tb, c in self.terms:
-            if (tp, tq, ta, tb) == (p, q, alpha, beta):
-                return c
-        return Fraction(0)
-
     def min_mu1_exponent(self) -> Fraction | None:
         """Vanishing (or pole) order along mu1 = 0; None for the zero section."""
         if not self.terms:

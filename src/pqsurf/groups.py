@@ -3,7 +3,7 @@
 Elements are permutations of {0..d-1}; a group enumerates its elements once
 (breadth-first from the identity, generator order fixed) so every downstream
 enumeration is reproducible bit-for-bit.  Composition convention:
-(p * q)(x) = p(q(x)), i.e. q acts first.
+``FiniteGroup.mul(i, j)`` is p * q with (p * q)(x) = p(q(x)), i.e. q acts first.
 
 Every product composes image tuples in C: ``itemgetter(*q)(p)`` is the
 tuple (p[q[0]], ..., p[q[d-1]]), the images of p * q.  A group builds an
@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
-from .limits import DEFAULT_ORDER_CAP
+from .limits import DEFAULT_ORDER_CAP, parse_int
 
 
 class DomainMismatchError(ValidationError):
@@ -50,9 +50,9 @@ class _LazyTable(dict):
 class Permutation:
     """A bijection of {0..d-1}, stored as the tuple of images.
 
-    A frozen ``__slots__`` class, not a named tuple: on a tuple, ``*``,
-    ``len`` and ``+`` mean repetition, length and concatenation, not
-    composition and degree."""
+    A frozen ``__slots__`` class, not a named tuple, whose ``*``, ``len``
+    and ``+`` would mean repetition, length and concatenation.  Products are
+    taken in a ``FiniteGroup``, on element indices."""
 
     __slots__ = ("images",)
 
@@ -85,27 +85,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if other.degree != self.degree:
-            raise DomainMismatchError(f"degrees {self.degree} and {other.degree} differ")
-        return Permutation(_composer(other.images)(self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(self.images[x] == x for x in range(self.degree))
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
     @classmethod
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
         """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()"."""
@@ -114,7 +93,7 @@ class Permutation:
             raise ParseError(f"bad cycle notation: {text!r}")
         cycles = []
         for body in re.findall(r"\(([^()]*)\)", stripped):
-            entries = [int(tok) for tok in body.split()]
+            entries = [parse_int(tok, "point") for tok in body.split()]
             if len(set(entries)) != len(entries):
                 raise ParseError(f"repeated point inside a cycle: {text!r}")
             cycles.append(entries)
@@ -154,8 +133,8 @@ class FiniteGroup:
 
     Element 0 is the identity.  Elements are addressed by index everywhere;
     products compose raw image tuples with the cached getter of the right
-    factor and look the result up by its images.  Use ``element(i)`` for the
-    underlying permutation.
+    factor and look the result up by its images; ``images[i]`` is the image
+    tuple of element i.
     """
 
     def __init__(self, images: Sequence[tuple[int, ...]], generator_indices: Sequence[int]):
@@ -176,13 +155,6 @@ class FiniteGroup:
     @property
     def identity(self) -> int:
         return 0
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(p) for p in self.images)
-
-    def element(self, i: int) -> Permutation:
-        return Permutation(self.images[i])
 
     def index_of(self, p: Permutation) -> int:
         try:

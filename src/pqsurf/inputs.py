@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
-from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP
+from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP, parse_int
 
 if TYPE_CHECKING:
     from .covers import ValidSystem
@@ -134,17 +134,6 @@ def parse_input(text: str) -> InputDescription:
     return InputDescription(degree, generators, systems[0], systems[1], in_scope)
 
 
-def serialize_input(desc: InputDescription) -> str:
-    lines = ["[group]", f"degree = {desc.degree}"]
-    lines += [f"{name} = {cycles}" for name, cycles in desc.generators]
-    for label, spec in (("system1", desc.system1), ("system2", desc.system2)):
-        lines += ["", f"[{label}]", "generators = " + ", ".join(spec.words)]
-        if spec.signature is not None:
-            lines.append("signature = " + ", ".join(map(str, spec.signature)))
-    lines += ["", "[flags]", f"in_scope_c1sq6 = {str(desc.in_scope_c1sq6).lower()}"]
-    return "\n".join(lines) + "\n"
-
-
 _WORD_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(-?\d+))?$")
 
 
@@ -154,7 +143,7 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
         match = _WORD_FACTOR.match(factor.strip())
         if not match:
             raise ParseError(f"bad factor {factor!r} in word {word!r}")
-        name, power = match.group(1), int(match.group(2) or 1)
+        name, power = match.group(1), parse_int(match.group(2) or "1", "power")
         if name not in named:
             raise ParseError(f"unknown generator {name!r} in word {word!r}")
         acc = group.mul(acc, group.power(named[name], power))

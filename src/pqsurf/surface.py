@@ -18,19 +18,21 @@ Pairing rules:
 
 The canonical class follows Serrano's formula with every component of every
 singular fiber weighted by (multiplicity - 1) plus the exceptional sum; the
-multiplicities of string components inside each fiber are solved exactly
-from the linear conditions fiber.Z = 0 and fiber.N = 0 (the string block is
-negative definite, so they are unique) and gated to be positive integers.
+multiplicities of string components inside each fiber are the unique solution
+of the linear conditions fiber.Z = 0 and fiber.N = 0 (the string block is
+negative definite), found by an integer recurrence along the string and gated
+to be positive integers.
 
 Storage: the form is kept once, as one row {neighbour: pairing} per basis
-curve, diagonal included, holding only the curves it meets.  K and E are
-built once per model, and ``lattice_numbers`` reads (K.C, E.C, C^2) off the
-row of C in O(deg C), once per curve; adjunction and the bound reports read
-nothing else.  K^2 alone still goes through ``intersect``, which sums over
-every pair of coefficients: a K^2 linear in the basis size is to land with
-its closed-form gate (Bauer-Pignatelli, Serrano), and with a benchmark whose
-peak-memory reading does not grow with the number of operations it
-completes, since that reading would otherwise rise with the speed-up.
+curve, diagonal included, holding only the curves it meets.  A divisor is a
+plain {basis curve: coefficient} map.  K and E are built once per model, and
+``lattice_numbers`` reads (K.C, E.C, C^2) off the row of C in O(deg C), once
+per curve; adjunction and the bound reports read nothing else.  K^2 alone
+still goes through ``intersect``, which sums over every pair of
+coefficients: a K^2 linear in the basis size is to land with its closed-form
+gate (Bauer-Pignatelli, Serrano), and with a benchmark whose peak-memory
+reading does not grow with the number of operations it completes, since that
+reading would otherwise rise with the speed-up.
 """
 
 from __future__ import annotations
@@ -57,39 +59,6 @@ class BasisCurve(NamedTuple):
         if self.kind == "Z":
             return f"Z{self.index}.{self.pos}"
         return f"{self.kind}{self.index}"
-
-
-class DivisorClass:
-    """Finitely supported rational combination of basis curves."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Mapping[BasisCurve, Fraction] | None = None):
-        self.coefficients: dict[BasisCurve, Fraction] = {
-            c: Fraction(v) for c, v in (coefficients or {}).items() if v != 0
-        }
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        out = dict(self.coefficients)
-        for c, v in other.coefficients.items():
-            out[c] = out.get(c, Fraction(0)) + v
-        return DivisorClass(out)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "DivisorClass":
-        return DivisorClass({c: v * factor for c, v in self.coefficients.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DivisorClass) and self.coefficients == other.coefficients
-
-    def __getitem__(self, curve: BasisCurve) -> Fraction:
-        return self.coefficients.get(curve, Fraction(0))
-
-    @classmethod
-    def of(cls, curve: BasisCurve) -> "DivisorClass":
-        return cls({curve: Fraction(1)})
 
 
 class Invariants(NamedTuple):
@@ -182,8 +151,8 @@ class SurfaceModel:
                     branch_pair=(i, j),
                     type=point.type,
                     b=b,
-                    sigma1_multiplicities=_string_multiplicities(b, self.sys1.signature[i - 1], first_end=True),
-                    sigma2_multiplicities=_string_multiplicities(b, self.sys2.signature[j - 1], first_end=False),
+                    sigma1_multiplicities=_string_multiplicities(b, n, self.sys1.signature[i - 1], first_end=True),
+                    sigma2_multiplicities=_string_multiplicities(b, n, self.sys2.signature[j - 1], first_end=False),
                 )
             )
         for value, curve in zip(n_selfs + m_selfs, self.N + self.M):
@@ -199,16 +168,17 @@ class SurfaceModel:
     def basis(self) -> list[BasisCurve]:
         return list(self._rows)
 
-    def intersect(self, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-        for c in (*d1.coefficients, *d2.coefficients):
+    def intersect(self, d1: Mapping[BasisCurve, Fraction], d2: Mapping[BasisCurve, Fraction]) -> Fraction:
+        """D1.D2 of two divisors given as {basis curve: coefficient} maps."""
+        for c in (*d1, *d2):
             self._row(c)  # raises on a curve outside the basis
         total = Fraction(0)
-        for c1, v1 in d1.coefficients.items():
-            for c2, v2 in d2.coefficients.items():
+        for c1, v1 in d1.items():
+            for c2, v2 in d2.items():
                 total += v1 * v2 * self.pair(c1, c2)
         return total
 
-    def canonical_class(self) -> DivisorClass:
+    def canonical_class(self) -> dict[BasisCurve, Fraction]:
         coeffs: dict[BasisCurve, Fraction] = {
             self.F1: Fraction(-2),
             self.F2: Fraction(-2),
@@ -222,10 +192,10 @@ class SurfaceModel:
                 c1 = data.sigma1_multiplicities[k]
                 c2 = data.sigma2_multiplicities[k]
                 coeffs[comp] = Fraction(c1 + c2 - 1)
-        return DivisorClass(coeffs)
+        return coeffs
 
-    def exceptional_class(self) -> DivisorClass:
-        return DivisorClass({c: Fraction(1) for comps in self.Z for c in comps})
+    def exceptional_class(self) -> dict[BasisCurve, Fraction]:
+        return {c: Fraction(1) for comps in self.Z for c in comps}
 
     def numerical_invariants(self) -> Invariants:
         """K^2 from the lattice; e, chi and P_g from ``euler_chi_pg``, whose
@@ -246,7 +216,7 @@ class SurfaceModel:
         numbers = self._numbers.get(curve)
         if numbers is None:
             row = self._row(curve)
-            k, e = self._k.coefficients, self._e.coefficients
+            k, e = self._k, self._e
             numbers = (
                 sum((v * k.get(c, 0) for c, v in row.items()), Fraction(0)),
                 sum((v * e.get(c, 0) for c, v in row.items()), Fraction(0)),
@@ -274,27 +244,25 @@ class SurfaceModel:
         return [d.point_index for d in self.strings if d.branch_pair[side] == curve.index]
 
 
-def _string_multiplicities(b: tuple[int, ...], m: int, first_end: bool) -> tuple[int, ...]:
+def _string_multiplicities(b: tuple[int, ...], n: int, m: int, first_end: bool) -> tuple[int, ...]:
     """Multiplicities of the string components inside the fiber of multiplicity m
-    whose central component touches the string at the given end: the unique exact
-    solution of T c = m * e_end with T the (negated) string matrix."""
-    l = len(b)
-    rhs = [Fraction(0)] * l
-    rhs[0 if first_end else -1] = Fraction(m)
-    # T = tridiagonal(-1, b_k, -1); forward elimination, back substitution
-    diag = [Fraction(x) for x in b]
-    for k in range(1, l):
-        factor = Fraction(-1) / diag[k - 1]
-        diag[k] -= Fraction(1) / diag[k - 1]
-        rhs[k] -= factor * rhs[k - 1]
-    c = [Fraction(0)] * l
-    c[-1] = rhs[-1] / diag[-1]
-    for k in range(l - 2, -1, -1):
-        c[k] = (rhs[k] + c[k + 1]) / diag[k]
-    for value in c:
-        if value.denominator != 1 or value <= 0:
-            raise EngineInconsistencyError(f"non-integral string multiplicity {value} for {b}, m={m}")
-    return tuple(int(v) for v in c)
+    whose central component touches the string at the given end: the solution
+    c of T c = m * e_end, T the (negated) string matrix of a point of order n.
+    Read from the far end, d_l = 1, d_{l+1} = 0 and d_{k-1} = b_k d_k - d_{k+1}
+    solve T d = d_0 e_1 with d_0 = n, so c = m d / n."""
+    d = [1]  # d_l, d_{l-1}, ..., d_0, starting at the end away from the central component
+    after = 0
+    for b_k in reversed(b) if first_end else b:
+        d.append(b_k * d[-1] - after)
+        after = d[-2]
+    if d.pop() != n:
+        raise EngineInconsistencyError(f"string {b} does not resolve a point of order {n}")
+    if first_end:
+        d.reverse()
+    for d_k in d:
+        if m * d_k % n or m * d_k <= 0:
+            raise EngineInconsistencyError(f"non-integral string multiplicity {Fraction(m * d_k, n)} for {b}, m={m}")
+    return tuple(m * d_k // n for d_k in d)
 
 
 def build_surface_model(

@@ -93,13 +93,13 @@ class TestLemmaCC:
     def test_toy_has_rational_components(self, toy_model):
         report = lemma_cc_check(toy_model, in_scope=False)
         assert not report.asserted
-        assert not report.all_nonrational
+        assert report.violations
         assert len(report.violations) == 12
         assert dict(report.genera) == {c.label: 0 for c in toy_model.N + toy_model.M}
 
     def test_beauville_all_nonrational(self, beauville_model):
         report = lemma_cc_check(beauville_model, in_scope=True)
-        assert report.asserted and report.all_nonrational
+        assert report.asserted and report.violations == ()
         assert all(g == 2 for _, g in report.genera)
 
 

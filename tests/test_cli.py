@@ -218,6 +218,53 @@ class TestPolynomialParser:
             parse_polynomial(text)
 
 
+BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
+TOO_LONG = "'9999999999...9999999999' has 5000 digits, more than Python converts to an integer"
+
+
+class TestOversizedLiterals:
+    """A literal too long for Python's str -> int conversion is a parse error
+    (exit 2) whose one line names the token, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "old, new, what",
+        [
+            ("a = (0 1 2 3 4)", f"a = (0 1 2 3 {BIG})", "point"),
+            ("generators = a, b, a^4*b^4", f"generators = a, b, a^{BIG}*b^4", "power"),
+        ],
+        ids=["cycle-point", "word-power"],
+    )
+    def test_pq_file(self, capsys, tmp_path, old, new, what):
+        path = tmp_path / "big.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {what} {TOO_LONG}\n"
+
+    def test_word_power_in_table_cell(self, capsys, tmp_path):
+        path = tmp_path / "big.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace("a^4*b^4", f"a^{BIG}*b^4", 1))
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2 and err == ""
+        assert record["error"] == f"{path}: power {TOO_LONG}"
+
+    @pytest.mark.parametrize(
+        "section, what",
+        [(f"z1^{BIG}", "exponent"), (f"{BIG}*z1", "coefficient"), (f"z2 + 1/{BIG}", "denominator")],
+        ids=["exponent", "coefficient", "denominator"],
+    )
+    def test_local_check_section(self, capsys, section, what):
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section", section)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} {TOO_LONG}\n"
+
+    def test_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section", "z1 - 1/0*z2")
+        assert code == 2 and out == ""
+        assert err == "error: zero denominator in polynomial term '1/0*z2'\n"
+
+
 class TestBigness:
     def test_certificate(self, capsys):
         code, out, _ = run(capsys, "bigness", "--ksq", "6", "--chi", "1", "--points", "2")

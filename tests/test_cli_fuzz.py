@@ -1,6 +1,6 @@
 """Fuzz of ``pqsurf.cli.main`` over mutated copies of the shipped ``.pq``
 fixtures: an edited degree, swapped, deleted or repeated lines, repeated
-generator words and stray words.  Whatever the input, a command ends with
+generator words and stray words, one of them a 5000-digit number.  Whatever the input, a command ends with
 exit 0, 2, 3 or 4, never with a traceback, and a failing single-file command
 prints one ``error:`` line.  ``table`` gets the same check on random
 formula-mode ``.rows`` files: bad orders, genera, K^2 and singularity items,
@@ -25,7 +25,8 @@ from pqsurf.inputs import fixture_path
 
 FIXTURES = ["beauville_55.pq", "z2_hyperelliptic.pq", "a5_255_335.pq"]
 COMMANDS = ["invariants", "singularities", "bounds", "table"]
-STRAY = ["x", "t", "a", "^", "*", "(", ")", "()", "=", ",", ";", "[group]", "[flags]", "-1", "0", "7", "a^-2"]
+STRAY = ["x", "t", "a", "^", "*", "(", ")", "()", "=", ",", ";", "[group]", "[flags]", "-1", "0", "7", "a^-2",
+         "9" * 5000]  # more digits than Python converts to an int
 
 
 @st.composite

@@ -19,6 +19,11 @@ from pqsurf.errors import ValidationError
 F = Fraction
 
 
+def coefficient(d, p, q: int, alpha: int, beta: int) -> Fraction:
+    """The coefficient of mu1^p mu2^q dmu1^alpha dmu2^beta in d, 0 if absent."""
+    return {t[:4]: t[4] for t in d.terms}.get((F(p), q, alpha, beta), F(0))
+
+
 class TestSourceSections:
     def test_monomial(self):
         s = SourceSection.monomial(2, 1, 3)
@@ -49,23 +54,23 @@ class TestPullback:
     def test_bare_form_m1(self):
         # (dz1 dz2)^1 -> 1/4 mu1^-1 mu2 dmu1^2 + 1/2 dmu1 dmu2
         d = gamma_pullback(SourceSection.monomial(1, 0, 0))
-        assert d.coefficient(-1, 1, 2, 0) == F(1, 4)
-        assert d.coefficient(0, 0, 1, 1) == F(1, 2)
+        assert coefficient(d, -1, 1, 2, 0) == F(1, 4)
+        assert coefficient(d, 0, 0, 1, 1) == F(1, 2)
         assert len(d.terms) == 2
         assert not is_holomorphic(d)
 
     def test_z1_squared_m1(self):
         # z1^2 (dz1 dz2) -> 1/4 mu2 dmu1^2 + 1/2 mu1 dmu1 dmu2
         d = gamma_pullback(SourceSection.monomial(1, 2, 0))
-        assert d.coefficient(0, 1, 2, 0) == F(1, 4)
-        assert d.coefficient(1, 0, 1, 1) == F(1, 2)
+        assert coefficient(d, 0, 1, 2, 0) == F(1, 4)
+        assert coefficient(d, 1, 0, 1, 1) == F(1, 2)
         assert is_holomorphic(d)
 
     def test_z1_z2_m1(self):
         # z1 z2 (dz1 dz2) -> 1/4 mu1^0... : z1 z2 = mu1 mu2
         d = gamma_pullback(SourceSection.monomial(1, 1, 1))
-        assert d.coefficient(0, 2, 2, 0) == F(1, 4)
-        assert d.coefficient(1, 1, 1, 1) == F(1, 2)
+        assert coefficient(d, 0, 2, 2, 0) == F(1, 4)
+        assert coefficient(d, 1, 1, 1, 1) == F(1, 2)
         assert is_holomorphic(d)
 
     def test_odd_monomial_has_half_integer_exponents(self):
@@ -80,7 +85,7 @@ class TestPullback:
         da, db, dc = gamma_pullback(a), gamma_pullback(b), gamma_pullback(combined)
         keys = {t[:4] for t in da.terms} | {t[:4] for t in db.terms}
         for key in keys:
-            assert dc.coefficient(*key) == da.coefficient(*key) + db.coefficient(*key)
+            assert coefficient(dc, *key) == coefficient(da, *key) + coefficient(db, *key)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_closed_form(self, m):

@@ -14,7 +14,6 @@ from pqsurf.inputs import (
     parse_singularity_multiset,
     realize,
     run_invariants,
-    serialize_input,
 )
 
 MINIMAL = """\
@@ -39,15 +38,6 @@ class TestParseInput:
         assert parse_input(MINIMAL.replace("[system1]\n", "[system1]\nbase_genus = 0\n")) == desc
         assert desc.system1.signature is None
         assert not desc.in_scope_c1sq6
-
-    def test_round_trip(self):
-        desc = parse_input(MINIMAL)
-        assert parse_input(serialize_input(desc)) == desc
-
-    def test_fixture_round_trip(self):
-        for name in ("beauville_55.pq", "z2_hyperelliptic.pq"):
-            desc = parse_input(fixture_path(name).read_text())
-            assert parse_input(serialize_input(desc)) == desc
 
     @pytest.mark.parametrize(
         "mutation",

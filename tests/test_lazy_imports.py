@@ -16,10 +16,11 @@ import pqsurf
 SRC = Path(pqsurf.__file__).resolve().parent.parent
 
 # pqsurf.__all__ as it was when the package imported every submodule eagerly,
-# less quotient_data, which is deleted, and orbit_partition and
-# intersect_subgroups, which only the test oracles use (tests/locus_oracle.py)
+# less quotient_data, DivisorClass and serialize_input, which are deleted, and
+# orbit_partition and intersect_subgroups, which only the test oracles use
+# (tests/locus_oracle.py)
 ALL = [
-    "DivisorClass", "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
+    "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
     "Permutation", "SingularityType", "SourceSection", "SphericalSystem", "Subgroup",
     "SurfaceModel", "ValidationError", "bigness_certificate", "branch_fiber",
     "build_surface_model", "conjugate_subgroup", "covers", "cyclic_subgroup", "differentials",
@@ -27,7 +28,7 @@ ALL = [
     "group_from_generators", "groups", "hj", "hj_evaluate", "hj_expand", "inputs",
     "invariance_check", "is_holomorphic", "left_cosets", "make_system",
     "normalized_key", "parse_input", "realize", "rh_genus",
-    "run_invariants", "serialize_input", "singularities", "string_intersection_matrix",
+    "run_invariants", "singularities", "string_intersection_matrix",
     "string_length", "surface", "validate_system", "vanishing_conditions",
 ]
 

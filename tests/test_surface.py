@@ -1,26 +1,26 @@
+import itertools
 from fractions import Fraction
 from importlib.resources import files
+from math import gcd
 
 import pytest
 
 from pqsurf import covers
-from pqsurf.errors import ValidationError
+from pqsurf.errors import EngineInconsistencyError, ValidationError
+from pqsurf.hj import hj_expand
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from pqsurf.surface import BasisCurve, DivisorClass, build_surface_model
+from pqsurf.surface import BasisCurve, _string_multiplicities, build_surface_model
 from tests.test_covers import z2_system
 
 
 class TestDivisorAlgebra:
-    def test_add_and_scale(self):
-        f1 = BasisCurve("F1")
-        f2 = BasisCurve("F2")
-        d = DivisorClass.of(f1).scaled(2) + DivisorClass.of(f2)
-        assert d[f1] == 2 and d[f2] == 1
-
-    def test_zero_coefficients_dropped(self):
-        f1 = BasisCurve("F1")
-        assert (DivisorClass.of(f1) - DivisorClass.of(f1)).coefficients == {}
+    def test_intersect_is_bilinear_on_coefficient_maps(self, beauville_model):
+        m = beauville_model
+        # (2 F1 + F2).(F1 - N1) = 2 F1.F1 - 2 F1.N1 + F2.F1 - F2.N1 = 0 - 0 + 25 - 5
+        assert m.intersect({m.F1: 2, m.F2: 1}, {m.F1: 1, m.N[0]: -1}) == 20
+        assert m.intersect({m.F1: 0}, {m.F2: 1}) == 0
+        assert m.intersect({}, {m.F2: 1}) == 0
 
     def test_labels(self):
         assert BasisCurve("N", 2).label == "N2"
@@ -59,7 +59,7 @@ class TestBeauville:
 
     def test_no_exceptional_curves(self, beauville_model):
         m = beauville_model
-        assert m.Z == [] and m.exceptional_class().coefficients == {}
+        assert m.Z == [] and m.exceptional_class() == {}
 
     def test_adjunction_recovers_fiber_genus(self, beauville_model):
         m = beauville_model
@@ -124,7 +124,7 @@ class TestToySurface:
         m = toy_model
         k = m.canonical_class()
         for comps in m.Z:
-            assert m.intersect(k, DivisorClass.of(comps[0])) == 0
+            assert m.intersect(k, {comps[0]: 1}) == 0
 
     def test_exceptional_canonical_product(self, toy_model):
         # fix the count above: K.E = sum over strings of K.Z_total
@@ -157,7 +157,7 @@ class TestMixedStrings:
         k = m.canonical_class()
         for data, comps in zip(m.strings, m.Z):
             for b_k, comp in zip(data.b, comps):
-                assert m.intersect(k, DivisorClass.of(comp)) == b_k - 2
+                assert m.intersect(k, {comp: 1}) == b_k - 2
                 assert m.adjunction_genus(comp) == 0
 
     def test_invariants_pass_gates(self, z4_mixed_model):
@@ -169,7 +169,7 @@ class TestGates:
     def test_unknown_basis_element_rejected(self, toy_model):
         stranger = BasisCurve("N", 99)
         with pytest.raises(ValidationError):
-            toy_model.intersect(DivisorClass.of(stranger), DivisorClass.of(toy_model.F1))
+            toy_model.intersect({stranger: 1}, {toy_model.F1: 1})
 
     def test_mismatched_groups_rejected(self, beauville, toy):
         _, b1, _ = beauville
@@ -208,10 +208,8 @@ class TestStringBlocks:
         comps = [c for block in m.Z for c in block]
         rng = random.Random(4)
         for _ in range(25):
-            d = DivisorClass(
-                {c: Fraction(rng.randint(-3, 3)) for c in rng.sample(comps, 5)}
-            )
-            if d.coefficients:
+            d = {c: Fraction(rng.randint(-3, 3)) for c in rng.sample(comps, 5)}
+            if any(d.values()):
                 assert m.intersect(d, d) < 0
 
 
@@ -220,7 +218,7 @@ PQ_FIXTURES = sorted(p.name for p in (files("pqsurf") / "fixtures").iterdir() if
 
 class TestLatticeNumbers:
     """The per-curve numbers read off the rows equal the whole-form route:
-    ``intersect`` over full divisor classes, as the bound reports used it."""
+    ``intersect`` over K, E and the curve, as the bound reports used it."""
 
     @pytest.mark.parametrize("fixture", PQ_FIXTURES)
     def test_rows_agree_with_intersect(self, fixture):
@@ -228,12 +226,63 @@ class TestLatticeNumbers:
         m = build_surface_model(sys1, sys2)
         k, e = m.canonical_class(), m.exceptional_class()
         for curve in m.basis:
-            c = DivisorClass.of(curve)
+            c = {curve: 1}
             numbers = (m.intersect(k, c), m.intersect(e, c), m.intersect(c, c))
             assert m.lattice_numbers(curve) == numbers, curve.label
             assert all(isinstance(x, Fraction) for x in m.lattice_numbers(curve))
-            assert m.adjunction_genus(curve) == (m.intersect(k + c, c) + 2) / 2, curve.label
+            assert m.adjunction_genus(curve) == (numbers[0] + numbers[2] + 2) / 2, curve.label
 
     def test_unknown_curve_rejected(self, toy_model):
         with pytest.raises(ValidationError, match="unknown basis element N99"):
             toy_model.lattice_numbers(BasisCurve("N", 99))
+
+
+def eliminated_multiplicities(b: tuple[int, ...], m: int, first_end: bool) -> tuple[int, ...]:
+    """Oracle: solve T c = m * e_end by Gaussian elimination over the rationals,
+    T = tridiagonal(-1, b_k, -1), with the gates of ``_string_multiplicities``."""
+    l = len(b)
+    rhs = [Fraction(0)] * l
+    rhs[0 if first_end else -1] = Fraction(m)
+    diag = [Fraction(x) for x in b]
+    for k in range(1, l):
+        rhs[k] += rhs[k - 1] / diag[k - 1]
+        diag[k] -= 1 / diag[k - 1]
+    c = [Fraction(0)] * l
+    c[-1] = rhs[-1] / diag[-1]
+    for k in range(l - 2, -1, -1):
+        c[k] = (rhs[k] + c[k + 1]) / diag[k]
+    for value in c:
+        if value.denominator != 1 or value <= 0:
+            raise EngineInconsistencyError(f"non-integral string multiplicity {value} for {b}, m={m}")
+    return tuple(int(v) for v in c)
+
+
+def outcome(solve, *args):
+    """What ``solve(*args)`` returns, or the message of the gate it fails."""
+    try:
+        return solve(*args)
+    except EngineInconsistencyError as exc:
+        return str(exc)
+
+
+class TestStringMultiplicities:
+    def test_recurrence_matches_elimination(self):
+        # every string of a point of order n < 20, every fiber multiplicity
+        # m in [n, 6n] and both ends, the refused cases included
+        cases = refused = 0
+        for n in range(2, 20):
+            for a in range(1, n):
+                if gcd(n, a) != 1:
+                    continue
+                b = tuple(hj_expand(n, a))
+                for m, first_end in itertools.product(range(n, 6 * n + 1), (True, False)):
+                    got = outcome(_string_multiplicities, b, n, m, first_end)
+                    assert got == outcome(eliminated_multiplicities, b, m, first_end), (n, a, m, first_end)
+                    cases += 1
+                    refused += isinstance(got, str)
+        assert 0 < refused < cases
+
+    def test_wrong_order_rejected(self):
+        # [2, 2, 2] resolves a point of order 4, not 5
+        with pytest.raises(EngineInconsistencyError, match=r"string \(2, 2, 2\) does not resolve a point of order 5"):
+            _string_multiplicities((2, 2, 2), 5, 20, first_end=True)
