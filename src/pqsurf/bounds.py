@@ -41,7 +41,7 @@ class CurveReport(NamedTuple):
     kme_degree: Fraction  # (K - E).C
     bound: int  # 2(2g - 2)
     satisfied: bool
-    n1_e: int  # strings meeting the curve, counted without multiplicities
+    n1_e: int  # E.C: the strings meeting N_i or M_j, each meets it once; 0 on F1, F2
     tangent_case: TangentCaseData | None = None
 
 
@@ -67,19 +67,17 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
         kme_degree=kme,
         bound=bound,
         satisfied=kme <= bound,
-        n1_e=len(model.strings_meeting(curve)),
+        n1_e=int(e_dot_c),
         tangent_case=tangent,
     )
 
 
 def _string_defect(model: SurfaceModel, curve: BasisCurve) -> Fraction:
+    side = 0 if curve.kind == "N" else 1
     defect = Fraction(0)
-    for data in model.strings:
-        i, j = data.branch_pair
-        if curve.kind == "N" and i == curve.index:
-            defect += 1 - Fraction(dual_type(data.type).a, data.type.n)
-        elif curve.kind == "M" and j == curve.index:
-            defect += 1 - Fraction(data.type.a, data.type.n)
+    for p in model.locus.points:
+        if p.branch_pair[side] == curve.index:
+            defect += 1 - Fraction(dual_type(p.type).a if side == 0 else p.type.a, p.type.n)
     return defect
 
 

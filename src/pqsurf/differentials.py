@@ -38,10 +38,6 @@ class SourceSection(_SourceSectionFields):
                 raise ValidationError("source exponents must be non-negative")
         return super().__new__(cls, m, terms)
 
-    @classmethod
-    def monomial(cls, m: int, i: int, j: int, coeff=1) -> "SourceSection":
-        return cls(m, ((i, j, Fraction(coeff)),))
-
 
 class _PuiseuxDifferentialFields(NamedTuple):
     m: int

@@ -111,22 +111,6 @@ class Permutation:
                 images[a] = b
         return cls(tuple(images))
 
-    def cycle_string(self) -> str:
-        seen: set[int] = set()
-        parts = []
-        for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self.images[x]
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) or "()"
-
 
 class FiniteGroup:
     """A finite permutation group with a fixed, deterministic element order.
@@ -156,17 +140,8 @@ class FiniteGroup:
     def identity(self) -> int:
         return 0
 
-    def index_of(self, p: Permutation) -> int:
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise ValidationError(f"permutation {p.cycle_string()} is not in the group") from None
-
     def mul(self, i: int, j: int) -> int:
         return self._index[self._compose[j](self.images[i])]
-
-    def inv(self, i: int) -> int:
-        return self._inverse[i]
 
     def conjugate(self, i: int, t: int) -> int:
         """t i t^-1."""

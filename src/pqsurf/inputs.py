@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
-from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP, parse_int
+from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP, parse_int, shortened
 
 if TYPE_CHECKING:
     from .covers import ValidSystem
@@ -96,11 +96,11 @@ def parse_input(text: str) -> InputDescription:
     try:
         degree = int(group_section["degree"])
     except ValueError:
-        raise ParseError(f"bad degree {group_section['degree']!r}") from None
+        raise ParseError(f"bad degree {shortened(group_section['degree'])!r}") from None
     if degree < 1:
-        raise ParseError(f"degree = {degree} in [group]: a permutation domain needs at least one point")
+        raise ParseError(f"degree = {shortened(str(degree))} in [group]: a permutation domain needs at least one point")
     if degree > MAX_DEGREE:
-        raise ValidationError(f"degree = {degree} in [group] is above the ceiling {MAX_DEGREE}")
+        raise ValidationError(f"degree = {shortened(str(degree))} in [group] is above the ceiling {MAX_DEGREE}")
     generators = tuple(
         (name, value) for name, value in group_section.items() if name != "degree"
     )
@@ -115,9 +115,11 @@ def parse_input(text: str) -> InputDescription:
         try:
             base_genus = int(sec.get("base_genus", "0"))
         except ValueError:
-            raise ParseError(f"bad base_genus {sec['base_genus']!r} in [{section}]") from None
+            raise ParseError(f"bad base_genus {shortened(sec['base_genus'])!r} in [{section}]") from None
         if base_genus != 0:
-            raise ParseError(f"base_genus = {base_genus} in [{section}]: only rational bases (0) are supported")
+            raise ParseError(
+                f"base_genus = {shortened(str(base_genus))} in [{section}]: only rational bases (0) are supported"
+            )
         signature = None
         if "signature" in sec:
             try:
@@ -130,7 +132,8 @@ def parse_input(text: str) -> InputDescription:
         try:
             in_scope = parser["flags"].getboolean("in_scope_c1sq6", fallback=False)
         except ValueError:
-            raise ParseError(f"bad in_scope_c1sq6 {parser['flags']['in_scope_c1sq6']!r} in [flags]") from None
+            value = shortened(parser["flags"]["in_scope_c1sq6"])
+            raise ParseError(f"bad in_scope_c1sq6 {value!r} in [flags]") from None
     return InputDescription(degree, generators, systems[0], systems[1], in_scope)
 
 
@@ -158,7 +161,7 @@ def realize(
 
     perms = [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
     group = group_from_generators(perms, cap=cap)
-    named = {name: group.index_of(p) for (name, _), p in zip(desc.generators, perms)}
+    named = {name: i for (name, _), i in zip(desc.generators, group.generator_indices)}
     systems = []
     for spec in (desc.system1, desc.system2):
         elements = tuple(_evaluate_word(group, named, w) for w in spec.words)
@@ -190,21 +193,8 @@ class TableRowSummary(NamedTuple):
 def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_ORDER_CAP) -> TableRowSummary:
     from .surface import build_surface_model
 
-    group, sys1, sys2 = realize(desc, cap=cap)
-    model = build_surface_model(sys1, sys2)
-    inv = model.numerical_invariants()
-    return TableRowSummary(
-        name=name,
-        group_order=group.order,
-        g1=model.g1,
-        g2=model.g2,
-        singularities=singularity_multiset((t.n, t.a, c) for t, c in model.locus.type_counts().items()),
-        e=inv.e,
-        ksq=inv.ksq,
-        chi=inv.chi,
-        q=inv.q,
-        pg=inv.pg,
-    )
+    _, sys1, sys2 = realize(desc, cap=cap)
+    return build_surface_model(sys1, sys2).numerical_invariants()._replace(name=name)
 
 
 # -- formula mode ------------------------------------------------------------
@@ -220,6 +210,7 @@ class FormulaRow(NamedTuple):
 
 
 _SING_ITEM = re.compile(r"^(\d+)/(\d+)x(\d+)$")
+_INT_CELL = re.compile(r"[+-]?\d+")
 
 
 def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -231,14 +222,14 @@ def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
     for chunk in text.split("+"):
         match = _SING_ITEM.match(chunk.strip())
         if not match:
-            raise ParseError(f"bad singularity item {chunk!r} (expected n/axcount)")
-        n, a, count = map(int, match.groups())
+            raise ParseError(f"bad singularity item {shortened(chunk)!r} (expected n/axcount)")
+        n, a, count = (parse_int(t, f"singularity {w}") for t, w in zip(match.groups(), ("n", "a", "count")))
         try:
             SingularityType(n, a)  # validates n, a
         except ValidationError as exc:
-            raise ParseError(f"bad singularity item {chunk!r}: {exc}") from None
+            raise ParseError(f"bad singularity item {shortened(chunk)!r}: {exc}") from None
         if count < 1:
-            raise ParseError(f"bad count in {chunk!r}")
+            raise ParseError(f"bad count in {shortened(chunk)!r}")
         items.append((n, a, count))
     return tuple(items)
 
@@ -257,6 +248,13 @@ def format_singularity_multiset(items) -> str:
     return "+".join(f"{n}/{a}x{c}" for n, a, c in items)
 
 
+def _integer_cell(record: dict, column: str) -> int:
+    text = record[column].strip()
+    if not _INT_CELL.fullmatch(text):
+        raise ParseError(f"{column} {shortened(text)!r} is not an integer")
+    return parse_int(text, column)
+
+
 def parse_rows(text: str) -> list[FormulaRow]:
     import csv
     import io
@@ -272,23 +270,21 @@ def parse_rows(text: str) -> list[FormulaRow]:
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise ParseError(f"rows file must have columns {sorted(required)}")
     for record in reader:
-        short = sorted(c for c in required if record[c] is None)  # the line ended early
-        if short:
-            raise ParseError(f"bad row {record!r}: no value for {', '.join(short)}")
+        name = (record["name"] or "").strip()
         try:
-            ksq_text = (record.get("ksq") or "").strip()
-            rows.append(
-                FormulaRow(
-                    name=record["name"].strip(),
-                    group_order=int(record["group_order"]),
-                    g1=int(record["g1"]),
-                    g2=int(record["g2"]),
-                    singularities=parse_singularity_multiset(record["singularities"]),
-                    ksq=int(ksq_text) if ksq_text else None,
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad row {record!r}: {exc}") from None
+            short = sorted(c for c in required if record[c] is None)  # the line ended early
+            if short:
+                raise ParseError(f"no value for {', '.join(short)}")
+            rows.append(FormulaRow(
+                name=name,
+                group_order=_integer_cell(record, "group_order"),
+                g1=_integer_cell(record, "g1"),
+                g2=_integer_cell(record, "g2"),
+                singularities=parse_singularity_multiset(record["singularities"]),
+                ksq=_integer_cell(record, "ksq") if (record.get("ksq") or "").strip() else None,
+            ))
+        except ParseError as exc:
+            raise ParseError(f"bad row {shortened(name)!r}: {exc}") from None
     return rows
 
 

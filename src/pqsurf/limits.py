@@ -20,12 +20,19 @@ MAX_HJ_ORDER = 1_000  # largest n that `hj n a` expands into a dense string matr
 MAX_DEGREE = 1_000  # largest [group] degree accepted in a .pq file
 
 
+def shortened(text: str) -> str:
+    """An input value as an error message quotes it: whole up to 24 characters,
+    else its first and last ten, so that no value makes a long line."""
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+
+
 def parse_int(token: str, what: str) -> int:
     """The integer of a token already matched as digits.  Python converts at most
     4300 digits by default; a longer token is a ParseError that names it."""
     try:
         return int(token)
     except ValueError:
-        shown = token if len(token) <= 24 else f"{token[:10]}...{token[-10:]}"
-        digits = len(token.lstrip("-"))
-        raise ParseError(f"{what} {shown!r} has {digits} digits, more than Python converts to an integer") from None
+        digits = len(token.lstrip("+-"))
+        raise ParseError(
+            f"{what} {shortened(token)!r} has {digits} digits, more than Python converts to an integer"
+        ) from None

@@ -42,8 +42,8 @@ from typing import Mapping, NamedTuple
 
 from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
-from .hj import SingularityType, dual_type, hj_expand
-from .inputs import euler_chi_pg, singularity_multiset
+from .hj import dual_type, hj_expand
+from .inputs import TableRowSummary, euler_chi_pg, singularity_multiset
 from .singularities import SingularLocus, enumerate_singularities
 
 
@@ -61,21 +61,11 @@ class BasisCurve(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
-class Invariants(NamedTuple):
-    e: int
-    ksq: int
-    chi: int
-    q: int
-    pg: int
-
-
 class StringData(NamedTuple):
-    """Resolution data of one singular point, attached to N[i] and M[j]."""
+    """Resolution data of the singular point of the same index in the locus,
+    whose string meets N[i] and M[j] for the point's branch pair (i, j)."""
 
-    point_index: int
-    branch_pair: tuple[int, int]
-    type: SingularityType  # as in the locus; b expands its dual n/a'
-    b: tuple[int, ...]
+    b: tuple[int, ...]  # expands the dual n/a' of the point's type 1/n(1,a)
     sigma1_multiplicities: tuple[int, ...]  # of Z_k inside the sigma_1 fiber
     sigma2_multiplicities: tuple[int, ...]
 
@@ -145,16 +135,11 @@ class SurfaceModel:
             self._set(comps[-1], self.M[j - 1], 1)
             n_selfs[i - 1] -= Fraction(a_dual, n)
             m_selfs[j - 1] -= Fraction(a, n)
-            self.strings.append(
-                StringData(
-                    point_index=p_index,
-                    branch_pair=(i, j),
-                    type=point.type,
-                    b=b,
-                    sigma1_multiplicities=_string_multiplicities(b, n, self.sys1.signature[i - 1], first_end=True),
-                    sigma2_multiplicities=_string_multiplicities(b, n, self.sys2.signature[j - 1], first_end=False),
-                )
-            )
+            self.strings.append(StringData(
+                b,
+                _string_multiplicities(b, n, self.sys1.signature[i - 1], first_end=True),
+                _string_multiplicities(b, n, self.sys2.signature[j - 1], first_end=False),
+            ))
         for value, curve in zip(n_selfs + m_selfs, self.N + self.M):
             if value.denominator != 1:
                 raise ValidationError(
@@ -163,10 +148,6 @@ class SurfaceModel:
             self._set(curve, curve, value)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def basis(self) -> list[BasisCurve]:
-        return list(self._rows)
 
     def intersect(self, d1: Mapping[BasisCurve, Fraction], d2: Mapping[BasisCurve, Fraction]) -> Fraction:
         """D1.D2 of two divisors given as {basis curve: coefficient} maps."""
@@ -197,9 +178,9 @@ class SurfaceModel:
     def exceptional_class(self) -> dict[BasisCurve, Fraction]:
         return {c: Fraction(1) for comps in self.Z for c in comps}
 
-    def numerical_invariants(self) -> Invariants:
-        """K^2 from the lattice; e, chi and P_g from ``euler_chi_pg``, whose
-        failed gates are engine inconsistencies here."""
+    def numerical_invariants(self) -> TableRowSummary:
+        """The summary of S, unnamed: K^2 from the lattice; e, chi and P_g from
+        ``euler_chi_pg``, whose failed gates are engine inconsistencies here."""
         ksq = self.intersect(self._k, self._k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
@@ -208,7 +189,7 @@ class SurfaceModel:
             e, chi, pg = euler_chi_pg(self.group.order, self.g1, self.g2, sings, int(ksq))
         except ValidationError as exc:
             raise EngineInconsistencyError(str(exc)) from None
-        return Invariants(e=e, ksq=int(ksq), chi=chi, q=0, pg=pg)
+        return TableRowSummary("", self.group.order, self.g1, self.g2, sings, e, int(ksq), chi, 0, pg)
 
     def lattice_numbers(self, curve: BasisCurve) -> tuple[Fraction, Fraction, Fraction]:
         """(K.C, E.C, C^2) of one basis curve, read off its row of the form
@@ -234,14 +215,6 @@ class SurfaceModel:
         if g < 0:
             raise EngineInconsistencyError(f"adjunction gives negative genus on {curve.label}")
         return g
-
-    def strings_meeting(self, curve: BasisCurve) -> list[int]:
-        """Indices of the singular points over the branch point of the central
-        component N[i] or M[j], whose strings meet it; none for other curves."""
-        if curve.kind not in ("N", "M"):
-            return []
-        side = 0 if curve.kind == "N" else 1
-        return [d.point_index for d in self.strings if d.branch_pair[side] == curve.index]
 
 
 def _string_multiplicities(b: tuple[int, ...], n: int, m: int, first_end: bool) -> tuple[int, ...]:

@@ -36,6 +36,6 @@ def z4_mixed_model():
     # 1/2(1,1) points, including strings whose fiber multiplicities exceed 1
     g = Permutation.from_cycles("(0 1 2 3)")
     group = group_from_generators([g])
-    i = group.index_of(g)
+    (i,) = group.generator_indices
     sys = make_system(group, (i, group.power(i, 3), group.power(i, 2), group.power(i, 2)))
     return build_surface_model(sys, sys)

@@ -112,7 +112,7 @@ def test_criterion_5_pullback_brute_force():
             for j in range(9):
                 if (i + j) % 2 != 0:
                     continue
-                s = SourceSection.monomial(m, i, j)
+                s = SourceSection(m, ((i, j, Fraction(1)),))
                 d = gamma_pullback(s)
                 assert d == gamma_closed_form(s)
                 assert is_holomorphic(d) == (i + j >= 2 * m)

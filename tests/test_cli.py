@@ -219,27 +219,51 @@ class TestPolynomialParser:
 
 
 BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
-TOO_LONG = "'9999999999...9999999999' has 5000 digits, more than Python converts to an integer"
+SHORTENED = "'9999999999...9999999999'"
+TOO_LONG = f"{SHORTENED} has 5000 digits, more than Python converts to an integer"
 
 
 class TestOversizedLiterals:
     """A literal too long for Python's str -> int conversion is a parse error
-    (exit 2) whose one line names the token, not a traceback."""
+    (exit 2) whose one line names the token, not a traceback.  A long value
+    quoted in an error shows its first and last ten characters only."""
 
     @pytest.mark.parametrize(
-        "old, new, what",
+        "old, new, message",
         [
-            ("a = (0 1 2 3 4)", f"a = (0 1 2 3 {BIG})", "point"),
-            ("generators = a, b, a^4*b^4", f"generators = a, b, a^{BIG}*b^4", "power"),
+            ("a = (0 1 2 3 4)", f"a = (0 1 2 3 {BIG})", f"point {TOO_LONG}"),
+            ("generators = a, b, a^4*b^4", f"generators = a, b, a^{BIG}*b^4", f"power {TOO_LONG}"),
+            ("degree = 10", f"degree = {BIG}", f"bad degree {SHORTENED}"),
+            ("base_genus = 0", f"base_genus = {BIG}", f"bad base_genus {SHORTENED} in [system1]"),
+            ("in_scope_c1sq6 = false", f"in_scope_c1sq6 = {BIG}", f"bad in_scope_c1sq6 {SHORTENED} in [flags]"),
         ],
-        ids=["cycle-point", "word-power"],
+        ids=["cycle-point", "word-power", "degree", "base-genus", "in-scope"],
     )
-    def test_pq_file(self, capsys, tmp_path, old, new, what):
+    def test_pq_file(self, capsys, tmp_path, old, new, message):
         path = tmp_path / "big.pq"
         path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 2 and out == ""
-        assert err == f"error: {path}: {what} {TOO_LONG}\n"
+        assert err == f"error: {path}: {message}\n" and len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"Z2xD4,{BIG},3,7,2/1x2,6", f"bad row 'Z2xD4': group_order {TOO_LONG}"),
+            (f"Z2xD4,16,{BIG},7,2/1x2,6", f"bad row 'Z2xD4': g1 {TOO_LONG}"),
+            (f"Z2xD4,16,3,{BIG},2/1x2,6", f"bad row 'Z2xD4': g2 {TOO_LONG}"),
+            (f"Z2xD4,16,3,7,2/1x2,{BIG}", f"bad row 'Z2xD4': ksq {TOO_LONG}"),
+            (f"Z2xD4,16,3,7,2/1x{BIG},6", f"bad row 'Z2xD4': singularity count {TOO_LONG}"),
+            (f"{'n' * 5000},x,3,7,2/1x2,6", "bad row 'nnnnnnnnnn...nnnnnnnnnn': group_order 'x' is not an integer"),
+        ],
+        ids=["group-order", "g1", "g2", "ksq", "singularity-count", "long-name"],
+    )
+    def test_rows_file(self, capsys, tmp_path, row, message):
+        path = tmp_path / "big.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\n{row}\n")
+        code, out, err = run(capsys, "table", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n" and len(err.encode()) < 300
 
     def test_word_power_in_table_cell(self, capsys, tmp_path):
         path = tmp_path / "big.pq"
@@ -461,6 +485,19 @@ class TestInputErrors:
         code, out, _ = run(capsys, "invariants", str(path), "--json")
         _, want, _ = run(capsys, "invariants", BEAUVILLE, "--json")
         assert code == 0 and out == want
+
+    def test_aliased_and_identity_generators(self, capsys, tmp_path):
+        # c names the permutation a names, and e is the identity; each word
+        # still evaluates to the same element
+        path = tmp_path / "beauville_55.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        text = text.replace("b = (5 6 7 8 9)\n", "b = (5 6 7 8 9)\nc = (0 1 2 3 4)\ne = ()\n", 1)
+        text = text.replace("generators = a, b, a^4*b^4", "generators = c, e*b, a^4*e^-2*c^0*b^4", 1)
+        path.write_text(text)
+        for command in ("invariants", "bounds"):
+            code, out, _ = run(capsys, command, str(path), "--json")
+            _, want, _ = run(capsys, command, BEAUVILLE, "--json")
+            assert code == 0 and out == want
 
     def test_hj_above_ceiling(self, capsys):
         from pqsurf.limits import MAX_HJ_ORDER

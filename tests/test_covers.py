@@ -96,7 +96,7 @@ class TestGenus:
         # a single branch point gives -2 + 2/3, a non-integral value
         group = group_from_generators([Permutation.from_cycles("(0 1 2)", 3)])
         t = group.generator_indices[0]
-        sys = make_system(group, (t, group.inv(t)))
+        sys = make_system(group, (t, group.power(t, -1)))
         assert rh_genus(sys) == 0
         bad = type(sys)(group, (t,), (3,))
         with pytest.raises(NonIntegralGenusError):

@@ -24,14 +24,19 @@ def coefficient(d, p, q: int, alpha: int, beta: int) -> Fraction:
     return {t[:4]: t[4] for t in d.terms}.get((F(p), q, alpha, beta), F(0))
 
 
+def monomial(m: int, i: int, j: int, coeff=1) -> SourceSection:
+    """The section coeff * z1^i z2^j (dz1 dz2)^m."""
+    return SourceSection(m, ((i, j, F(coeff)),))
+
+
 class TestSourceSections:
     def test_monomial(self):
-        s = SourceSection.monomial(2, 1, 3)
+        s = monomial(2, 1, 3)
         assert s.terms == ((1, 3, F(1)),)
 
     def test_bad_power(self):
         with pytest.raises(ValidationError):
-            SourceSection.monomial(0, 1, 1)
+            monomial(0, 1, 1)
 
     def test_negative_exponent(self):
         with pytest.raises(ValidationError):
@@ -41,7 +46,7 @@ class TestSourceSections:
         "i, j, invariant", [(0, 0, True), (1, 1, True), (2, 0, True), (1, 0, False), (2, 1, False)]
     )
     def test_invariance(self, i, j, invariant):
-        assert invariance_check(SourceSection.monomial(1, i, j)) is invariant
+        assert invariance_check(monomial(1, i, j)) is invariant
 
     def test_invariance_of_sums(self):
         s = SourceSection(1, ((2, 0, F(1)), (0, 2, F(-1, 2))))
@@ -53,7 +58,7 @@ class TestSourceSections:
 class TestPullback:
     def test_bare_form_m1(self):
         # (dz1 dz2)^1 -> 1/4 mu1^-1 mu2 dmu1^2 + 1/2 dmu1 dmu2
-        d = gamma_pullback(SourceSection.monomial(1, 0, 0))
+        d = gamma_pullback(monomial(1, 0, 0))
         assert coefficient(d, -1, 1, 2, 0) == F(1, 4)
         assert coefficient(d, 0, 0, 1, 1) == F(1, 2)
         assert len(d.terms) == 2
@@ -61,26 +66,26 @@ class TestPullback:
 
     def test_z1_squared_m1(self):
         # z1^2 (dz1 dz2) -> 1/4 mu2 dmu1^2 + 1/2 mu1 dmu1 dmu2
-        d = gamma_pullback(SourceSection.monomial(1, 2, 0))
+        d = gamma_pullback(monomial(1, 2, 0))
         assert coefficient(d, 0, 1, 2, 0) == F(1, 4)
         assert coefficient(d, 1, 0, 1, 1) == F(1, 2)
         assert is_holomorphic(d)
 
     def test_z1_z2_m1(self):
         # z1 z2 (dz1 dz2) -> 1/4 mu1^0... : z1 z2 = mu1 mu2
-        d = gamma_pullback(SourceSection.monomial(1, 1, 1))
+        d = gamma_pullback(monomial(1, 1, 1))
         assert coefficient(d, 0, 2, 2, 0) == F(1, 4)
         assert coefficient(d, 1, 1, 1, 1) == F(1, 2)
         assert is_holomorphic(d)
 
     def test_odd_monomial_has_half_integer_exponents(self):
-        d = gamma_pullback(SourceSection.monomial(1, 1, 0))
+        d = gamma_pullback(monomial(1, 1, 0))
         assert any(p.denominator == 2 for p, *_ in d.terms)
         assert not is_holomorphic(d)
 
     def test_linearity(self):
-        a = SourceSection.monomial(2, 2, 0, coeff=3)
-        b = SourceSection.monomial(2, 0, 2, coeff=-1)
+        a = monomial(2, 2, 0, coeff=3)
+        b = monomial(2, 0, 2, coeff=-1)
         combined = SourceSection(2, a.terms + b.terms)
         da, db, dc = gamma_pullback(a), gamma_pullback(b), gamma_pullback(combined)
         keys = {t[:4] for t in da.terms} | {t[:4] for t in db.terms}
@@ -91,7 +96,7 @@ class TestPullback:
     def test_matches_closed_form(self, m):
         for i in range(9):
             for j in range(9):
-                s = SourceSection.monomial(m, i, j)
+                s = monomial(m, i, j)
                 assert gamma_pullback(s) == gamma_closed_form(s)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -100,13 +105,13 @@ class TestPullback:
             for j in range(0, 2 * m + 4):
                 if (i + j) % 2 != 0:
                     continue  # only invariant monomials descend
-                s = SourceSection.monomial(m, i, j)
+                s = monomial(m, i, j)
                 assert is_holomorphic(gamma_pullback(s)) == (i + j >= 2 * m)
 
     def test_min_mu1_exponent(self):
-        d = gamma_pullback(SourceSection.monomial(2, 0, 0))
+        d = gamma_pullback(monomial(2, 0, 0))
         assert d.min_mu1_exponent() == -2
-        d = gamma_pullback(SourceSection.monomial(2, 4, 0))
+        d = gamma_pullback(monomial(2, 4, 0))
         assert d.min_mu1_exponent() == 0
 
 

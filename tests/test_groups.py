@@ -44,6 +44,10 @@ def count_mul(monkeypatch) -> list[int]:
     return calls
 
 
+def index_of(group: FiniteGroup, p: Permutation) -> int:
+    return group.images.index(p.images)
+
+
 def z5_squared():
     # (Z/5)^2 acting on two disjoint pentagons
     a = Permutation.from_cycles("(0 1 2 3 4)", 10)
@@ -52,14 +56,12 @@ def z5_squared():
 
 
 class TestPermutation:
-    def test_parse_and_print(self):
+    def test_parse(self):
         p = Permutation.from_cycles("(0 1 2)(3 4)")
         assert p.images == (1, 2, 0, 4, 3)
-        assert p.cycle_string() == "(0 1 2)(3 4)"
 
     def test_identity_notation(self):
         assert Permutation.from_cycles("()", 3) == Permutation((0, 1, 2))
-        assert Permutation((0, 1, 2)).cycle_string() == "()"
 
     @pytest.mark.parametrize("text", ["(0 1", "0 1)", "(0 0 1)", "(0 1)(1 2)", "nope"])
     def test_bad_notation(self, text):
@@ -74,15 +76,15 @@ class TestPermutation:
         p = Permutation.from_cycles("(0 1)", 3)
         q = Permutation.from_cycles("(1 2)", 3)
         group = group_from_generators([p, q])
-        i, j = group.index_of(p), group.index_of(q)
+        i, j = index_of(group, p), index_of(group, q)
         # (p * q)(1) = p(q(1)) = p(2) = 2
         assert group.images[group.mul(i, j)][1] == p.images[q.images[1]] == 2
 
     def test_inverse(self):
         p = Permutation.from_cycles("(0 1 2 3 4)")
         group = group_from_generators([p])
-        i = group.index_of(p)
-        assert [group.images[group.inv(i)][x] for x in p.images] == list(range(5))
+        i = index_of(group, p)
+        assert [group.images[group.power(i, -1)][x] for x in p.images] == list(range(5))
 
 
 class TestClosure:
@@ -119,7 +121,7 @@ class TestClosure:
     def test_group_laws(self):
         group = group_from_generators(PSL27_GENS)
         for i in range(group.order):
-            assert group.mul(i, group.inv(i)) == group.identity
+            assert group.mul(i, group.power(i, -1)) == group.identity
         rng = random.Random(7)
         for _ in range(50):
             a, b, c = (rng.randrange(group.order) for _ in range(3))
@@ -138,7 +140,7 @@ class TestPower:
         group = group_from_generators([Permutation.from_cycles("(0 1 2 3 4 5 6)")])
         r = group.generator_indices[0]
         calls = count_mul(monkeypatch)
-        assert group.power(r, -1_000_000_001) == group.power(group.inv(r), 1_000_000_001 % 7)
+        assert group.power(r, -1_000_000_001) == group.power(group.power(r, -1), 1_000_000_001 % 7)
         assert calls[0] <= group.order + 2
 
     def test_matches_repeated_products(self):
@@ -147,7 +149,7 @@ class TestPower:
             acc = group.identity
             for k in range(12):
                 assert group.power(g, k) == acc
-                assert group.power(g, -k) == group.inv(acc)
+                assert group.mul(group.power(g, -k), acc) == group.identity
                 acc = group.mul(acc, g)
 
 
@@ -162,7 +164,7 @@ class TestElementOrder:
     def test_orders(self, cycles, expected):
         p = Permutation.from_cycles(cycles, 5)
         group = group_from_generators([p])
-        assert element_order(group, group.index_of(p)) == expected
+        assert element_order(group, index_of(group, p)) == expected
 
 
 class TestSubgroups:
@@ -173,17 +175,17 @@ class TestSubgroups:
     def test_cyclic_order_four(self):
         p = Permutation.from_cycles("(0 1 2 3)")
         group = group_from_generators([p])
-        assert cyclic_subgroup(group, group.index_of(p)).order == 4
+        assert cyclic_subgroup(group, index_of(group, p)).order == 4
 
     def test_cyclic_line_in_z5_squared(self):
         group, a, b = z5_squared()
-        i, j = group.index_of(a), group.index_of(b)
+        i, j = index_of(group, a), index_of(group, b)
         line = cyclic_subgroup(group, group.mul(i, group.mul(j, j)))
         assert line.order == 5
 
     def test_conjugation_by_identity_and_in_abelian_groups(self):
         group, a, _ = z5_squared()
-        h = cyclic_subgroup(group, group.index_of(a))
+        h = cyclic_subgroup(group, index_of(group, a))
         assert conjugate_subgroup(group, h, group.identity).members == h.members
         for t in range(group.order):
             assert conjugate_subgroup(group, h, t).members == h.members
@@ -191,11 +193,11 @@ class TestSubgroups:
     def test_conjugation_moves_transpositions(self):
         gens = [Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(0 1 2)", 3)]
         group = group_from_generators(gens)
-        h = cyclic_subgroup(group, group.index_of(Permutation.from_cycles("(0 1)", 3)))
-        t = group.index_of(Permutation.from_cycles("(1 2)", 3))
+        h = cyclic_subgroup(group, index_of(group, Permutation.from_cycles("(0 1)", 3)))
+        t = index_of(group, Permutation.from_cycles("(1 2)", 3))
         conj = conjugate_subgroup(group, h, t)
         assert conj.members == cyclic_subgroup(
-            group, group.index_of(Permutation.from_cycles("(0 2)", 3))
+            group, index_of(group, Permutation.from_cycles("(0 2)", 3))
         ).members
 
     def test_conjugation_preserves_order(self):
@@ -206,13 +208,13 @@ class TestSubgroups:
 
     def test_intersection_idempotent(self):
         group, a, _ = z5_squared()
-        h = cyclic_subgroup(group, group.index_of(a))
+        h = cyclic_subgroup(group, index_of(group, a))
         assert intersect_subgroups(group, h, h).members == h.members
 
     def test_distinct_lines_intersect_trivially(self):
         group, a, b = z5_squared()
-        h1 = cyclic_subgroup(group, group.index_of(a))
-        h2 = cyclic_subgroup(group, group.index_of(b))
+        h1 = cyclic_subgroup(group, index_of(group, a))
+        h2 = cyclic_subgroup(group, index_of(group, b))
         assert intersect_subgroups(group, h1, h2).order == 1
 
     def test_intersection_with_overgroup(self):
@@ -245,7 +247,7 @@ class TestCosets:
     def test_lagrange(self):
         gens = [Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(0 1 2)", 3)]
         group = group_from_generators(gens)
-        h = cyclic_subgroup(group, group.index_of(Permutation.from_cycles("(0 1)", 3)))
+        h = cyclic_subgroup(group, index_of(group, Permutation.from_cycles("(0 1)", 3)))
         reps = left_cosets(group, h)
         assert len(reps) == 3
         assert len(reps) * h.order == group.order
@@ -334,7 +336,7 @@ def symmetric_systems(draw):
     for g in elements:
         acc = group.mul(acc, g)
     assume(acc != group.identity)
-    return make_system(group, (*elements, group.inv(acc)))
+    return make_system(group, (*elements, group.power(acc, -1)))
 
 
 class TestGenerationCheck:
@@ -350,7 +352,7 @@ class TestGenerationCheck:
     def test_generating_system_stops_past_half_the_group(self, monkeypatch):
         group = symmetric_group(6)
         x, y = group.generator_indices
-        sys = make_system(group, (x, y, group.inv(group.mul(x, y))))
+        sys = make_system(group, (x, y, group.power(group.mul(x, y), -1)))
         calls = count_mul(monkeypatch)
         assert validate_system(sys).ok
         # 3 products for the long relation (make_system cached the element
@@ -361,8 +363,8 @@ class TestGenerationCheck:
     def test_proper_subgroup_is_closed_in_full(self):
         # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720
         group = symmetric_group(6)
-        c = group.index_of(Permutation.from_cycles("(0 1 2)", 6))
-        report = validate_system(make_system(group, (c, group.inv(c))))
+        c = index_of(group, Permutation.from_cycles("(0 1 2)", 6))
+        report = validate_system(make_system(group, (c, group.power(c, -1))))
         assert not report.ok and report.violation == "generators do not generate the whole group"
 
 
@@ -373,7 +375,7 @@ def test_a_used_group_is_freed_by_reference_counting():
     try:
         group = group_from_generators(PSL27_GENS)
         for g in range(group.order):
-            group.powers(group.conjugate(g, group.inv(g)))
+            group.powers(group.conjugate(g, group.power(g, -1)))
         ref = weakref.ref(group)
         del group
         assert ref() is None

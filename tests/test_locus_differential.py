@@ -2,7 +2,9 @@
 pair enumeration of ``tests.locus_oracle``: the same points cell by cell, in
 (n, a) order within a cell, and the same free-orbit counts, in both system
 orders.  The genus of every central component, read off the locus by
-``central_component_genus_crosscheck``, equals the fibre-route oracle."""
+``central_component_genus_crosscheck``, equals the fibre-route oracle, and
+the N1_E of every curve, read as E.C off the lattice, is the number of
+singular points over its branch point."""
 
 from functools import lru_cache
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqsurf.bounds import central_component_genus_crosscheck
+from pqsurf.bounds import central_component_genus_crosscheck, degree_bound_report
 from pqsurf.covers import make_system, validate_system
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
@@ -50,7 +52,7 @@ def generating_vector(draw, group):
     acc = group.identity
     for g in elements:
         acc = group.mul(acc, g)
-    elements.append(group.inv(acc))
+    elements.append(group.power(acc, -1))
     sys = make_system(group, elements)
     assume(validate_system(sys).ok)
     return sys
@@ -76,6 +78,13 @@ def assert_same_central_genera(model):
         assert central_component_genus_crosscheck(model, curve) == fibre_genus(model, curve)
 
 
+def assert_n1_e_counts_locus_points(model):
+    for curve in [model.F1, model.F2, *model.N, *model.M]:
+        side = {"N": 0, "M": 1}.get(curve.kind)
+        over = [p for p in model.locus.points if side is not None and p.branch_pair[side] == curve.index]
+        assert degree_bound_report(model, curve).n1_e == len(over), curve.label
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(system_pairs())
 def test_class_count_matches_pair_enumeration(pair):
@@ -85,14 +94,25 @@ def test_class_count_matches_pair_enumeration(pair):
         model = SurfaceModel(a, b, enumerate_singularities(a, b))
         model.numerical_invariants()
         assert_same_central_genera(model)
+        assert_n1_e_counts_locus_points(model)
 
 
-@pytest.mark.parametrize(
-    "fixture", ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq", "z2_hyperelliptic.pq"]
-)
-def test_fixture_genera_match_fibre_route(fixture):
+FIXTURES = ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq", "z2_hyperelliptic.pq"]
+
+
+def fixture_model(fixture):
     _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
-    assert_same_central_genera(build_surface_model(sys1, sys2))
+    return build_surface_model(sys1, sys2)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_genera_match_fibre_route(fixture):
+    assert_same_central_genera(fixture_model(fixture))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_n1_e_counts_locus_points(fixture):
+    assert_n1_e_counts_locus_points(fixture_model(fixture))
 
 
 def test_a6_matches_pair_enumeration():

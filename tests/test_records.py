@@ -19,7 +19,7 @@ from pqsurf.groups import Permutation, Subgroup, group_from_generators
 from pqsurf.hj import HJString, SingularityType
 from pqsurf.inputs import FormulaRow, InputDescription, SystemSpec, TableRowSummary
 from pqsurf.singularities import SingularLocus, SingularPoint
-from pqsurf.surface import BasisCurve, Invariants, StringData
+from pqsurf.surface import BasisCurve, StringData
 
 Z2 = group_from_generators([Permutation((1, 0))])
 
@@ -36,8 +36,7 @@ RECORDS = {
     "CoverPoint": lambda: CoverPoint(1, 0, Subgroup(Z2, frozenset({0, 1})), 1),
     "SystemReport": lambda: SystemReport(False, "long relation"),
     "BasisCurve": lambda: BasisCurve("Z", 3, 2),
-    "Invariants": lambda: Invariants(e=6, ksq=6, chi=1, q=0, pg=0),
-    "StringData": lambda: StringData(0, (1, 1), SingularityType(2, 1), (2,), (1,), (1,)),
+    "StringData": lambda: StringData((2,), (1,), (1,)),
     "SingularPoint": lambda: SingularPoint((1, 2), SingularityType(2, 1), 1),
     "SingularLocus": lambda: SingularLocus((), {(1, 1): 2}),
     "TangentCaseData": lambda: TangentCaseData(F(2), F(2), F(-2), F(0)),

@@ -14,6 +14,10 @@ from pqsurf.surface import BasisCurve, _string_multiplicities, build_surface_mod
 from tests.test_covers import z2_system
 
 
+def basis(m):
+    return [m.F1, m.F2, *m.N, *m.M, *(c for comps in m.Z for c in comps)]
+
+
 class TestDivisorAlgebra:
     def test_intersect_is_bilinear_on_coefficient_maps(self, beauville_model):
         m = beauville_model
@@ -89,15 +93,15 @@ class TestToySurface:
 
     def test_string_attachments(self, toy_model):
         m = toy_model
-        for data, comps in zip(m.strings, m.Z):
+        for point, comps in zip(m.locus.points, m.Z):
             (comp,) = comps
-            i, j = data.branch_pair
+            i, j = point.branch_pair
             assert m.pair(comp, comp) == -2
             assert m.pair(comp, m.N[i - 1]) == 1
             assert m.pair(comp, m.M[j - 1]) == 1
         # each central component meets exactly 6 strings
         for curve in m.N + m.M:
-            assert len(m.strings_meeting(curve)) == 6
+            assert sum(1 for (comp,) in m.Z if m.pair(curve, comp)) == 6
 
     def test_canonical_class(self, toy_model):
         m = toy_model
@@ -193,8 +197,8 @@ class TestGates:
 
     def test_intersection_is_symmetric_and_rational(self, z4_mixed_model):
         m = z4_mixed_model
-        for c1 in m.basis:
-            for c2 in m.basis:
+        for c1 in basis(m):
+            for c2 in basis(m):
                 assert m.pair(c1, c2) == m.pair(c2, c1)
                 assert isinstance(m.pair(c1, c2), Fraction)
 
@@ -225,7 +229,7 @@ class TestLatticeNumbers:
         _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
         m = build_surface_model(sys1, sys2)
         k, e = m.canonical_class(), m.exceptional_class()
-        for curve in m.basis:
+        for curve in basis(m):
             c = {curve: 1}
             numbers = (m.intersect(k, c), m.intersect(e, c), m.intersect(c, c))
             assert m.lattice_numbers(curve) == numbers, curve.label
