@@ -28,6 +28,7 @@ from .groups import (
     cyclic_subgroup,
     element_order,
     left_cosets,
+    spans_more_than,
 )
 
 
@@ -81,9 +82,11 @@ def make_system(group: FiniteGroup, generators: tuple[int, ...] | list[int]) -> 
 
 
 def validate_system(sys: SphericalSystem) -> SystemReport:
-    """Check the long relation, the signature and generation; report the first
-    failure.  Generation is decided on element indices through ``group.mul``,
-    with the early stop of ``_generates``."""
+    """Check the long relation, the signature and generation, in this order;
+    report the first failure.  The order matters: once the product of the
+    elements is known to be the identity, the last element is the inverse of
+    the product of the others, so those others generate whatever the whole
+    tuple generates, and ``_generates`` is asked about them alone."""
     group = sys.group
     acc = group.identity
     for g in sys.generators:
@@ -97,30 +100,21 @@ def validate_system(sys: SphericalSystem) -> SystemReport:
             return SystemReport(
                 False, f"order mismatch: element has order {element_order(group, g)}, signature says {m}"
             )
-    if not _generates(group, sys.generators):
+    if not sys.generators:
+        raise ValidationError("need at least one generator")
+    if not _generates(group, sys.generators[:-1]):
         return SystemReport(False, "generators do not generate the whole group")
     return SystemReport(True)
 
 
 def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
     """Whether the elements generate the group.  Closes the subgroup they span
-    on element indices and stops as soon as it holds more than |G|/2
-    elements: by Lagrange a proper subgroup has at most half of them, so only
-    a non-generating tuple is closed in full.  An empty tuple is refused."""
-    if not generators:
-        raise ValidationError("need at least one generator")
-    half = group.order // 2
-    gens = list(dict.fromkeys(generators))
-    seen = {group.identity}
-    todo = [group.identity]
-    while todo and len(seen) <= half:
-        p = todo.pop()
-        for g in gens:
-            q = group.mul(p, g)
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
-    return len(seen) > half
+    on image tuples (``groups.spans_more_than``) and stops as soon as it holds
+    more than |G|/2 elements: by Lagrange a proper subgroup has at most half
+    of them, so only a non-generating tuple is closed in full.  The caller
+    passes a spherical system without its last element, which the long
+    relation makes redundant."""
+    return spans_more_than(group, generators, group.order // 2)
 
 
 class ValidSystem(SphericalSystem):

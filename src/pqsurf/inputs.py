@@ -145,10 +145,10 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
     for factor in word.split("*"):
         match = _WORD_FACTOR.match(factor.strip())
         if not match:
-            raise ParseError(f"bad factor {factor!r} in word {word!r}")
+            raise ParseError(f"bad factor {shortened(factor)!r} in word {shortened(word)!r}")
         name, power = match.group(1), parse_int(match.group(2) or "1", "power")
         if name not in named:
-            raise ParseError(f"unknown generator {name!r} in word {word!r}")
+            raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
         acc = group.mul(acc, group.power(named[name], power))
     return acc
 
@@ -168,7 +168,7 @@ def realize(
         sys = make_system(group, elements)
         if spec.signature is not None and spec.signature != sys.signature:
             raise ValidationError(
-                f"declared signature {spec.signature} != derived {sys.signature}"
+                f"declared signature {shortened(str(spec.signature))} != derived {shortened(str(sys.signature))}"
             )
         systems.append(require_valid(sys))
     return group, systems[0], systems[1]
@@ -311,13 +311,15 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
     """The invariants of a table row; base quotients are rational (q = 0), as
     in the P_g = 0 classification."""
     if row.group_order < 1:
-        raise ValidationError(f"group order {row.group_order} is not positive")
+        raise ValidationError(f"group order {shortened(str(row.group_order))} is not positive")
     if row.g1 < 2 or row.g2 < 2:
-        raise ValidationError(f"g1, g2 = {row.g1}, {row.g2}: both genera must be at least 2")
+        g1, g2 = shortened(str(row.g1)), shortened(str(row.g2))
+        raise ValidationError(f"g1, g2 = {g1}, {g2}: both genera must be at least 2")
     for n, a, _ in row.singularities:
         # a point's order is that of a stabilizer in G, and its string has up to n - 1 components
         if n > MAX_ORDER_CAP:
-            raise ValidationError(f"1/{n}(1,{a}): n is above the ceiling {MAX_ORDER_CAP} of the group order")
+            point = f"1/{shortened(str(n))}(1,{shortened(str(a))})"
+            raise ValidationError(f"{point}: n is above the ceiling {MAX_ORDER_CAP} of the group order")
     sings = singularity_multiset(row.singularities)
     e, chi, pg = euler_chi_pg(row.group_order, row.g1, row.g2, sings, row.ksq)
     return TableRowSummary(

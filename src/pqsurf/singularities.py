@@ -14,6 +14,11 @@ P(n, A mod n) for every n | N; ``orbit_counts`` inverts over the divisors and
 splits each exact count into orbits of size |G|/n, free for n = 1 and one
 singular point each otherwise.  Points are listed by cell and by (n, a) within
 a cell, so no output depends on the order of the group's elements.
+
+The class of u is closed by ``groups.ConjugacyClasses`` on image tuples,
+conjugating by the elements of the first system but its last: the long
+relation makes the last one the inverse of the product of the others, so
+those others already generate G.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import NamedTuple
 
 from .covers import SphericalSystem, require_valid
 from .errors import EngineInconsistencyError, ValidationError
+from .groups import ConjugacyClasses
 from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (re-exported)
 
 
@@ -69,22 +75,7 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
         raise ValidationError("systems must be over the same group")
     sys1, sys2 = require_valid(sys1), require_valid(sys2)
     group, order = sys1.group, sys1.group.order
-    conjugators = tuple(dict.fromkeys(sys1.generators))  # they generate G
-    label: dict[int, int] = {}  # element -> the element its class was closed from
-    class_size: dict[int, int] = {}
-
-    def class_of(x: int) -> int:
-        if x not in label:
-            label[x] = x
-            members = [x]
-            for y in members:
-                for c in conjugators:
-                    z = group.conjugate(y, c)
-                    if z not in label:
-                        label[z] = x
-                        members.append(z)
-            class_size[x] = len(members)
-        return label[x]
+    classes = ConjugacyClasses(group, sys1.generators[:-1])  # they generate G
 
     points: list[SingularPoint] = []
     free_counts: dict[tuple[int, int], int] = {}
@@ -99,11 +90,11 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
                 m2 = len(powers2)
                 fixed: dict[tuple[int, int], int] = {}
                 for n in (n for n in range(1, m + 1) if m % n == m2 % n == 0):
-                    u = class_of(powers1[m // n % m])
-                    pairs = order * (order // class_size[u]) // (m * m2)
+                    u_class = classes.of(powers1[m // n % m])
+                    pairs = order * (order // len(u_class)) // (m * m2)
                     for a in (a for a in range(n) if gcd(a, n) == 1):
-                        # v is conjugate to u exactly when closing u's class labelled it
-                        fixed[(n, a)] = pairs if label.get(powers2[a * (m2 // n) % m2]) == u else 0
+                        v = powers2[a * (m2 // n) % m2]
+                        fixed[(n, a)] = pairs if group.images[v] in u_class else 0
                 counts = by_elements[(g, h)] = orbit_counts(fixed, order, (i, j))
             free_counts[(i, j)] = counts[(1, 0)]
             for (n, a), k in counts.items():

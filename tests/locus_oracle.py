@@ -14,13 +14,14 @@ only they use.
   point.  ``pqsurf.bounds`` reads the same genus off the singular locus.
 * ``orbit_partition`` and ``intersect_subgroups``, the generic group
   operations both oracles are built from.
-* ``closure_images``: the group spanned by image tuples, breadth-first with
-  products composed by a plain list comprehension, in the discovery order
-  ``pqsurf.groups.group_from_generators`` must keep.
+* ``closure_images``: the group spanned by image tuples, with products
+  composed by a plain list comprehension, in the element order
+  ``pqsurf.groups`` documents and ``group_from_generators`` must keep.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
@@ -95,22 +96,31 @@ def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
 
 
 def closure_images(generators: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every element of the group the image tuples generate, breadth-first
-    from the identity with the generators in their given order."""
+    """Every element of the group the image tuples generate, in the documented
+    order: the identity; then for each generator g not yet in the span S, the
+    coset S g in the order of S, then breadth-first over the new elements,
+    each composed with every generator kept so far."""
     identity = tuple(range(len(generators[0])))
     found = [identity]
     seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for p in frontier:
-            for g in generators:
-                q = tuple([p[x] for x in g])  # p * g: g acts first
+    kept = []
+    for g in generators:
+        if g in seen:
+            continue
+        kept.append(g)
+        coset = [tuple([p[x] for x in g]) for p in found]  # p * g: g acts first
+        seen.update(coset)
+        assert len(seen) == 2 * len(found), "a coset S g with g outside S is disjoint from S"
+        found += coset
+        queue = deque(coset)
+        while queue:
+            p = queue.popleft()
+            for h in kept:
+                q = tuple([p[x] for x in h])
                 if q not in seen:
                     seen.add(q)
                     found.append(q)
-                    next_frontier.append(q)
-        frontier = next_frontier
+                    queue.append(q)
     return found
 
 

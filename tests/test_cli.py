@@ -221,6 +221,7 @@ class TestPolynomialParser:
 BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
 SHORTENED = "'9999999999...9999999999'"
 TOO_LONG = f"{SHORTENED} has 5000 digits, more than Python converts to an integer"
+PARSED = "9" * 4000  # converts, but no check downstream accepts it
 
 
 class TestOversizedLiterals:
@@ -272,6 +273,43 @@ class TestOversizedLiterals:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2 and err == ""
         assert record["error"] == f"{path}: power {TOO_LONG}"
+
+    @pytest.mark.parametrize(
+        "old, new, code, message",
+        [
+            ("signature = 5, 5, 5", f"signature = 5, 5, {PARSED}", 3,
+             "declared signature (5, 5, 999...999999999) != derived (5, 5, 5)"),
+            ("a^4*b^4", f"a^4*{'!' * 3000}", 2, "bad factor '!!!!!!!!!!...!!!!!!!!!!' in word 'a^4*!!!!!!...!!!!!!!!!!'"),
+            ("a^4*b^4", f"a^4*{'c' * 3000}", 2,
+             "unknown generator 'cccccccccc...cccccccccc' in word 'a^4*cccccc...cccccccccc'"),
+        ],
+        ids=["declared-signature", "bad-factor", "unknown-generator"],
+    )
+    def test_value_that_parses_but_fails_later(self, capsys, tmp_path, old, new, code, message):
+        # the value fits an int, or is a word, and is refused by a later check
+        path = tmp_path / "big.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
+        got, out, err = run(capsys, "invariants", str(path))
+        assert got == code and out == ""
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1 and len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"r,-{PARSED},3,7,2/1x2,6", "group order -999999999...9999999999 is not positive"),
+            (f"r,16,-{PARSED},7,2/1x2,6", "g1, g2 = -999999999...9999999999, 7: both genera must be at least 2"),
+            (f"r,16,3,7,{PARSED}/1x1,6",
+             "1/9999999999...9999999999(1,1): n is above the ceiling 100000 of the group order"),
+        ],
+        ids=["group-order", "g1", "point-order"],
+    )
+    def test_rows_value_that_parses_but_fails_later(self, capsys, tmp_path, row, message):
+        path = tmp_path / "big.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\n{row}\n")
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 3 and err == ""
+        assert record["error"] == f"r: {message}" and len(out.encode()) < 300
 
     @pytest.mark.parametrize(
         "section, what",

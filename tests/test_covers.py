@@ -60,6 +60,18 @@ class TestValidation:
         report = validate_system(z5sq_triple([(1, 0), (2, 0), (2, 0)]))
         assert not report.ok and "generate" in report.violation
 
+    def test_long_relation_is_checked_before_generation(self):
+        # a, a span <a> only; with b the tuple generates (Z/5)^2, but its
+        # product a^2 b is not the identity.  Generation is asked of all
+        # elements but the last, which only the long relation makes redundant.
+        report = validate_system(z5sq_triple([(1, 0), (1, 0), (0, 1)]))
+        assert not report.ok and report.violation.startswith("long relation")
+
+    def test_valid_system_of_a_proper_subgroup(self):
+        # (a, a, a^3) has product 1 and orders 5, 5, 5, but spans only <a>
+        report = validate_system(z5sq_triple([(1, 0), (1, 0), (3, 0)]))
+        assert not report.ok and report.violation == "generators do not generate the whole group"
+
 
 class TestValidSystem:
     def test_require_valid_returns_a_valid_system(self):

@@ -101,7 +101,8 @@ def test_text_view_renders_the_json_payload(case):
 
 def _with_generator_lines_reversed(text: str) -> str:
     """The ``.pq`` text with the generator lines of its ``[group]`` section in
-    reverse order, which changes the breadth-first order of the elements."""
+    reverse order, which changes the order of the elements and the generators
+    the closure keeps."""
     lines = text.splitlines(keepends=True)
     start = lines.index("[group]\n") + 1
     end = next(k for k in range(start, len(lines)) if lines[k].startswith("["))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pqsurf import groups
 from pqsurf.covers import make_system, validate_system
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.groups import (
@@ -21,7 +22,8 @@ from pqsurf.groups import (
     group_from_generators,
     left_cosets,
 )
-from pqsurf.inputs import fixture_path, parse_input
+from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.singularities import enumerate_singularities
 from tests.locus_oracle import ActionAxiomError, closure_images, intersect_subgroups, orbit_partition
 
 SWAP = Permutation.from_cycles("(0 1)", 2)
@@ -41,6 +43,30 @@ def count_mul(monkeypatch) -> list[int]:
         return original(self, i, j)
 
     monkeypatch.setattr(FiniteGroup, "mul", counted)
+    return calls
+
+
+def product(p: Permutation, q: Permutation) -> Permutation:
+    """p * q, q acting first."""
+    return Permutation(tuple(p.images[x] for x in q.images))
+
+
+def count_compositions(monkeypatch) -> list[int]:
+    """Count the calls of every image-tuple getter that ``groups._composer``
+    builds from here on; the count is calls[0]."""
+    calls = [0]
+    original = groups._composer
+
+    def composer(q):
+        compose = original(q)
+
+        def counted(p):
+            calls[0] += 1
+            return compose(p)
+
+        return counted
+
+    monkeypatch.setattr(groups, "_composer", composer)
     return calls
 
 
@@ -318,12 +344,65 @@ class TestClosureAgainstOracle:
     def test_discovery_order(self, gens):
         assert group_from_generators(gens).images == tuple(closure_images([g.images for g in gens]))
 
+    @pytest.mark.parametrize(
+        "gens", [PSL27_GENS, fixture_generators("a6_245_334.pq")[:2]], ids=["PSL(2,7)", "A6"]
+    )
+    def test_generator_already_in_the_span_adds_nothing(self, gens):
+        g1, g2 = gens
+        with_product = group_from_generators([g1, g2, product(g1, g2)])
+        assert with_product.images == group_from_generators([g1, g2]).images
+        assert with_product.images[with_product.generator_indices[2]] == product(g1, g2).images
+
+    @pytest.mark.parametrize("redundant", [False, True], ids=["two-generators", "with-their-product"])
+    def test_cap_is_the_largest_order_accepted(self, redundant):
+        g1, g2 = PSL27_GENS
+        gens = [g1, g2, product(g1, g2)] if redundant else [g1, g2]
+        assert group_from_generators(gens, cap=168).order == 168
+        with pytest.raises(OrderCapExceededError):
+            group_from_generators(gens, cap=167)
+
+    def test_refused_as_soon_as_the_span_passes_the_cap(self, monkeypatch):
+        calls = count_compositions(monkeypatch)
+        with pytest.raises(OrderCapExceededError):
+            group_from_generators(PSL27_GENS, cap=10)
+        # at most two products per element found; the whole group takes 2 * 168
+        assert calls[0] <= 2 * 11
+
     @pytest.mark.parametrize("degree", [0, 1])
     def test_below_degree_two_the_group_is_trivial(self, degree):
         identity = Permutation(tuple(range(degree)))
         group = group_from_generators([identity, identity])
         assert group.images == ((*range(degree),),)
         assert group.mul(0, 0) == 0 and group.images[group.mul(0, 0)] == identity.images
+
+
+# Image-tuple compositions of the closure over every named generator, of the
+# generation check of each system and of the class closures of the locus.
+# They are deterministic, so a span that closes over more generators than it
+# needs fails here instead of hiding in timing noise.
+SPAN_COMPOSITIONS = {
+    "a6_245_334.pq": {"closure": 720, "generation": [277, 253], "classes": 272},
+    "a7_247_357.pq": {"closure": 5040, "generation": [1974, 1674], "classes": 722},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_COMPOSITIONS))
+def test_span_compositions_are_pinned(monkeypatch, name):
+    # realize caches every system element's powers and product getter, so
+    # below only the spans compose through fresh getters
+    _, sys1, sys2 = realize(parse_input(fixture_path(name).read_text()))
+    calls = count_compositions(monkeypatch)
+    counts = {}
+    group_from_generators(fixture_generators(name))
+    counts["closure"], calls[0] = calls[0], 0
+    counts["generation"] = []
+    for sys in (sys1, sys2):
+        assert validate_system(sys).ok
+        counts["generation"].append(calls[0])
+        calls[0] = 0
+    enumerate_singularities(sys1, sys2)
+    counts["classes"] = calls[0]
+    assert counts == SPAN_COMPOSITIONS[name]
 
 
 @st.composite
@@ -353,12 +432,13 @@ class TestGenerationCheck:
         group = symmetric_group(6)
         x, y = group.generator_indices
         sys = make_system(group, (x, y, group.power(group.mul(x, y), -1)))
-        calls = count_mul(monkeypatch)
+        calls = count_compositions(monkeypatch)
         assert validate_system(sys).ok
-        # 3 products for the long relation (make_system cached the element
-        # orders), then 3 per element popped while at most |G|/2 are found;
-        # a full closure would take 3 per element of the group
-        assert calls[0] <= 3 + 3 * (group.order // 2 + 1)
+        # at most 3 products for the long relation (make_system cached the
+        # element orders), then the span of x and y, without the redundant
+        # last element: 2 per element taken while at most |G|/2 are found; a
+        # full closure over the system would take 3 per element of the group
+        assert calls[0] <= 3 + 2 * (group.order // 2 + 1)
 
     def test_proper_subgroup_is_closed_in_full(self):
         # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720

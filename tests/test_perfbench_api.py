@@ -47,11 +47,11 @@ def test_counting_sees_each_validation(perfbench, capsys):
 # deterministic, so a change in the work a command does shows here; K is
 # built once per model and K^2 is the one intersect
 WORK_COUNTS = {
-    "beauville_55.pq": {"covers.validate_calls": 4, "groups.mul_calls": 176,
+    "beauville_55.pq": {"covers.validate_calls": 4, "groups.mul_calls": 80,
                         "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
-    "a6_245_334.pq": {"covers.validate_calls": 4, "groups.mul_calls": 2778,
+    "a6_245_334.pq": {"covers.validate_calls": 4, "groups.mul_calls": 54,
                       "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
-    "z2_hyperelliptic.pq": {"covers.validate_calls": 4, "groups.mul_calls": 62,
+    "z2_hyperelliptic.pq": {"covers.validate_calls": 4, "groups.mul_calls": 50,
                             "surface.intersect_calls": 1, "surface.canonical_class_calls": 2},
 }
 
