@@ -8,7 +8,7 @@ defines ``X``.
 from importlib import import_module
 
 _EXPORTS = {
-    "covers": ("SphericalSystem", "branch_fiber", "make_system", "rh_genus", "validate_system"),
+    "covers": ("SphericalSystem", "branch_fiber", "rh_genus", "validate_system"),
     "differentials": ("SourceSection", "bigness_certificate", "gamma_pullback", "invariance_check",
                       "is_holomorphic", "vanishing_conditions"),
     "errors": ("EngineInconsistencyError", "ParseError", "PQError", "ValidationError"),

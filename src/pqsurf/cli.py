@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
 from .limits import (DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_CERTIFICATE_SEARCH, MAX_HJ_ORDER,
-                     MAX_LOCAL_M, MAX_ORDER_CAP, parse_int)
+                     MAX_LOCAL_M, MAX_ORDER_CAP, parse_int, shortened)
 
 # Each subcommand imports the layers it uses when it runs, so that a short
 # command such as `hj` or `bigness` does not load the group engine.
@@ -40,7 +40,7 @@ def _emit_json(payload: dict) -> None:
 
 def _require_at_most(flag: str, value: int, ceiling: int) -> None:
     if value > ceiling:
-        raise ValidationError(f"{flag} = {value} is above the ceiling {ceiling}")
+        raise ValidationError(f"{flag} = {shortened(str(value))} is above the ceiling {ceiling}")
 
 
 def _read_text(path: str) -> str:
@@ -90,7 +90,9 @@ def cmd_hj(args) -> dict:
     from .hj import SingularityType, dual_type, leading_minors, string_for, string_intersection_matrix
 
     if args.n > MAX_HJ_ORDER:
-        raise ValidationError(f"hj: n = {args.n} is above the ceiling {MAX_HJ_ORDER} of the dense string matrix")
+        raise ValidationError(
+            f"hj: n = {shortened(str(args.n))} is above the ceiling {MAX_HJ_ORDER} of the dense string matrix"
+        )
     t = SingularityType(args.n, args.a)
     s = string_for(t)
     return {
@@ -278,24 +280,24 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
             sign, chunk = Fraction(-1), chunk[1:]
         match = _POLY_TERM.match(chunk)
         if not match or not chunk:
-            raise ParseError(f"bad polynomial term {chunk!r}")
+            raise ParseError(f"bad polynomial term {shortened(chunk)!r}")
         has_z1 = "z1" in chunk
         has_z2 = "z2" in chunk
         coeff_text = match.group("coeff")
         if coeff_text is None and not (has_z1 or has_z2):
-            raise ParseError(f"bad polynomial term {chunk!r}")
+            raise ParseError(f"bad polynomial term {shortened(chunk)!r}")
         coeff = sign
         if coeff_text:
             num, _, den_text = coeff_text.partition("/")
             den = parse_int(den_text or "1", "denominator")
             if not den:
-                raise ParseError(f"zero denominator in polynomial term {chunk!r}")
+                raise ParseError(f"zero denominator in polynomial term {shortened(chunk)!r}")
             coeff *= Fraction(parse_int(num, "coefficient"), den)
         i = parse_int(match.group("i"), "exponent") if match.group("i") else int(has_z1)
         j = parse_int(match.group("j"), "exponent") if match.group("j") else int(has_z2)
         terms.append((i, j, coeff))
     if not terms:
-        raise ParseError(f"empty polynomial {text!r}")
+        raise ParseError(f"empty polynomial {shortened(text)!r}")
     return tuple(terms)
 
 
@@ -353,6 +355,15 @@ def render_bigness(p: dict) -> None:
 # -- driver --------------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """The type of every int argument: argparse's own ``int`` quotes a bad
+    value in full, so a long one would make a long error line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shortened(text)!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser per process: parsing leaves no state on it, and building it
@@ -362,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-group-order",
-        type=int,
+        type=_int,
         default=DEFAULT_ORDER_CAP,
         help="cap on the order of constructed groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hj", help="Hirzebruch-Jung expansion of n/a")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int)
+    p.add_argument("n", type=_int)
+    p.add_argument("a", type=_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hj, render=render_hj)
 
@@ -397,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table, render=render_table)
 
     p = sub.add_parser("local-check", help="pull a section back through the 1/2(1,1) chart")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--section", required=True, help='polynomial in z1, z2, e.g. "z1^2 + 3*z1*z2"')
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_local_check, render=render_local_check)
 
     p = sub.add_parser("bigness", help="section-count bigness certificate for K - E")
-    p.add_argument("--ksq", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--max-m", type=int, default=MAX_CERTIFICATE_POWER)
+    p.add_argument("--ksq", type=_int, required=True)
+    p.add_argument("--chi", type=_int, required=True)
+    p.add_argument("--points", type=_int, required=True)
+    p.add_argument("--max-m", type=_int, default=MAX_CERTIFICATE_POWER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bigness, render=render_bigness)
 

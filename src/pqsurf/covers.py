@@ -1,12 +1,15 @@
 """Branched G-covers of P^1 encoded by spherical systems of generators.
 
-A spherical system is an ordered tuple of group elements whose product is
-the identity and which generates the group; it encodes a G-cover C -> P^1
-branched over one point per element.  Bases of positive genus are out of
-scope: with P_g = 0 and chi >= 1 the irregularity is 0, so both quotients
-C_i/G of a product-quotient surface are rational.  The points of the cover
-over branch point i correspond to the left cosets of the cyclic subgroup
-generated by the i-th element.
+A spherical system is an ordered tuple of non-identity group elements whose
+product is the identity and which generates the group; it encodes a G-cover
+C -> P^1 branched over one point per element, and its signature is the tuple
+of element orders m_i.  ``SphericalSystem`` is the one type of a system: it
+checks itself when it is built, so every system a function receives is
+valid, and it reads its signature off its elements.  Bases of positive genus
+are out of scope: with P_g = 0 and chi >= 1 the irregularity is 0, so both
+quotients C_i/G of a product-quotient surface are rational.  The points of
+the cover over branch point i correspond to the left cosets of the cyclic
+subgroup generated by the i-th element.
 
 Rotation convention: the distinguished generator t*g_i*t^-1 of the
 stabilizer of the coset-t point acts on the tangent line at that point as
@@ -43,17 +46,24 @@ class GenusTooSmallError(ValidationError):
 class _SphericalSystemFields(NamedTuple):
     group: FiniteGroup
     generators: tuple[int, ...]
-    signature: tuple[int, ...]
 
 
 class SphericalSystem(_SphericalSystemFields):
+    """Checked by ``validate_system`` when it is built, also by ``_make`` and
+    ``_replace``, so no invalid system exists."""
+
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...], signature: tuple[int, ...]):
-        if len(generators) != len(signature):
-            raise ValidationError("signature length must match generator count")
-        return super().__new__(cls, group, generators, signature)
+    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...]):
+        self = super().__new__(cls, group, generators)
+        validate_system(self)
+        return self
+
+    @property
+    def signature(self) -> tuple[int, ...]:
+        """The orders m_i of the elements, from the group's cached powers."""
+        return tuple(element_order(self.group, g) for g in self.generators)
 
     @property
     def branch_count(self) -> int:
@@ -69,42 +79,27 @@ class CoverPoint(NamedTuple):
     rotation_generator: int
 
 
-class SystemReport(NamedTuple):
-    ok: bool
-    violation: str | None = None
-
-
-def make_system(group: FiniteGroup, generators: tuple[int, ...] | list[int]) -> SphericalSystem:
-    """Build a system with the signature derived from the element orders."""
-    gens = tuple(generators)
-    signature = tuple(element_order(group, g) for g in gens)
-    return SphericalSystem(group, gens, signature)
-
-
-def validate_system(sys: SphericalSystem) -> SystemReport:
-    """Check the long relation, the signature and generation, in this order;
-    report the first failure.  The order matters: once the product of the
-    elements is known to be the identity, the last element is the inverse of
-    the product of the others, so those others generate whatever the whole
-    tuple generates, and ``_generates`` is asked about them alone."""
+def validate_system(sys: SphericalSystem) -> None:
+    """Check the long relation, that no element is the identity, and
+    generation, in this order; raise ``ValidationError`` on the first
+    failure.  The order matters: once the product of the elements is known to
+    be the identity, the last element is the inverse of the product of the
+    others, so those others generate whatever the whole tuple generates, and
+    ``_generates`` is asked about them alone."""
     group = sys.group
     acc = group.identity
     for g in sys.generators:
         acc = group.mul(acc, g)
     if acc != group.identity:
-        return SystemReport(False, "long relation: product of generators is not the identity")
-    for g, m in zip(sys.generators, sys.signature):
-        if m < 2:
-            return SystemReport(False, f"signature entry {m} < 2")
-        if element_order(group, g) != m:
-            return SystemReport(
-                False, f"order mismatch: element has order {element_order(group, g)}, signature says {m}"
-            )
+        raise ValidationError(
+            "invalid spherical system: long relation: product of generators is not the identity"
+        )
+    if group.identity in sys.generators:
+        raise ValidationError("invalid spherical system: signature entry 1 < 2")
     if not sys.generators:
         raise ValidationError("need at least one generator")
     if not _generates(group, sys.generators[:-1]):
-        return SystemReport(False, "generators do not generate the whole group")
-    return SystemReport(True)
+        raise ValidationError("invalid spherical system: generators do not generate the whole group")
 
 
 def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
@@ -115,26 +110,6 @@ def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
     passes a spherical system without its last element, which the long
     relation makes redundant."""
     return spans_more_than(group, generators, group.order // 2)
-
-
-class ValidSystem(SphericalSystem):
-    """A spherical system that passed ``validate_system`` when it was built."""
-
-    __slots__ = ()
-
-    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...], signature: tuple[int, ...]):
-        self = super().__new__(cls, group, generators, signature)
-        report = validate_system(self)
-        if not report.ok:
-            raise ValidationError(f"invalid spherical system: {report.violation}")
-        return self
-
-
-def require_valid(sys: SphericalSystem) -> ValidSystem:
-    """The system as a ``ValidSystem``; validates only systems not yet known valid."""
-    if isinstance(sys, ValidSystem):
-        return sys
-    return ValidSystem(sys.group, sys.generators, sys.signature)
 
 
 def rh_genus(sys: SphericalSystem) -> int:

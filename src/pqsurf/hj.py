@@ -12,6 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
+from .limits import shortened
 
 
 # Records are named tuples: ``dataclasses`` imports ``inspect``, which costs a
@@ -30,7 +31,7 @@ class SingularityType(_SingularityTypeFields):
 
     def __new__(cls, n: int, a: int):
         if n < 2 or not 1 <= a <= n - 1 or gcd(a, n) != 1:
-            raise ValidationError(f"not a valid singularity type 1/{n}(1,{a})")
+            raise ValidationError(f"not a valid singularity type 1/{shortened(str(n))}(1,{shortened(str(a))})")
         return super().__new__(cls, n, a)
 
     def __str__(self) -> str:
@@ -95,8 +96,8 @@ def string_for(t: SingularityType) -> HJString:
 def string_intersection_matrix(s: HJString) -> list[list[int]]:
     """Diagonal -b_i, super/sub-diagonal 1, zero elsewhere.
 
-    |det| = n is asserted at construction time: it catches sign-convention
-    bugs cheaply.
+    |det| = n is asserted at construction time, on the last leading minor: it
+    catches sign-convention bugs cheaply.
     """
     l = s.length
     mat = [[0] * l for _ in range(l)]
@@ -105,7 +106,7 @@ def string_intersection_matrix(s: HJString) -> list[list[int]]:
         if i + 1 < l:
             mat[i][i + 1] = 1
             mat[i + 1][i] = 1
-    det = _tridiagonal_det(s.b, l)
+    det = leading_minors(s)[-1]
     if abs(det) != s.source_type.n:
         raise EngineInconsistencyError(
             f"|det| = {abs(det)} != n = {s.source_type.n} for string {s.b}"
@@ -113,16 +114,14 @@ def string_intersection_matrix(s: HJString) -> list[list[int]]:
     return mat
 
 
-def _tridiagonal_det(b: tuple[int, ...], k: int) -> int:
-    """Determinant of the leading k x k block of the string matrix."""
-    prev2, prev1 = 0, 1
-    for i in range(k):
-        prev2, prev1 = prev1, -b[i] * prev1 - prev2
-    return prev1
-
-
 def leading_minors(s: HJString) -> list[int]:
-    return [_tridiagonal_det(s.b, k) for k in range(1, s.length + 1)]
+    """Determinants D_1, ..., D_l of the leading k x k blocks of the string
+    matrix, in one pass of D_k = -b_k D_(k-1) - D_(k-2), D_0 = 1, D_(-1) = 0."""
+    minors, prev2, prev1 = [], 0, 1
+    for x in s.b:
+        prev2, prev1 = prev1, -x * prev1 - prev2
+        minors.append(prev1)
+    return minors
 
 
 def string_length(t: SingularityType) -> int:

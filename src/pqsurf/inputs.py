@@ -53,7 +53,7 @@ from .hj import SingularityType, normalized_key, string_length
 from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP, parse_int, shortened
 
 if TYPE_CHECKING:
-    from .covers import ValidSystem
+    from .covers import SphericalSystem
     from .groups import FiniteGroup
 
 
@@ -155,8 +155,8 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
 
 def realize(
     desc: InputDescription, cap: int = DEFAULT_ORDER_CAP
-) -> tuple[FiniteGroup, ValidSystem, ValidSystem]:
-    from .covers import make_system, require_valid
+) -> tuple[FiniteGroup, SphericalSystem, SphericalSystem]:
+    from .covers import SphericalSystem
     from .groups import Permutation, group_from_generators
 
     perms = [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
@@ -165,12 +165,12 @@ def realize(
     systems = []
     for spec in (desc.system1, desc.system2):
         elements = tuple(_evaluate_word(group, named, w) for w in spec.words)
-        sys = make_system(group, elements)
+        sys = SphericalSystem(group, elements)
         if spec.signature is not None and spec.signature != sys.signature:
             raise ValidationError(
                 f"declared signature {shortened(str(spec.signature))} != derived {shortened(str(sys.signature))}"
             )
-        systems.append(require_valid(sys))
+        systems.append(sys)
     return group, systems[0], systems[1]
 
 

@@ -27,7 +27,7 @@ from collections import Counter
 from math import gcd
 from typing import NamedTuple
 
-from .covers import SphericalSystem, require_valid
+from .covers import SphericalSystem
 from .errors import EngineInconsistencyError, ValidationError
 from .groups import ConjugacyClasses
 from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (re-exported)
@@ -73,7 +73,6 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
     """Classify all G-orbits of fixed points on C1 x C2, cell by branch-pair cell."""
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
-    sys1, sys2 = require_valid(sys1), require_valid(sys2)
     group, order = sys1.group, sys1.group.order
     classes = ConjugacyClasses(group, sys1.generators[:-1])  # they generate G
 

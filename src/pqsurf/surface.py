@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .covers import SphericalSystem, require_genus_at_least_two, require_valid, rh_genus
+from .covers import SphericalSystem, require_genus_at_least_two, rh_genus
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import dual_type, hj_expand
 from .inputs import TableRowSummary, euler_chi_pg, singularity_multiset
@@ -109,11 +109,12 @@ class SurfaceModel:
 
     def _build(self) -> None:
         order = self.group.order
+        sig1, sig2 = self.sys1.signature, self.sys2.signature
         self._set(self.F1, self.F2, order)
         for i, n_curve in enumerate(self.N):
-            self._set(self.F2, n_curve, Fraction(order, self.sys1.signature[i]))
+            self._set(self.F2, n_curve, Fraction(order, sig1[i]))
         for j, m_curve in enumerate(self.M):
-            self._set(self.F1, m_curve, Fraction(order, self.sys2.signature[j]))
+            self._set(self.F1, m_curve, Fraction(order, sig2[j]))
         for (i, j), count in self.locus.free_orbit_counts.items():
             if count:
                 self._set(self.N[i - 1], self.M[j - 1], count)
@@ -137,8 +138,8 @@ class SurfaceModel:
             m_selfs[j - 1] -= Fraction(a, n)
             self.strings.append(StringData(
                 b,
-                _string_multiplicities(b, n, self.sys1.signature[i - 1], first_end=True),
-                _string_multiplicities(b, n, self.sys2.signature[j - 1], first_end=False),
+                _string_multiplicities(b, n, sig1[i - 1], first_end=True),
+                _string_multiplicities(b, n, sig2[j - 1], first_end=False),
             ))
         for value, curve in zip(n_selfs + m_selfs, self.N + self.M):
             if value.denominator != 1:
@@ -164,10 +165,10 @@ class SurfaceModel:
             self.F1: Fraction(-2),
             self.F2: Fraction(-2),
         }
-        for i, curve in enumerate(self.N):
-            coeffs[curve] = Fraction(self.sys1.signature[i] - 1)
-        for j, curve in enumerate(self.M):
-            coeffs[curve] = Fraction(self.sys2.signature[j] - 1)
+        for curve, m in zip(self.N, self.sys1.signature):
+            coeffs[curve] = Fraction(m - 1)
+        for curve, m in zip(self.M, self.sys2.signature):
+            coeffs[curve] = Fraction(m - 1)
         for data, comps in zip(self.strings, self.Z):
             for k, comp in enumerate(comps):
                 c1 = data.sigma1_multiplicities[k]
@@ -243,7 +244,6 @@ def build_surface_model(
 ) -> SurfaceModel:
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
-    sys1, sys2 = require_valid(sys1), require_valid(sys2)
     require_genus_at_least_two(sys1)
     require_genus_at_least_two(sys2)
     if locus is None:

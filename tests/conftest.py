@@ -1,6 +1,6 @@
 import pytest
 
-from pqsurf.covers import make_system
+from pqsurf.covers import SphericalSystem
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.surface import build_surface_model
@@ -37,5 +37,5 @@ def z4_mixed_model():
     g = Permutation.from_cycles("(0 1 2 3)")
     group = group_from_generators([g])
     (i,) = group.generator_indices
-    sys = make_system(group, (i, group.power(i, 3), group.power(i, 2), group.power(i, 2)))
+    sys = SphericalSystem(group, (i, group.power(i, 3), group.power(i, 2), group.power(i, 2)))
     return build_surface_model(sys, sys)

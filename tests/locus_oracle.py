@@ -25,7 +25,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
-from pqsurf.covers import SphericalSystem, branch_fiber, require_valid, rh_genus
+from pqsurf.covers import SphericalSystem, branch_fiber, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.groups import FiniteGroup, Subgroup, cyclic_subgroup, element_order
 from pqsurf.singularities import SingularityType, SingularLocus, SingularPoint
@@ -183,8 +183,6 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
     """Classify all G-orbits of fixed points on C1 x C2, cell by branch-pair cell."""
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
-    require_valid(sys1)
-    require_valid(sys2)
     group = sys1.group
     points: list[SingularPoint] = []
     free_counts: dict[tuple[int, int], int] = {}

@@ -321,6 +321,31 @@ class TestOversizedLiterals:
         assert code == 2 and out == ""
         assert err == f"error: {what} {TOO_LONG}\n"
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [("z1^2+" + "q" * 5000, "bad polynomial term 'qqqqqqqqqq...qqqqqqqqqq'"),
+         ("+" * 5000, "empty polynomial '++++++++++...++++++++++'")],
+        ids=["term", "empty"],
+    )
+    def test_long_bad_section(self, capsys, section, message):
+        code, out, err = run(capsys, "local-check", "--m", "2", "--section", section)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, quoted",
+        [(["hj", "7", BIG], SHORTENED),
+         (["local-check", "--m", BIG, "--section", "z1"], SHORTENED),
+         (["--max-group-order", f"-{BIG}", "hj", "7", "3"], "'-999999999...9999999999'")],
+        ids=["hj", "local-check", "max-group-order"],
+    )
+    def test_long_int_argument(self, capsys, argv, quoted):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and err.startswith("usage: pqsurf")
+        assert err.splitlines()[-1].endswith(f": invalid int value: {quoted}")
+
     def test_zero_denominator(self, capsys):
         code, out, err = run(capsys, "local-check", "--m", "1", "--section", "z1 - 1/0*z2")
         assert code == 2 and out == ""
@@ -512,6 +537,24 @@ class TestInputErrors:
             code, out, err = run(capsys, command, str(path))
             assert code == 3 and out == ""
             assert err == "error: invalid spherical system: signature entry 1 < 2\n"
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("a^4*b^3", "invalid spherical system: long relation: product of generators is not the identity"),
+            ("a^4*b^4", "declared signature (5, 5, 3) != derived (5, 5, 5)"),
+        ],
+        ids=["invalid-system", "valid-system"],
+    )
+    def test_wrong_declared_signature(self, capsys, tmp_path, word, message):
+        # a system checks itself when it is built, so an invalid one is
+        # reported before its declared signature is compared with its own
+        path = tmp_path / "beauville_55.pq"
+        text = fixture_path("beauville_55.pq").read_text().replace("a^4*b^4", word, 1)
+        path.write_text(text.replace("signature = 5, 5, 5", "signature = 5, 5, 3", 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"

@@ -4,7 +4,10 @@ generator words and stray words, one of them a 5000-digit number.  Whatever the 
 exit 0, 2, 3 or 4, never with a traceback, and a failing single-file command
 prints one ``error:`` line.  ``table`` gets the same check on random
 formula-mode ``.rows`` files: bad orders, genera, K^2 and singularity items,
-a dropped column, and lines that end early or run long.
+a dropped column, and lines that end early or run long.  ``hj``, ``bigness``
+and ``local-check`` get random command lines: bad, negative and 5000-digit
+ints and malformed sections, where every line of stderr, argparse's
+included, stays under 300 bytes.
 
 A7 and A6 stay out: a mutation keeps the group, and their closures would
 make each example slow without reaching other code.
@@ -138,3 +141,54 @@ def test_random_rows_end_in_a_known_exit_code(tmp_path_factory, seed, view):
         assert err.getvalue() == "", text
     else:  # a file the parser refuses is one error line
         assert code and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
+
+
+# -- command-line arguments --------------------------------------------------
+
+DIGITS = "9" * 5000  # more digits than Python converts to an int
+GOOD_INTS = ["0", "1", "2", "3", "7", "+5"]
+BAD_INTS = ["-1", "-3", "x", "", " ", "2.5", "1e3", "0x10", DIGITS, f"-{DIGITS}",
+            "9" * 4000]  # the last converts, but no check downstream accepts it
+GOOD_SECTIONS = ["z1^2", "z1^2 + 3*z1*z2", "z1*z2 - 1/2", "-z2^4"]
+BAD_SECTIONS = ["", "+", "**", "z3", "z1^", "1/0*z2", "+" * 5000, "z1^2+" + "q" * 5000, f"z1^{DIGITS}",
+                f"{DIGITS}*z1", f"z2 + 1/{DIGITS}"]
+
+
+def argv_of(rng: random.Random) -> list:
+    """An hj, bigness or local-check command line, each value bad, negative
+    or 5000 digits long now and then.  As for the rows, Hypothesis draws only
+    the seed, so that most values are good and the checks past them run."""
+
+    def value(good, bad, bad_share=0.3):
+        return rng.choice(bad if rng.random() < bad_share else good)
+
+    command = rng.choice(["hj", "bigness", "local-check"])
+    if command == "hj":
+        args = ["hj", value(GOOD_INTS, BAD_INTS), value(GOOD_INTS, BAD_INTS)]
+    elif command == "bigness":
+        args = ["bigness"]
+        for flag in ("--ksq", "--chi", "--points"):
+            args += [flag, value(GOOD_INTS, BAD_INTS)]
+        if rng.random() < 0.5:
+            args += ["--max-m", value(GOOD_INTS, BAD_INTS)]
+    else:
+        args = ["local-check", "--m", value(GOOD_INTS, BAD_INTS),
+                "--section", value(GOOD_SECTIONS, BAD_SECTIONS, bad_share=0.6)]
+    if rng.random() < 0.2:
+        args = ["--max-group-order", value(GOOD_INTS, BAD_INTS), *args]
+    return args + (["--json"] if rng.random() < 0.5 else [])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_argv_ends_in_a_known_exit_code_with_short_lines(seed):
+    args = argv_of(random.Random(seed))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), args
+    assert "Traceback" not in err.getvalue()
+    assert all(len(line.encode()) < 300 for line in err.getvalue().splitlines()), err.getvalue()[:300]

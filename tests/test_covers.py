@@ -1,13 +1,14 @@
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from pqsurf.covers import (
     GenusTooSmallError,
     NonIntegralGenusError,
-    ValidSystem,
+    SphericalSystem,
     branch_fiber,
-    make_system,
     require_genus_at_least_two,
-    require_valid,
     rh_genus,
     validate_system,
 )
@@ -15,10 +16,19 @@ from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, element_order, group_from_generators
 
 
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
+LONG_RELATION = exactly("invalid spherical system: long relation: product of generators is not the identity")
+NOT_GENERATING = exactly("invalid spherical system: generators do not generate the whole group")
+
+
 def z2_system(branches=6):
     group = group_from_generators([Permutation.from_cycles("(0 1)", 2)])
     t = group.generator_indices[0]
-    return make_system(group, (t,) * branches)
+    return SphericalSystem(group, (t,) * branches)
 
 
 def z5sq_triple(exponents):
@@ -30,7 +40,7 @@ def z5sq_triple(exponents):
     def element(x, y):
         return group.mul(group.power(ia, x), group.power(ib, y))
 
-    return make_system(group, tuple(element(x, y) for x, y in exponents))
+    return SphericalSystem(group, tuple(element(x, y) for x, y in exponents))
 
 
 BEAUVILLE_1 = [(1, 0), (0, 1), (4, 4)]
@@ -39,58 +49,58 @@ BEAUVILLE_2 = [(1, 2), (3, 4), (1, 4)]
 
 class TestValidation:
     def test_involution_pair_ok(self):
-        assert validate_system(z2_system(2)).ok
-
-    def test_order_mismatch_reported(self):
         sys = z2_system(2)
-        bad = type(sys)(sys.group, sys.generators, (2, 3))
-        report = validate_system(bad)
-        assert not report.ok and "order mismatch" in report.violation
+        assert validate_system(sys) is None and sys.signature == (2, 2)
 
     def test_broken_long_relation(self):
-        sys = z2_system(3)
-        report = validate_system(sys)
-        assert not report.ok and "long relation" in report.violation
+        with pytest.raises(ValidationError, match=LONG_RELATION):
+            z2_system(3)
 
     @pytest.mark.parametrize("exponents", [BEAUVILLE_1, BEAUVILLE_2])
     def test_beauville_triples_ok(self, exponents):
-        assert validate_system(z5sq_triple(exponents)).ok
+        sys = z5sq_triple(exponents)
+        assert validate_system(sys) is None and sys.signature == (5, 5, 5)
 
     def test_non_generating_tuple(self):
-        report = validate_system(z5sq_triple([(1, 0), (2, 0), (2, 0)]))
-        assert not report.ok and "generate" in report.violation
+        with pytest.raises(ValidationError, match=NOT_GENERATING):
+            z5sq_triple([(1, 0), (2, 0), (2, 0)])
 
     def test_long_relation_is_checked_before_generation(self):
         # a, a span <a> only; with b the tuple generates (Z/5)^2, but its
         # product a^2 b is not the identity.  Generation is asked of all
         # elements but the last, which only the long relation makes redundant.
-        report = validate_system(z5sq_triple([(1, 0), (1, 0), (0, 1)]))
-        assert not report.ok and report.violation.startswith("long relation")
+        with pytest.raises(ValidationError, match=LONG_RELATION):
+            z5sq_triple([(1, 0), (1, 0), (0, 1)])
 
     def test_valid_system_of_a_proper_subgroup(self):
         # (a, a, a^3) has product 1 and orders 5, 5, 5, but spans only <a>
-        report = validate_system(z5sq_triple([(1, 0), (1, 0), (3, 0)]))
-        assert not report.ok and report.violation == "generators do not generate the whole group"
+        with pytest.raises(ValidationError, match=NOT_GENERATING):
+            z5sq_triple([(1, 0), (1, 0), (3, 0)])
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        # (t, t, e) has product 1 and generates Z/2, but e branches nowhere
+        [((1, 1, 0), "invalid spherical system: signature entry 1 < 2"), ((), "need at least one generator")],
+        ids=["identity", "empty"],
+    )
+    def test_degenerate_tuple_is_refused(self, generators, message):
+        with pytest.raises(ValidationError, match=exactly(message)):
+            SphericalSystem(z2_system(2).group, generators)
 
 
 class TestValidSystem:
-    def test_require_valid_returns_a_valid_system(self):
-        sys = z2_system(6)
-        valid = require_valid(sys)
-        assert isinstance(valid, ValidSystem)
-        assert (valid.group, valid.generators, valid.signature) == (
-            sys.group,
-            sys.generators,
-            sys.signature,
-        )
-        assert require_valid(valid) is valid
-
     def test_invalid_system_cannot_be_valid(self):
-        sys = z2_system(3)
-        with pytest.raises(ValidationError, match="long relation"):
-            require_valid(sys)
-        with pytest.raises(ValidationError, match="long relation"):
-            ValidSystem(sys.group, sys.generators, sys.signature)
+        # the constructor, _make and _replace all validate; the signature is
+        # no field, so it cannot be replaced out of step with the elements
+        sys = z2_system(2)
+        with pytest.raises(ValidationError, match=LONG_RELATION):
+            SphericalSystem(sys.group, (1, 1, 1))
+        with pytest.raises(ValidationError, match=LONG_RELATION):
+            SphericalSystem._make((sys.group, (1,)))
+        with pytest.raises(ValidationError, match=LONG_RELATION):
+            sys._replace(generators=(1, 0))
+        with pytest.raises(ValueError):
+            sys._replace(signature=(3, 3))
 
 
 class TestGenus:
@@ -105,14 +115,13 @@ class TestGenus:
 
     def test_odd_branching_rejected(self):
         # Z/3 with two branch points: 3(-2 + 4/3) = -2, genus 0 is fine;
-        # a single branch point gives -2 + 2/3, a non-integral value
+        # a single branch point gives -2 + 2/3, a non-integral value.  No
+        # valid system has that signature, so a stand-in carries it.
         group = group_from_generators([Permutation.from_cycles("(0 1 2)", 3)])
         t = group.generator_indices[0]
-        sys = make_system(group, (t, group.power(t, -1)))
-        assert rh_genus(sys) == 0
-        bad = type(sys)(group, (t,), (3,))
+        assert rh_genus(SphericalSystem(group, (t, group.power(t, -1)))) == 0
         with pytest.raises(NonIntegralGenusError):
-            rh_genus(bad)
+            rh_genus(SimpleNamespace(group=group, signature=(3,)))
 
     def test_genus_floor_gate(self):
         with pytest.raises(GenusTooSmallError):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqsurf import groups
-from pqsurf.covers import make_system, validate_system
+from pqsurf.covers import SphericalSystem, validate_system
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.groups import (
     DomainMismatchError,
@@ -25,6 +25,7 @@ from pqsurf.groups import (
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from tests.locus_oracle import ActionAxiomError, closure_images, intersect_subgroups, orbit_partition
+from tests.test_covers import NOT_GENERATING
 
 SWAP = Permutation.from_cycles("(0 1)", 2)
 PSL27_GENS = [
@@ -397,7 +398,7 @@ def test_span_compositions_are_pinned(monkeypatch, name):
     counts["closure"], calls[0] = calls[0], 0
     counts["generation"] = []
     for sys in (sys1, sys2):
-        assert validate_system(sys).ok
+        validate_system(sys)
         counts["generation"].append(calls[0])
         calls[0] = 0
     enumerate_singularities(sys1, sys2)
@@ -407,45 +408,46 @@ def test_span_compositions_are_pinned(monkeypatch, name):
 
 @st.composite
 def symmetric_systems(draw):
-    """A tuple of non-identity elements of S_n (n <= 6) with product 1 and any
-    span: the long relation and the signature hold, generation may not."""
+    """S_n (n <= 6) and a tuple of its non-identity elements with product 1 and
+    any span: the long relation holds, generation may not."""
     group = symmetric_group(draw(st.integers(2, 6)))
     elements = [draw(st.integers(1, group.order - 1)) for _ in range(draw(st.integers(1, 3)))]
     acc = group.identity
     for g in elements:
         acc = group.mul(acc, g)
     assume(acc != group.identity)
-    return make_system(group, (*elements, group.power(acc, -1)))
+    return group, (*elements, group.power(acc, -1))
 
 
 class TestGenerationCheck:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(symmetric_systems())
-    def test_early_stop_verdict_matches_full_closure(self, sys):
-        group = sys.group
-        closes = len(closure_images([group.images[g] for g in sys.generators])) == group.order
-        report = validate_system(sys)
-        assert report.ok == closes
-        assert report.ok or report.violation == "generators do not generate the whole group"
+    def test_early_stop_verdict_matches_full_closure(self, system):
+        group, generators = system
+        if len(closure_images([group.images[g] for g in generators])) == group.order:
+            SphericalSystem(group, generators)
+        else:
+            with pytest.raises(ValidationError, match=NOT_GENERATING):
+                SphericalSystem(group, generators)
 
     def test_generating_system_stops_past_half_the_group(self, monkeypatch):
         group = symmetric_group(6)
         x, y = group.generator_indices
-        sys = make_system(group, (x, y, group.power(group.mul(x, y), -1)))
+        z = group.power(group.mul(x, y), -1)
         calls = count_compositions(monkeypatch)
-        assert validate_system(sys).ok
-        # at most 3 products for the long relation (make_system cached the
-        # element orders), then the span of x and y, without the redundant
-        # last element: 2 per element taken while at most |G|/2 are found; a
-        # full closure over the system would take 3 per element of the group
+        SphericalSystem(group, (x, y, z))
+        # at most 3 products for the long relation, then the span of x and
+        # y, without the redundant last element: 2 per element taken while at
+        # most |G|/2 are found; a full closure over the system would take 3
+        # per element of the group
         assert calls[0] <= 3 + 2 * (group.order // 2 + 1)
 
     def test_proper_subgroup_is_closed_in_full(self):
         # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720
         group = symmetric_group(6)
         c = index_of(group, Permutation.from_cycles("(0 1 2)", 6))
-        report = validate_system(make_system(group, (c, group.power(c, -1))))
-        assert not report.ok and report.violation == "generators do not generate the whole group"
+        with pytest.raises(ValidationError, match=NOT_GENERATING):
+            SphericalSystem(group, (c, group.power(c, -1)))
 
 
 def test_a_used_group_is_freed_by_reference_counting():

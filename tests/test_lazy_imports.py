@@ -16,9 +16,9 @@ import pqsurf
 SRC = Path(pqsurf.__file__).resolve().parent.parent
 
 # pqsurf.__all__ as it was when the package imported every submodule eagerly,
-# less quotient_data, DivisorClass and serialize_input, which are deleted, and
-# orbit_partition and intersect_subgroups, which only the test oracles use
-# (tests/locus_oracle.py)
+# less quotient_data, DivisorClass, serialize_input and make_system, which are
+# deleted, and orbit_partition and intersect_subgroups, which only the test
+# oracles use (tests/locus_oracle.py)
 ALL = [
     "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
     "Permutation", "SingularityType", "SourceSection", "SphericalSystem", "Subgroup",
@@ -26,7 +26,7 @@ ALL = [
     "build_surface_model", "conjugate_subgroup", "covers", "cyclic_subgroup", "differentials",
     "dual_type", "element_order", "enumerate_singularities", "errors", "gamma_pullback",
     "group_from_generators", "groups", "hj", "hj_evaluate", "hj_expand", "inputs",
-    "invariance_check", "is_holomorphic", "left_cosets", "make_system",
+    "invariance_check", "is_holomorphic", "left_cosets",
     "normalized_key", "parse_input", "realize", "rh_genus",
     "run_invariants", "singularities", "string_intersection_matrix",
     "string_length", "surface", "validate_system", "vanishing_conditions",

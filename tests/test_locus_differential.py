@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqsurf.bounds import central_component_genus_crosscheck, degree_bound_report
-from pqsurf.covers import make_system, validate_system
+from pqsurf.covers import SphericalSystem
+from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
 from pqsurf.singularities import enumerate_singularities
@@ -47,15 +48,16 @@ def build_group(name: str):
 @st.composite
 def generating_vector(draw, group):
     """g_1, ..., g_r with g_r = (g_1 ... g_{r-1})^-1, kept only if it is a
-    valid spherical system."""
+    valid spherical system: a tuple the constructor refuses is skipped."""
     elements = [draw(st.integers(1, group.order - 1)) for _ in range(draw(st.integers(2, 4)))]
     acc = group.identity
     for g in elements:
         acc = group.mul(acc, g)
     elements.append(group.power(acc, -1))
-    sys = make_system(group, elements)
-    assume(validate_system(sys).ok)
-    return sys
+    try:
+        return SphericalSystem(group, tuple(elements))
+    except ValidationError:
+        assume(False)
 
 
 @st.composite

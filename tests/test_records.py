@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from pqsurf.bounds import CurveReport, LemmaCCReport, TangentCaseData
-from pqsurf.covers import CoverPoint, SphericalSystem, SystemReport, ValidSystem, require_valid
+from pqsurf.covers import CoverPoint, SphericalSystem, validate_system
 from pqsurf.differentials import BignessCertificate, PuiseuxDifferential, SourceSection
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, Subgroup, group_from_generators
@@ -31,10 +31,8 @@ RECORDS = {
     "BignessCertificate": lambda: BignessCertificate(4, F(1)),
     "Permutation": lambda: Permutation((1, 0, 2)),
     "Subgroup": lambda: Subgroup(Z2, frozenset({0, 1})),
-    "SphericalSystem": lambda: SphericalSystem(Z2, (1, 1), (2, 2)),
-    "ValidSystem": lambda: ValidSystem(Z2, (1, 1), (2, 2)),
+    "SphericalSystem": lambda: SphericalSystem(Z2, (1, 1)),
     "CoverPoint": lambda: CoverPoint(1, 0, Subgroup(Z2, frozenset({0, 1})), 1),
-    "SystemReport": lambda: SystemReport(False, "long relation"),
     "BasisCurve": lambda: BasisCurve("Z", 3, 2),
     "StringData": lambda: StringData((2,), (1,), (1,)),
     "SingularPoint": lambda: SingularPoint((1, 2), SingularityType(2, 1), 1),
@@ -76,7 +74,6 @@ def test_equal_fields_give_equal_records(name):
 
 def test_defaults():
     assert BasisCurve("F1") == BasisCurve(kind="F1", index=0, pos=0)
-    assert SystemReport(True).violation is None
     assert SystemSpec(("a",)).signature is None
     assert InputDescription(2, (), SystemSpec(()), SystemSpec(())).in_scope_c1sq6 is False
     assert FormulaRow("r", 2, 2, 2, ()).ksq is None
@@ -95,9 +92,7 @@ def test_defaults():
         (lambda: PuiseuxDifferential(1, ((F(1, 3), 0, 1, 1, F(1)),)), "mu1 exponents must be half-integers"),
         (lambda: Permutation((0, 0)), "not a bijection of 0..1: (0, 0)"),
         (lambda: Subgroup(Z2, frozenset({1})), "subgroup must contain the identity"),
-        (lambda: SphericalSystem(Z2, (1,), (2, 2)), "signature length must match generator count"),
-        (lambda: ValidSystem(Z2, (1,), (2, 2)), "signature length must match generator count"),
-        (lambda: ValidSystem(Z2, (1,), (2,)),
+        (lambda: SphericalSystem(Z2, (1,)),
          "invalid spherical system: long relation: product of generators is not the identity"),
     ],
 )
@@ -116,9 +111,7 @@ def test_validation_errors_keep_their_messages(make, message):
         (lambda: PuiseuxDifferential(1, ())._replace(terms=((F(1, 3), 0, 1, 1, F(1)),)),
          "mu1 exponents must be half-integers"),
         (lambda: Subgroup(Z2, frozenset({0}))._replace(members=frozenset({1})), "subgroup must contain the identity"),
-        (lambda: SphericalSystem(Z2, (1, 1), (2, 2))._replace(signature=(2,)),
-         "signature length must match generator count"),
-        (lambda: ValidSystem(Z2, (1, 1), (2, 2))._replace(generators=(1, 0)),
+        (lambda: SphericalSystem(Z2, (1, 1))._replace(generators=(1, 0)),
          "invalid spherical system: long relation: product of generators is not the identity"),
     ],
 )
@@ -132,7 +125,7 @@ def test_repr_is_unchanged():
     assert repr(SingularityType(5, 2)) == "SingularityType(n=5, a=2)"
     assert repr(Permutation((1, 0))) == "Permutation(images=(1, 0))"
     assert repr(BasisCurve("N", 1)) == "BasisCurve(kind='N', index=1, pos=0)"
-    assert repr(ValidSystem(Z2, (1, 1), (2, 2))).startswith("ValidSystem(group=")
+    assert repr(SphericalSystem(Z2, (1, 1))).startswith("SphericalSystem(group=")
 
 
 def test_ordering_is_unchanged():
@@ -144,6 +137,7 @@ def test_ordering_is_unchanged():
 
 
 def test_a_valid_system_is_a_spherical_system():
-    valid = ValidSystem(Z2, (1, 1), (2, 2))
-    assert isinstance(valid, SphericalSystem) and require_valid(valid) is valid
-    assert isinstance(require_valid(SphericalSystem(Z2, (1, 1), (2, 2))), ValidSystem)
+    # the one system type validates itself; a copy of its fields is equal
+    system = SphericalSystem(Z2, (1, 1))
+    assert validate_system(system) is None and system.signature == (2, 2)
+    assert SphericalSystem._make(system) == system == system._replace(generators=(1, 1))

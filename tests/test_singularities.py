@@ -57,11 +57,7 @@ class TestTypes:
 class TestEnumeration:
     def test_beauville_locus_is_empty(self):
         group_sys1 = z5sq_triple(BEAUVILLE_1)
-        sys2 = type(group_sys1)(
-            group_sys1.group,
-            z5sq_triple(BEAUVILLE_2).generators,
-            (5, 5, 5),
-        )
+        sys2 = group_sys1._replace(generators=z5sq_triple(BEAUVILLE_2).generators)
         locus = enumerate_singularities(group_sys1, sys2)
         assert locus.points == ()
         # the free case: every (i, j) cell is one full orbit of 25 coset pairs
