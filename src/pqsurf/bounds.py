@@ -73,12 +73,8 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
 
 
 def _string_defect(model: SurfaceModel, curve: BasisCurve) -> Fraction:
-    side = 0 if curve.kind == "N" else 1
-    defect = Fraction(0)
-    for p in model.locus.points:
-        if p.branch_pair[side] == curve.index:
-            defect += 1 - Fraction(dual_type(p.type).a if side == 0 else p.type.a, p.type.n)
-    return defect
+    parts = [Fraction(dual_type(p.type).a if curve.kind == "N" else p.type.a, p.type.n) for p in model.points_on[curve]]
+    return len(parts) - sum(parts, Fraction(0))  # r - sum a_i/n_i over the r strings meeting the curve
 
 
 def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -> int:
@@ -89,22 +85,19 @@ def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -
     branch pair (i, j) puts m_i/n_p points of C2 with an H_i-stabilizer of
     order n_p over one point of C1, and every other point of C2 is free, so
     2g(N_i) - 2 = (2g2 - 2 - sum_p (m_i/n_p)(n_p - 1)) / m_i.  M_j is C1/K_j,
-    the same with the factors swapped."""
+    the same with the factors swapped.  Every n_p divides m_i: the model
+    refuses a string whose multiplicities are not integers."""
     if curve.kind == "N":
-        side, m, genus_cover = 0, model.sys1.signature[curve.index - 1], model.g2
+        m, genus_cover = model.sig1[curve.index - 1], model.g2
     elif curve.kind == "M":
-        side, m, genus_cover = 1, model.sys2.signature[curve.index - 1], model.g1
+        m, genus_cover = model.sig2[curve.index - 1], model.g1
     else:
         raise ValidationError("cross-check applies to central components only")
-    ramification = sum(
-        Fraction(m, p.type.n) * (p.type.n - 1)
-        for p in model.locus.points
-        if p.branch_pair[side] == curve.index
-    )
-    two_g_minus_2 = Fraction(2 * genus_cover - 2 - ramification) / m
-    if two_g_minus_2.denominator != 1 or two_g_minus_2.numerator % 2 != 0:
-        raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {two_g_minus_2} on {curve.label}")
-    rh = two_g_minus_2.numerator // 2 + 1
+    rest_of_cover = 2 * genus_cover - 2 - sum(m // p.type.n * (p.type.n - 1) for p in model.points_on[curve])
+    two_g_minus_2, rest = divmod(rest_of_cover, m)
+    if rest or two_g_minus_2 % 2:
+        raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {Fraction(rest_of_cover, m)} on {curve.label}")
+    rh = two_g_minus_2 // 2 + 1
     adj = model.adjunction_genus(curve)
     if adj != rh:
         raise EngineInconsistencyError(

@@ -21,6 +21,7 @@ would detect the flip.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -104,7 +105,7 @@ def validate_system(sys: SphericalSystem) -> None:
 
 def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
     """Whether the elements generate the group.  Closes the subgroup they span
-    on image tuples (``groups.spans_more_than``) and stops as soon as it holds
+    on image bytes (``groups.spans_more_than``) and stops as soon as it holds
     more than |G|/2 elements: by Lagrange a proper subgroup has at most half
     of them, so only a non-generating tuple is closed in full.  The caller
     passes a spherical system without its last element, which the long
@@ -113,15 +114,16 @@ def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
 
 
 def rh_genus(sys: SphericalSystem) -> int:
-    """Genus of the cover by Riemann-Hurwitz over P^1:
-    2g - 2 = |G| (-2 + sum_i (1 - 1/m_i))."""
-    total = Fraction(-2)
-    for m in sys.signature:
-        total += 1 - Fraction(1, m)
-    rhs = sys.group.order * total
-    if rhs.denominator != 1 or (rhs.numerator % 2) != 0 or rhs < -2:
-        raise NonIntegralGenusError(f"branching data gives 2g - 2 = {rhs}, not an admissible value")
-    return (int(rhs) + 2) // 2
+    """Genus of the cover by Riemann-Hurwitz over P^1, in integers over the
+    common denominator lcm(m_i): 2g - 2 = |G| (-2 + sum_i (1 - 1/m_i))."""
+    signature = sys.signature
+    common = lcm(*signature)
+    numerator = sys.group.order * (sum(common - common // m for m in signature) - 2 * common)
+    two_g_minus_2, rest = divmod(numerator, common)
+    if rest or two_g_minus_2 % 2 or two_g_minus_2 < -2:
+        value = Fraction(numerator, common)
+        raise NonIntegralGenusError(f"branching data gives 2g - 2 = {value}, not an admissible value")
+    return two_g_minus_2 // 2 + 1
 
 
 def require_genus_at_least_two(sys: SphericalSystem) -> int:

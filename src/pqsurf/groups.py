@@ -13,23 +13,23 @@ generator kept so far, in their order, appending what is new.  A redundant
 generator thus costs one lookup: a fixture that names six generators of A6
 is closed over the two that span it.
 
-Every product composes image tuples in C: ``itemgetter(*q)(p)`` is the
-tuple (p[q[0]], ..., p[q[d-1]]), the images of p * q.  A group builds an
-element's getter on first use and keeps it, so ``FiniteGroup.mul`` is one C
-call and one dict lookup and builds no ``Permutation``.  Spans (the group
-closure, ``covers``' generation check and the conjugacy classes) go through
-``_close`` on image tuples and look up no element index.
+An element is one ``bytes`` string of its images, so a degree is at most 256
+(``limits.MAX_DEGREE``).  With the 256-byte table of p (its images, then the
+identity), ``q.translate(table)`` is the image string of p * q: one C call,
+whose result caches its hash.  ``FiniteGroup.mul`` keeps one table per left
+factor; the spans (the closure, ``covers``' generation check and the
+conjugacy classes) go through ``_close``, which builds each element's table
+once.  Neither builds a ``Permutation``.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
-from .limits import DEFAULT_ORDER_CAP, parse_int
+from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int
 
 
 class DomainMismatchError(ValidationError):
@@ -40,11 +40,7 @@ class OrderCapExceededError(ValidationError):
     pass
 
 
-def _composer(q: tuple[int, ...]):
-    """The map p -> p * q on image tuples, q acting first.  Below degree 2 the
-    only permutation is the identity and p * q = p; itemgetter would return a
-    bare int there (one index) or refuse to be built (none)."""
-    return itemgetter(*q) if len(q) > 1 else tuple
+_POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table is p + _POINTS[len(p):]
 
 
 class _LazyTable(dict):
@@ -127,20 +123,20 @@ class FiniteGroup:
     """A finite permutation group with a fixed, deterministic element order.
 
     Element 0 is the identity.  Elements are addressed by index everywhere;
-    products compose raw image tuples with the cached getter of the right
-    factor and look the result up by its images; ``images[i]`` is the image
-    tuple of element i, and ``index`` maps images[i] to i.
+    a product translates the images of the right factor by the cached table
+    of the left one and looks the result up by its images; ``images[i]`` is
+    the image bytes of element i, and ``index`` maps images[i] to i.
     """
 
-    def __init__(self, images: Sequence[tuple[int, ...]], generator_indices: Sequence[int], index: dict):
-        self.images: tuple[tuple[int, ...], ...] = tuple(images)
+    def __init__(self, images: Sequence[bytes], generator_indices: Sequence[int], index: dict):
+        self.images: tuple[bytes, ...] = tuple(images)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
-        self._index: dict[tuple[int, ...], int] = index
-        if self.images[0] != tuple(range(len(self.images[0]))):
+        self._index: dict[bytes, int] = index
+        if self.images[0] != _POINTS[:len(self.images[0])]:
             raise EngineInconsistencyError("element 0 must be the identity")
         images, index = self.images, self._index  # not self: no cycle keeps a group alive
         self._inverse = _LazyTable(lambda i: index[_inverse_images(images[i])])
-        self._compose = _LazyTable(lambda i: _composer(images[i]))
+        self._tables = _LazyTable(lambda i: images[i] + _POINTS[len(images[i]):])
         self._powers: dict[int, list[int]] = {}
 
     @property
@@ -152,7 +148,7 @@ class FiniteGroup:
         return 0
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self._compose[j](self.images[i])]
+        return self._index[self.images[j].translate(self._tables[i])]
 
     def conjugate(self, i: int, t: int) -> int:
         """t i t^-1."""
@@ -166,7 +162,7 @@ class FiniteGroup:
             acc = i
             while acc != self.identity:
                 cached.append(acc)
-                acc = self.mul(acc, i)
+                acc = self.mul(i, acc)  # powers commute: only the table of i is built
             self._powers[i] = cached
         return cached
 
@@ -177,11 +173,9 @@ class FiniteGroup:
         return cycle[k % len(cycle)]
 
 
-def _inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
+def _inverse_images(p: bytes) -> bytes:
+    """The images of p^-1: the table mapping each p[x] back to x, cut to degree."""
+    return bytes.maketrans(p, _POINTS[:len(p)])[:len(p)]
 
 
 class _SubgroupFields(NamedTuple):
@@ -211,15 +205,17 @@ class Subgroup(_SubgroupFields):
 def _close(
     found: list, index: dict, moves: Sequence, start: int, end: int | None = None, stop: float = float("inf")
 ) -> bool:
-    """Apply ``moves`` to the image tuples at positions start..end of ``found``
-    (to the end of ``found`` as it grows when ``end`` is None): each tuple is
-    taken in turn and each move applied to it, in order, and a result not yet
-    in ``index`` is appended and recorded there at its position.  With no
-    ``end`` this closes found[start:] breadth-first.  Stops, and returns True,
-    as soon as ``found`` holds more than ``stop`` tuples."""
+    """Apply ``moves`` to the elements at positions start..end of ``found``
+    (to the end of ``found`` as it grows when ``end`` is None): each element is
+    taken in turn and each move applied to its table, built once, in order; a
+    result not yet in ``index`` is appended and recorded there at its position.
+    With no ``end`` this closes found[start:] breadth-first.  Stops, and
+    returns True, as soon as ``found`` holds more than ``stop`` elements."""
+    tail = _POINTS[len(found[0]):]
     for p in islice(found, start, end):  # a list iterator also yields what is appended
+        table = p + tail
         for move in moves:
-            q = move(p)
+            q = move(table)
             if q not in index:
                 index[q] = len(found)
                 found.append(q)
@@ -228,18 +224,26 @@ def _close(
     return False
 
 
-def _span(identity: tuple[int, ...], generators: Sequence[tuple[int, ...]], stop: float) -> tuple[list, dict]:
-    """The image tuples of the group spanned by ``generators`` (image tuples
-    of the degree of ``identity``), in the element order of the module
-    docstring, and the position of each; stops as soon as more than ``stop``
-    are found."""
+def _multiplication(g: bytes, c: bytes | None = None):
+    """The move of ``_close`` that takes the table of p to p * g, or with ``c``
+    to c * p * g.  Every product a span composes is made by such a move."""
+    if c is None:
+        return g.translate
+    after = c + _POINTS[len(c):]
+    return lambda table: g.translate(table).translate(after)
+
+
+def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[list, dict]:
+    """The image bytes of the group spanned by ``generators`` (of the degree
+    of ``identity``), in the element order of the module docstring, and the
+    position of each; stops as soon as more than ``stop`` are found."""
     found, index = [identity], {identity: 0}
     kept: list = []
     for g in generators:
         if g in index:
             continue
         old = len(found)
-        kept.append(_composer(g))
+        kept.append(_multiplication(g))
         # the coset S g, all of it new, then the closure of what it added
         if _close(found, index, kept[-1:], 0, old, stop) or _close(found, index, kept, old, stop=stop):
             break
@@ -256,10 +260,13 @@ def group_from_generators(
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise DomainMismatchError("generators act on different domains")
-    images, index = _span(tuple(range(degree)), [g.images for g in gens], cap)
+    if degree > MAX_DEGREE:
+        raise ValidationError(f"degree {degree} is above the ceiling {MAX_DEGREE}")
+    generators = [bytes(g.images) for g in gens]
+    images, index = _span(_POINTS[:degree], generators, cap)
     if len(images) > cap:
         raise OrderCapExceededError(f"group order exceeds cap {cap}")
-    return FiniteGroup(images, [index[g.images] for g in gens], index)
+    return FiniteGroup(images, [index[g] for g in generators], index)
 
 
 def spans_more_than(group: FiniteGroup, generators: Sequence[int], bound: int) -> bool:
@@ -273,17 +280,17 @@ class ConjugacyClasses:
     """The conjugacy classes of a group, each closed when first asked for.
 
     ``conjugators`` must generate the group.  The closure works on image
-    tuples: c y c^-1 is ``map(c.__getitem__, y∘c^-1)``, with one cached
-    getter of c^-1 per conjugator.  A class asked for again, through any of
-    its members, is found among those already closed."""
+    bytes: with the table of y built once, c y c^-1 is
+    ``c_inv.translate(table_y).translate(table_c)``.  A class asked for
+    again, through any of its members, is found among those already closed."""
 
     def __init__(self, group: FiniteGroup, conjugators: Sequence[int]) -> None:
-        self._images = group.images
-        self._moves = [_conjugation(group.images[c]) for c in dict.fromkeys(conjugators)]
+        images = self._images = group.images
+        self._moves = [_multiplication(_inverse_images(images[c]), images[c]) for c in dict.fromkeys(conjugators)]
         self._closed: list[dict] = []
 
-    def of(self, x: int) -> dict[tuple[int, ...], int]:
-        """The class of element x, keyed by the image tuples of its members."""
+    def of(self, x: int) -> dict[bytes, int]:
+        """The class of element x, keyed by the image bytes of its members."""
         key = self._images[x]
         for members in self._closed:
             if key in members:
@@ -292,13 +299,6 @@ class ConjugacyClasses:
         _close([key], members, self._moves, 0)
         self._closed.append(members)
         return members
-
-
-def _conjugation(c: tuple[int, ...]):
-    """The map y -> c y c^-1 on image tuples."""
-    right = _composer(_inverse_images(c))
-    left = c.__getitem__
-    return lambda y: tuple(map(left, right(y)))
 
 
 def element_order(group: FiniteGroup, g: int) -> int:

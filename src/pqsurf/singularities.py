@@ -15,7 +15,7 @@ splits each exact count into orbits of size |G|/n, free for n = 1 and one
 singular point each otherwise.  Points are listed by cell and by (n, a) within
 a cell, so no output depends on the order of the group's elements.
 
-The class of u is closed by ``groups.ConjugacyClasses`` on image tuples,
+The class of u is closed by ``groups.ConjugacyClasses`` on image bytes,
 conjugating by the elements of the first system but its last: the long
 relation makes the last one the inverse of the product of the others, so
 those others already generate G.

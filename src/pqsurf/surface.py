@@ -40,11 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .covers import SphericalSystem, require_genus_at_least_two, rh_genus
+from .covers import SphericalSystem, require_genus_at_least_two
 from .errors import EngineInconsistencyError, ValidationError
 from .hj import dual_type, hj_expand
 from .inputs import TableRowSummary, euler_chi_pg, singularity_multiset
-from .singularities import SingularLocus, enumerate_singularities
+from .singularities import SingularLocus, SingularPoint, enumerate_singularities
 
 
 class BasisCurve(NamedTuple):
@@ -71,17 +71,21 @@ class StringData(NamedTuple):
 
 
 class SurfaceModel:
-    def __init__(self, sys1: SphericalSystem, sys2: SphericalSystem, locus: SingularLocus):
+    """The lattice of S; g1 and g2 are the genera of C1 and C2 (``rh_genus``)."""
+
+    def __init__(self, sys1: SphericalSystem, sys2: SphericalSystem, locus: SingularLocus, g1: int, g2: int):
         self.sys1 = sys1
         self.sys2 = sys2
         self.locus = locus
         self.group = sys1.group
-        self.g1 = rh_genus(sys1)
-        self.g2 = rh_genus(sys2)
+        self.g1, self.g2 = g1, g2
+        self.sig1, self.sig2 = sys1.signature, sys2.signature  # each read once per model
         self.F1 = BasisCurve("F1")
         self.F2 = BasisCurve("F2")
         self.N = [BasisCurve("N", i) for i in range(1, sys1.branch_count + 1)]
         self.M = [BasisCurve("M", j) for j in range(1, sys2.branch_count + 1)]
+        # the singular points whose strings meet each central component, in locus order
+        self.points_on: dict[BasisCurve, list[SingularPoint]] = {c: [] for c in (*self.N, *self.M)}
         self.strings: list[StringData] = []
         self.Z: list[list[BasisCurve]] = []
         # one row per basis curve, in basis order: Z rows are added by _build
@@ -109,12 +113,11 @@ class SurfaceModel:
 
     def _build(self) -> None:
         order = self.group.order
-        sig1, sig2 = self.sys1.signature, self.sys2.signature
         self._set(self.F1, self.F2, order)
         for i, n_curve in enumerate(self.N):
-            self._set(self.F2, n_curve, Fraction(order, sig1[i]))
+            self._set(self.F2, n_curve, Fraction(order, self.sig1[i]))
         for j, m_curve in enumerate(self.M):
-            self._set(self.F1, m_curve, Fraction(order, sig2[j]))
+            self._set(self.F1, m_curve, Fraction(order, self.sig2[j]))
         for (i, j), count in self.locus.free_orbit_counts.items():
             if count:
                 self._set(self.N[i - 1], self.M[j - 1], count)
@@ -124,6 +127,8 @@ class SurfaceModel:
         for p_index, point in enumerate(self.locus.points):
             i, j = point.branch_pair
             n, a, a_dual = point.type.n, point.type.a, dual_type(point.type).a
+            self.points_on[self.N[i - 1]].append(point)
+            self.points_on[self.M[j - 1]].append(point)
             b = tuple(hj_expand(n, a_dual))
             comps = [BasisCurve("Z", p_index, k) for k in range(1, len(b) + 1)]
             self.Z.append(comps)
@@ -138,8 +143,8 @@ class SurfaceModel:
             m_selfs[j - 1] -= Fraction(a, n)
             self.strings.append(StringData(
                 b,
-                _string_multiplicities(b, n, sig1[i - 1], first_end=True),
-                _string_multiplicities(b, n, sig2[j - 1], first_end=False),
+                _string_multiplicities(b, n, self.sig1[i - 1], first_end=True),
+                _string_multiplicities(b, n, self.sig2[j - 1], first_end=False),
             ))
         for value, curve in zip(n_selfs + m_selfs, self.N + self.M):
             if value.denominator != 1:
@@ -165,9 +170,9 @@ class SurfaceModel:
             self.F1: Fraction(-2),
             self.F2: Fraction(-2),
         }
-        for curve, m in zip(self.N, self.sys1.signature):
+        for curve, m in zip(self.N, self.sig1):
             coeffs[curve] = Fraction(m - 1)
-        for curve, m in zip(self.M, self.sys2.signature):
+        for curve, m in zip(self.M, self.sig2):
             coeffs[curve] = Fraction(m - 1)
         for data, comps in zip(self.strings, self.Z):
             for k, comp in enumerate(comps):
@@ -244,8 +249,8 @@ def build_surface_model(
 ) -> SurfaceModel:
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
-    require_genus_at_least_two(sys1)
-    require_genus_at_least_two(sys2)
+    g1 = require_genus_at_least_two(sys1)
+    g2 = require_genus_at_least_two(sys2)
     if locus is None:
         locus = enumerate_singularities(sys1, sys2)
-    return SurfaceModel(sys1, sys2, locus)
+    return SurfaceModel(sys1, sys2, locus, g1, g2)

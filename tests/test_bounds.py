@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from pqsurf import cli
@@ -9,7 +11,9 @@ from pqsurf.bounds import (
 )
 from pqsurf.errors import ValidationError
 from pqsurf.inputs import fixture_path
-from pqsurf.surface import SurfaceModel
+from pqsurf.singularities import SingularPoint, enumerate_singularities
+from pqsurf.surface import SurfaceModel, build_surface_model
+from tests.test_covers import z2_system
 
 
 class TestDegreeBounds:
@@ -87,6 +91,46 @@ class TestGenusCrossCheck:
         assert cli.main(["bounds", str(fixture_path("beauville_55.pq"))]) == 4
         err = capsys.readouterr().err
         assert err == "error: genus mismatch on N1: adjunction 3, Riemann-Hurwitz 2\n"
+
+
+class CountedPoint(SingularPoint):
+    """A locus point that counts every read of it, by field, index or
+    iteration, in ``visits`` under its id."""
+
+    __slots__ = ()
+    visits: Counter = Counter()
+
+    def __getitem__(self, item):
+        CountedPoint.visits[id(self)] += 1
+        return tuple.__getitem__(self, item)
+
+    def __iter__(self):
+        CountedPoint.visits[id(self)] += 1
+        return tuple.__iter__(self)
+
+    branch_pair = property(lambda self: self[0])
+    type = property(lambda self: self[1])
+    orbit_size = property(lambda self: self[2])
+
+
+def test_each_locus_point_is_read_a_bounded_number_of_times_per_bounds_pass():
+    """Z/2 with r branch points on each curve has r^2 nodes and 2r central
+    components.  A report that scanned the whole locus per central curve
+    would read each point about 4r times; reading only the points over its
+    own branch index reads each a fixed number of times, whatever r is."""
+    most = {}
+    for r in (6, 12):
+        sys = z2_system(r)
+        locus = enumerate_singularities(sys, sys)
+        counted = locus._replace(points=tuple(CountedPoint(*p) for p in locus.points))
+        model = build_surface_model(sys, sys, counted)
+        CountedPoint.visits.clear()
+        for curve in [model.F1, model.F2, *model.N, *model.M]:
+            degree_bound_report(model, curve)
+        lemma_cc_check(model, in_scope=False)
+        assert len(CountedPoint.visits) == len(counted.points) == r * r
+        most[r] = max(CountedPoint.visits.values())
+    assert most[6] == most[12] <= 12
 
 
 class TestLemmaCC:

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pqsurf
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import ParseError
 from pqsurf.inputs import fixture_path
@@ -519,6 +524,43 @@ class TestInputErrors:
             assert code == 3 and out == ""
             assert err == f"error: degree = 100000000 in [group] is above the ceiling {MAX_DEGREE}\n"
 
+    def test_degree_one_past_the_ceiling(self, capsys, tmp_path, monkeypatch):
+        # an element is a bytes string, so no point past 255 can be named
+        from pqsurf.groups import Permutation
+        from pqsurf.limits import MAX_DEGREE
+
+        def refuse(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(Permutation, "from_cycles", refuse)
+        path = tmp_path / "wide.pq"
+        path.write_text("[group]\ndegree = 257\nt = (0 256)\n\n[system1]\ngenerators = t, t\n\n"
+                        "[system2]\ngenerators = t, t\n")
+        code, out, err = run(capsys, "invariants", str(path))
+        assert MAX_DEGREE == 256
+        assert code == 3 and out == ""
+        assert err == "error: degree = 257 in [group] is above the ceiling 256\n"
+
+    def test_degree_at_the_ceiling_closes(self, capsys, tmp_path):
+        # Z/2 acting on all 256 points by 128 transpositions: the toy surface
+        involution = "".join(f"({2 * k} {2 * k + 1})" for k in range(128))
+        path = tmp_path / "z2_hyperelliptic.pq"  # the name a payload carries
+        path.write_text(f"[group]\ndegree = 256\nt = {involution}\n\n[system1]\ngenerators = t, t, t, t, t, t\n\n"
+                        "[system2]\ngenerators = t, t, t, t, t, t\n")
+        for command in ("invariants", "singularities", "bounds"):
+            code, out, err = run(capsys, command, str(path), "--json")
+            assert code == 0 and err == ""
+            assert json.loads(out) == json.loads(run(capsys, command, TOY, "--json")[1]), command
+
+    def test_group_refuses_a_permutation_past_the_ceiling(self):
+        from pqsurf.errors import ValidationError
+        from pqsurf.groups import Permutation, group_from_generators
+
+        wide = Permutation(tuple(reversed(range(257))))
+        with pytest.raises(ValidationError, match="^degree 257 is above the ceiling 256$"):
+            group_from_generators([wide])
+
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_degree_below_one(self, capsys, tmp_path, degree):
         path = tmp_path / "bad.pq"
@@ -604,3 +646,19 @@ class TestInputErrors:
         code, out, err = run(capsys, *(value if a is None else a for a in argv))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and flag in err and value in err
+
+
+def test_no_output_depends_on_the_hash_seed():
+    """Group elements are bytes, whose hashes are salted per process: every
+    command prints the same bytes under any PYTHONHASHSEED."""
+    a6 = str(fixture_path("a6_245_334.pq"))
+    commands = [f"{c} {a6} --json" for c in ("invariants", "singularities", "bounds")] + [f"table {ROWS} {a6}"]
+    script = "import sys\nfrom pqsurf.cli import main\nfor argv in sys.argv[1:]:\n    main(argv.split())"
+    path = os.pathsep.join(filter(None, [str(Path(pqsurf.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script, *commands], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1 and '"group_order": 360' in outputs.pop()

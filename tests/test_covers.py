@@ -102,6 +102,14 @@ class TestValidSystem:
         with pytest.raises(ValueError):
             sys._replace(signature=(3, 3))
 
+    def test_constructor_refuses_a_system_before_any_model_is_built(self):
+        # z2_system(3) raises when the system is built, so an invalid tuple
+        # never reaches build_surface_model
+        from pqsurf.surface import build_surface_model
+
+        with pytest.raises(ValidationError, match="long relation"):
+            build_surface_model(*[z2_system(3)] * 2)
+
 
 class TestGenus:
     def test_hyperelliptic(self):

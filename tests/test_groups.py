@@ -53,26 +53,31 @@ def product(p: Permutation, q: Permutation) -> Permutation:
 
 
 def count_compositions(monkeypatch) -> list[int]:
-    """Count the calls of every image-tuple getter that ``groups._composer``
-    builds from here on; the count is calls[0]."""
+    """Count the calls of every span move that ``groups._multiplication``
+    makes from here on; the count is calls[0]."""
     calls = [0]
-    original = groups._composer
+    original = groups._multiplication
 
-    def composer(q):
-        compose = original(q)
+    def multiplication(*factors):
+        move = original(*factors)
 
-        def counted(p):
+        def counted(table):
             calls[0] += 1
-            return compose(p)
+            return move(table)
 
         return counted
 
-    monkeypatch.setattr(groups, "_composer", composer)
+    monkeypatch.setattr(groups, "_multiplication", multiplication)
     return calls
 
 
+def elements(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The image tuples of the group's elements, in its element order."""
+    return [tuple(p) for p in group.images]
+
+
 def index_of(group: FiniteGroup, p: Permutation) -> int:
-    return group.images.index(p.images)
+    return elements(group).index(p.images)
 
 
 def z5_squared():
@@ -343,7 +348,7 @@ class TestClosureAgainstOracle:
         ids=["A5", "A6", "A7", "PSL(2,7)", "PSL(2,7)-reversed", "repeated"],
     )
     def test_discovery_order(self, gens):
-        assert group_from_generators(gens).images == tuple(closure_images([g.images for g in gens]))
+        assert elements(group_from_generators(gens)) == closure_images([g.images for g in gens])
 
     @pytest.mark.parametrize(
         "gens", [PSL27_GENS, fixture_generators("a6_245_334.pq")[:2]], ids=["PSL(2,7)", "A6"]
@@ -352,7 +357,7 @@ class TestClosureAgainstOracle:
         g1, g2 = gens
         with_product = group_from_generators([g1, g2, product(g1, g2)])
         assert with_product.images == group_from_generators([g1, g2]).images
-        assert with_product.images[with_product.generator_indices[2]] == product(g1, g2).images
+        assert elements(with_product)[with_product.generator_indices[2]] == product(g1, g2).images
 
     @pytest.mark.parametrize("redundant", [False, True], ids=["two-generators", "with-their-product"])
     def test_cap_is_the_largest_order_accepted(self, redundant):
@@ -373,11 +378,11 @@ class TestClosureAgainstOracle:
     def test_below_degree_two_the_group_is_trivial(self, degree):
         identity = Permutation(tuple(range(degree)))
         group = group_from_generators([identity, identity])
-        assert group.images == ((*range(degree),),)
-        assert group.mul(0, 0) == 0 and group.images[group.mul(0, 0)] == identity.images
+        assert elements(group) == [(*range(degree),)]
+        assert group.mul(0, 0) == 0 and elements(group)[group.mul(0, 0)] == identity.images
 
 
-# Image-tuple compositions of the closure over every named generator, of the
+# Span compositions of the closure over every named generator, of the
 # generation check of each system and of the class closures of the locus.
 # They are deterministic, so a span that closes over more generators than it
 # needs fails here instead of hiding in timing noise.
@@ -389,8 +394,8 @@ SPAN_COMPOSITIONS = {
 
 @pytest.mark.parametrize("name", sorted(SPAN_COMPOSITIONS))
 def test_span_compositions_are_pinned(monkeypatch, name):
-    # realize caches every system element's powers and product getter, so
-    # below only the spans compose through fresh getters
+    # FiniteGroup.mul composes without a span move, so below only the
+    # spans' own products are counted
     _, sys1, sys2 = realize(parse_input(fixture_path(name).read_text()))
     calls = count_compositions(monkeypatch)
     counts = {}
@@ -404,6 +409,17 @@ def test_span_compositions_are_pinned(monkeypatch, name):
     enumerate_singularities(sys1, sys2)
     counts["classes"] = calls[0]
     assert counts == SPAN_COMPOSITIONS[name]
+
+
+def test_s8_closure_composition_count_is_pinned(monkeypatch):
+    # (0 1) spans {e, (0 1)} in 2 products; then the coset by the 8-cycle
+    # takes 2 and each of the 40318 elements it adds is composed with both
+    # generators: 2 products per element of S8
+    gens = [Permutation.from_cycles("(0 1)", 8), Permutation.from_cycles("(0 1 2 3 4 5 6 7)", 8)]
+    calls = count_compositions(monkeypatch)
+    group = group_from_generators(gens, cap=40320)
+    assert group.order == 40320 and len(set(group.images)) == 40320
+    assert calls[0] == 80640
 
 
 @st.composite
@@ -424,7 +440,7 @@ class TestGenerationCheck:
     @given(symmetric_systems())
     def test_early_stop_verdict_matches_full_closure(self, system):
         group, generators = system
-        if len(closure_images([group.images[g] for g in generators])) == group.order:
+        if len(closure_images([elements(group)[g] for g in generators])) == group.order:
             SphericalSystem(group, generators)
         else:
             with pytest.raises(ValidationError, match=NOT_GENERATING):
@@ -434,13 +450,13 @@ class TestGenerationCheck:
         group = symmetric_group(6)
         x, y = group.generator_indices
         z = group.power(group.mul(x, y), -1)
-        calls = count_compositions(monkeypatch)
+        products, calls = count_mul(monkeypatch), count_compositions(monkeypatch)
         SphericalSystem(group, (x, y, z))
         # at most 3 products for the long relation, then the span of x and
         # y, without the redundant last element: 2 per element taken while at
         # most |G|/2 are found; a full closure over the system would take 3
         # per element of the group
-        assert calls[0] <= 3 + 2 * (group.order // 2 + 1)
+        assert products[0] + calls[0] <= 3 + 2 * (group.order // 2 + 1)
 
     def test_proper_subgroup_is_closed_in_full(self):
         # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720

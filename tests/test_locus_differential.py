@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqsurf.bounds import central_component_genus_crosscheck, degree_bound_report
-from pqsurf.covers import SphericalSystem
+from pqsurf.covers import SphericalSystem, rh_genus
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import fixture_path, parse_input, realize
@@ -93,7 +93,7 @@ def test_class_count_matches_pair_enumeration(pair):
     assert_same_locus(*pair)
     for a, b in (pair, pair[::-1]):
         # genera below 2 are kept: Riemann-Hurwitz and adjunction hold for them too
-        model = SurfaceModel(a, b, enumerate_singularities(a, b))
+        model = SurfaceModel(a, b, enumerate_singularities(a, b), rh_genus(a), rh_genus(b))
         model.numerical_invariants()
         assert_same_central_genera(model)
         assert_n1_e_counts_locus_points(model)

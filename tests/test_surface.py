@@ -181,10 +181,6 @@ class TestGates:
         with pytest.raises(ValidationError):
             build_surface_model(b1, t1)
 
-    def test_invalid_plain_system_rejected(self):
-        with pytest.raises(ValidationError, match="long relation"):
-            build_surface_model(*[z2_system(3)] * 2)
-
     def test_each_system_is_validated_once(self, monkeypatch):
         calls = []
         original = covers.validate_system
