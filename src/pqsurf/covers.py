@@ -36,14 +36,6 @@ from .groups import (
 )
 
 
-class NonIntegralGenusError(ValidationError):
-    pass
-
-
-class GenusTooSmallError(ValidationError):
-    pass
-
-
 class _SphericalSystemFields(NamedTuple):
     group: FiniteGroup
     generators: tuple[int, ...]
@@ -85,8 +77,9 @@ def validate_system(sys: SphericalSystem) -> None:
     generation, in this order; raise ``ValidationError`` on the first
     failure.  The order matters: once the product of the elements is known to
     be the identity, the last element is the inverse of the product of the
-    others, so those others generate whatever the whole tuple generates, and
-    ``_generates`` is asked about them alone."""
+    others, so the span is closed over those others alone, on image bytes
+    (``groups.spans_more_than``), and only until it holds more than |G|/2
+    elements: by Lagrange a proper subgroup has at most half of them."""
     group = sys.group
     acc = group.identity
     for g in sys.generators:
@@ -99,18 +92,8 @@ def validate_system(sys: SphericalSystem) -> None:
         raise ValidationError("invalid spherical system: signature entry 1 < 2")
     if not sys.generators:
         raise ValidationError("need at least one generator")
-    if not _generates(group, sys.generators[:-1]):
+    if not spans_more_than(group, sys.generators[:-1], group.order // 2):
         raise ValidationError("invalid spherical system: generators do not generate the whole group")
-
-
-def _generates(group: FiniteGroup, generators: tuple[int, ...]) -> bool:
-    """Whether the elements generate the group.  Closes the subgroup they span
-    on image bytes (``groups.spans_more_than``) and stops as soon as it holds
-    more than |G|/2 elements: by Lagrange a proper subgroup has at most half
-    of them, so only a non-generating tuple is closed in full.  The caller
-    passes a spherical system without its last element, which the long
-    relation makes redundant."""
-    return spans_more_than(group, generators, group.order // 2)
 
 
 def rh_genus(sys: SphericalSystem) -> int:
@@ -122,14 +105,14 @@ def rh_genus(sys: SphericalSystem) -> int:
     two_g_minus_2, rest = divmod(numerator, common)
     if rest or two_g_minus_2 % 2 or two_g_minus_2 < -2:
         value = Fraction(numerator, common)
-        raise NonIntegralGenusError(f"branching data gives 2g - 2 = {value}, not an admissible value")
+        raise ValidationError(f"branching data gives 2g - 2 = {value}, not an admissible value")
     return two_g_minus_2 // 2 + 1
 
 
 def require_genus_at_least_two(sys: SphericalSystem) -> int:
     g = rh_genus(sys)
     if g < 2:
-        raise GenusTooSmallError(f"cover has genus {g} < 2")
+        raise ValidationError(f"cover has genus {g} < 2")
     return g
 
 

@@ -16,10 +16,10 @@ is closed over the two that span it.
 An element is one ``bytes`` string of its images, so a degree is at most 256
 (``limits.MAX_DEGREE``).  With the 256-byte table of p (its images, then the
 identity), ``q.translate(table)`` is the image string of p * q: one C call,
-whose result caches its hash.  ``FiniteGroup.mul`` keeps one table per left
-factor; the spans (the closure, ``covers``' generation check and the
-conjugacy classes) go through ``_close``, which builds each element's table
-once.  Neither builds a ``Permutation``.
+whose result caches its hash.  ``FiniteGroup.mul`` builds the table of its
+left factor on each call; the spans (the closure, ``covers``' generation
+check and the conjugacy classes) go through ``_close``, which builds each
+element's table once.  Neither builds a ``Permutation``.
 """
 
 from __future__ import annotations
@@ -32,61 +32,26 @@ from .errors import EngineInconsistencyError, ParseError, ValidationError
 from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int
 
 
-class DomainMismatchError(ValidationError):
-    pass
-
-
-class OrderCapExceededError(ValidationError):
-    pass
-
-
 _POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table is p + _POINTS[len(p):]
 
 
-class _LazyTable(dict):
-    """A table whose entry for a key is ``build(key)``, made on first lookup."""
-
-    def __init__(self, build) -> None:
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
+class _PermutationFields(NamedTuple):
+    images: tuple[int, ...]
 
 
-class Permutation:
+class Permutation(_PermutationFields):
     """A bijection of {0..d-1}, stored as the tuple of images.
 
-    A frozen ``__slots__`` class, not a named tuple, whose ``*``, ``len``
-    and ``+`` would mean repetition, length and concatenation.  Products are
-    taken in a ``FiniteGroup``, on element indices."""
+    Products are taken in a ``FiniteGroup``, on element indices: the
+    tuple's own ``*`` and ``+`` are repetition and concatenation."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __init__(self, images: tuple[int, ...]) -> None:
+    def __new__(cls, images: tuple[int, ...]):
         if sorted(images) != list(range(len(images))):
             raise ValidationError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
-    def __reduce__(self):
-        return Permutation, (self.images,)
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:
@@ -123,9 +88,9 @@ class FiniteGroup:
     """A finite permutation group with a fixed, deterministic element order.
 
     Element 0 is the identity.  Elements are addressed by index everywhere;
-    a product translates the images of the right factor by the cached table
-    of the left one and looks the result up by its images; ``images[i]`` is
-    the image bytes of element i, and ``index`` maps images[i] to i.
+    a product translates the images of the right factor by the table of the
+    left one and looks the result up by its images; ``images[i]`` is the
+    image bytes of element i, and ``index`` maps images[i] to i.
     """
 
     def __init__(self, images: Sequence[bytes], generator_indices: Sequence[int], index: dict):
@@ -134,9 +99,7 @@ class FiniteGroup:
         self._index: dict[bytes, int] = index
         if self.images[0] != _POINTS[:len(self.images[0])]:
             raise EngineInconsistencyError("element 0 must be the identity")
-        images, index = self.images, self._index  # not self: no cycle keeps a group alive
-        self._inverse = _LazyTable(lambda i: index[_inverse_images(images[i])])
-        self._tables = _LazyTable(lambda i: images[i] + _POINTS[len(images[i]):])
+        self._tail = _POINTS[len(self.images[0]):]
         self._powers: dict[int, list[int]] = {}
 
     @property
@@ -148,11 +111,11 @@ class FiniteGroup:
         return 0
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self.images[j].translate(self._tables[i])]
+        return self._index[self.images[j].translate(self.images[i] + self._tail)]
 
     def conjugate(self, i: int, t: int) -> int:
         """t i t^-1."""
-        return self.mul(self.mul(t, i), self._inverse[t])
+        return self.mul(self.mul(t, i), self._index[_inverse_images(self.images[t])])
 
     def powers(self, i: int) -> list[int]:
         """[e, i, i^2, ..., i^(m-1)] with m the order of i; cached on the group."""
@@ -162,13 +125,12 @@ class FiniteGroup:
             acc = i
             while acc != self.identity:
                 cached.append(acc)
-                acc = self.mul(i, acc)  # powers commute: only the table of i is built
+                acc = self.mul(i, acc)
             self._powers[i] = cached
         return cached
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            i, k = self._inverse[i], -k
+        """i^k for k of either sign, read off the cached powers of i."""
         cycle = self.powers(i)
         return cycle[k % len(cycle)]
 
@@ -259,13 +221,13 @@ def group_from_generators(
         raise ValidationError("need at least one generator")
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
-        raise DomainMismatchError("generators act on different domains")
+        raise ValidationError("generators act on different domains")
     if degree > MAX_DEGREE:
         raise ValidationError(f"degree {degree} is above the ceiling {MAX_DEGREE}")
     generators = [bytes(g.images) for g in gens]
     images, index = _span(_POINTS[:degree], generators, cap)
     if len(images) > cap:
-        raise OrderCapExceededError(f"group order exceeds cap {cap}")
+        raise ValidationError(f"group order exceeds cap {cap}")
     return FiniteGroup(images, [index[g] for g in generators], index)
 
 

@@ -34,9 +34,6 @@ class SingularityType(_SingularityTypeFields):
             raise ValidationError(f"not a valid singularity type 1/{shortened(str(n))}(1,{shortened(str(a))})")
         return super().__new__(cls, n, a)
 
-    def __str__(self) -> str:
-        return f"1/{self.n}(1,{self.a})"
-
 
 def dual_type(t: SingularityType) -> SingularityType:
     """(n, a') with a*a' = 1 mod n."""

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
-from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, MAX_ORDER_CAP, parse_int, shortened
+from .limits import DEFAULT_ORDER_CAP, MAX_BRANCH_POINTS, MAX_DEGREE, MAX_ORDER_CAP, parse_int, shortened
 
 if TYPE_CHECKING:
     from .covers import SphericalSystem
@@ -112,6 +112,10 @@ def parse_input(text: str) -> InputDescription:
         if "generators" not in sec:
             raise ParseError(f"missing 'generators' in [{section}]")
         words = tuple(w.strip() for w in sec["generators"].split(",") if w.strip())
+        if len(words) > MAX_BRANCH_POINTS:
+            raise ValidationError(
+                f"[{section}] lists {len(words)} generators, above the ceiling {MAX_BRANCH_POINTS} on branch points"
+            )
         try:
             base_genus = int(sec.get("base_genus", "0"))
         except ValueError:
@@ -334,9 +338,3 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
         q=0,
         pg=pg,
     )
-
-
-def fixture_path(name: str):
-    from importlib.resources import files
-
-    return files("pqsurf") / "fixtures" / name

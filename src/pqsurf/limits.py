@@ -18,6 +18,11 @@ MAX_HJ_ORDER = 1_000  # largest n that `hj n a` expands into a dense string matr
 # took 30 MB on Python 3.11), so a closure at MAX_ORDER_CAP takes ~40 MB; the
 # .pq parser checks this ceiling before any permutation is built.
 MAX_DEGREE = 256  # largest [group] degree accepted in a .pq file
+# Systems of r1 and r2 elements give r1 * r2 cells of the singular locus, each
+# a node on Z/2, and K^2 is quadratic in the curves the nodes add.  With 20
+# and 20 on Z/2, `invariants` took 1.7 s and `bounds` 0.15 s (2 vCPUs, Python
+# 3.11.7); the .pq parser checks this ceiling before any group work.
+MAX_BRANCH_POINTS = 20  # largest number of generator words in a [systemN] section
 
 
 def shortened(text: str) -> str:

@@ -1,9 +1,16 @@
+from importlib.resources import files
+
 import pytest
 
 from pqsurf.covers import SphericalSystem
 from pqsurf.groups import Permutation, group_from_generators
-from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.inputs import parse_input, realize
 from pqsurf.surface import build_surface_model
+
+
+def fixture_path(name: str):
+    """The path of a fixture shipped inside the package."""
+    return files("pqsurf") / "fixtures" / name
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,10 @@ from pqsurf.differentials import (
     vanishing_conditions,
 )
 from pqsurf.hj import hj_expand, hj_evaluate, leading_minors, string_for
-from pqsurf.inputs import fixture_path, parse_input, parse_rows, formula_invariants, run_invariants
+from pqsurf.inputs import parse_input, parse_rows, formula_invariants, run_invariants
 from pqsurf.singularities import SingularityType, dual_type
 from pqsurf.surface import build_surface_model
+from tests.conftest import fixture_path
 
 
 def _ok(label: str) -> None:

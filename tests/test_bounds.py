@@ -10,9 +10,9 @@ from pqsurf.bounds import (
     solve_two_branch_elliptic,
 )
 from pqsurf.errors import ValidationError
-from pqsurf.inputs import fixture_path
 from pqsurf.singularities import SingularPoint, enumerate_singularities
 from pqsurf.surface import SurfaceModel, build_surface_model
+from tests.conftest import fixture_path
 from tests.test_covers import z2_system
 
 

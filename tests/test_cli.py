@@ -13,7 +13,7 @@ import pytest
 import pqsurf
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import ParseError
-from pqsurf.inputs import fixture_path
+from tests.conftest import fixture_path
 
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
 TOY = str(fixture_path("z2_hyperelliptic.pq"))
@@ -560,6 +560,35 @@ class TestInputErrors:
         wide = Permutation(tuple(reversed(range(257))))
         with pytest.raises(ValidationError, match="^degree 257 is above the ceiling 256$"):
             group_from_generators([wide])
+
+    def test_branch_points_one_past_the_ceiling(self, capsys, tmp_path, monkeypatch):
+        from pqsurf import groups
+        from pqsurf.limits import MAX_BRANCH_POINTS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was closed")
+
+        monkeypatch.setattr(groups, "group_from_generators", refuse)
+        path = tmp_path / "long.pq"
+        path.write_text("[group]\ndegree = 2\nt = (0 1)\n\n[system1]\ngenerators = t, t\n\n"
+                        f"[system2]\ngenerators = {', '.join(['t'] * 21)}\n")
+        assert MAX_BRANCH_POINTS == 20
+        for command in ("invariants", "singularities", "bounds"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert err == "error: [system2] lists 21 generators, above the ceiling 20 on branch points\n"
+
+    def test_branch_points_at_the_ceiling_run(self, capsys, tmp_path):
+        # Z/2 with 20 branch points on each curve: 400 nodes
+        words = ", ".join(["t"] * 20)
+        path = tmp_path / "long.pq"
+        path.write_text(f"[group]\ndegree = 2\nt = (0 1)\n\n[system1]\ngenerators = {words}\n\n"
+                        f"[system2]\ngenerators = {words}\n")
+        code, out, err = run(capsys, "invariants", str(path), "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["singularities"] == [{"n": 2, "a": 1, "count": 400}]
+        assert (payload["e"], payload["Ksq"]) == (728, 256)
 
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_degree_below_one(self, capsys, tmp_path, degree):

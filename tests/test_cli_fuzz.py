@@ -1,6 +1,7 @@
 """Fuzz of ``pqsurf.cli.main`` over mutated copies of the shipped ``.pq``
 fixtures: an edited degree, swapped, deleted or repeated lines, repeated
-generator words and stray words, one of them a 5000-digit number.  Whatever the input, a command ends with
+generator words, generator lists past the ceiling on branch points and stray
+words, one of them a 5000-digit number.  Whatever the input, a command ends with
 exit 0, 2, 3 or 4, never with a traceback, and a failing single-file command
 prints one ``error:`` line.  ``table`` gets the same check on random
 formula-mode ``.rows`` files: bad orders, genera, K^2 and singularity items,
@@ -24,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pqsurf import cli
-from pqsurf.inputs import fixture_path
+from pqsurf.limits import MAX_BRANCH_POINTS
+from tests.conftest import fixture_path
 
 FIXTURES = ["beauville_55.pq", "z2_hyperelliptic.pq", "a5_255_335.pq"]
 COMMANDS = ["invariants", "singularities", "bounds", "table"]
@@ -36,7 +38,7 @@ STRAY = ["x", "t", "a", "^", "*", "(", ")", "()", "=", ",", ";", "[group]", "[fl
 def mutated_pq(draw) -> str:
     lines = fixture_path(draw(st.sampled_from(FIXTURES))).read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["degree", "swap", "delete", "repeat", "repeat-word", "stray"]))
+        kind = draw(st.sampled_from(["degree", "swap", "delete", "repeat", "repeat-word", "many-words", "stray"]))
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "degree":
             value = draw(st.integers(-3, 12))
@@ -53,6 +55,11 @@ def mutated_pq(draw) -> str:
             k = draw(st.sampled_from(rows)) if rows else i
             words = lines[k].partition("=")[2].split(",")
             lines[k] += "," + draw(st.sampled_from(words))
+        elif kind == "many-words":  # past the ceiling on branch points
+            rows = [k for k, line in enumerate(lines) if line.startswith("generators")]
+            k = draw(st.sampled_from(rows)) if rows else i
+            word = draw(st.sampled_from(lines[k].partition("=")[2].split(",")))
+            lines[k] += ("," + word) * draw(st.integers(MAX_BRANCH_POINTS, 10 * MAX_BRANCH_POINTS))
         elif kind == "stray":
             words = lines[i].split(" ")
             words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(STRAY)))

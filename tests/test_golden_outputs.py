@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from pqsurf import cli
-from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.inputs import parse_input, realize
+from tests.conftest import fixture_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent / "data"

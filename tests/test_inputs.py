@@ -6,7 +6,6 @@ from pqsurf.cli import main
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.inputs import (
     FormulaRow,
-    fixture_path,
     format_singularity_multiset,
     formula_invariants,
     parse_input,
@@ -15,6 +14,7 @@ from pqsurf.inputs import (
     realize,
     run_invariants,
 )
+from tests.conftest import fixture_path
 
 MINIMAL = """\
 [group]

@@ -16,9 +16,10 @@ from pqsurf.bounds import central_component_genus_crosscheck, degree_bound_repor
 from pqsurf.covers import SphericalSystem, rh_genus
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
-from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from pqsurf.surface import SurfaceModel, build_surface_model
+from tests.conftest import fixture_path
 from tests.locus_oracle import enumerate_singularities as oracle_singularities
 from tests.locus_oracle import fibre_genus
 

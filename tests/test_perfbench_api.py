@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from pqsurf import cli
-from pqsurf.inputs import fixture_path
+from tests.conftest import fixture_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

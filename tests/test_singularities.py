@@ -5,7 +5,6 @@ import pytest
 
 from pqsurf.cli import main
 from pqsurf.errors import EngineInconsistencyError, ValidationError
-from pqsurf.inputs import fixture_path
 from pqsurf.singularities import (
     SingularityType,
     dual_type,
@@ -13,6 +12,7 @@ from pqsurf.singularities import (
     normalized_key,
     orbit_counts,
 )
+from tests.conftest import fixture_path
 from tests.test_covers import BEAUVILLE_1, BEAUVILLE_2, z2_system, z5sq_triple
 
 
@@ -103,10 +103,6 @@ class TestEnumeration:
             Counter(normalized_key(p.type) for p in model.locus.points)
             == Counter(normalized_key(p.type) for p in swapped.points)
         )
-
-    def test_invalid_plain_system_rejected(self):
-        with pytest.raises(ValidationError, match="long relation"):
-            enumerate_singularities(*[z2_system(3)] * 2)
 
     def test_different_groups_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,9 +8,10 @@ import pytest
 from pqsurf import covers
 from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.hj import hj_expand
-from pqsurf.inputs import fixture_path, parse_input, realize
+from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from pqsurf.surface import BasisCurve, _string_multiplicities, build_surface_model
+from tests.conftest import fixture_path
 from tests.test_covers import z2_system
 
 
