@@ -124,19 +124,3 @@ def lemma_cc_check(model: SurfaceModel, in_scope: bool) -> LemmaCCReport:
         if g == 0:
             violations.append(curve.label)
     return LemmaCCReport(tuple(genera), in_scope, tuple(violations))
-
-
-def solve_two_branch_elliptic(genus_cover: int) -> list[tuple[int, int]]:
-    """Admissible (|H|, g(Y)) for 2g(C) - 2 = |H| (2g(Y) - 1) with two branch
-    points of multiplicity 2 on the quotient: |H| >= 2, g(Y) >= 0 integers."""
-    target = 2 * genus_cover - 2
-    if target <= 0:
-        raise ValidationError("need a cover of genus >= 2")
-    out = []
-    for h in range(2, target + 1):
-        if target % h != 0:
-            continue
-        rem = target // h
-        if rem % 2 == 1:
-            out.append((h, (rem + 1) // 2))
-    return out

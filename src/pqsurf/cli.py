@@ -45,9 +45,11 @@ def _require_at_most(flag: str, value: int, ceiling: int) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: byte {exc.start} is not UTF-8 text") from None
 
 
 @contextlib.contextmanager

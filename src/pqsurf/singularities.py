@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .covers import SphericalSystem
 from .errors import EngineInconsistencyError, ValidationError
 from .groups import ConjugacyClasses
-from .hj import SingularityType, dual_type, normalized_key  # noqa: F401 (re-exported)
+from .hj import SingularityType
 
 
 class SingularPoint(NamedTuple):

@@ -28,7 +28,8 @@ from typing import Callable, Hashable, Iterable
 from pqsurf.covers import SphericalSystem, branch_fiber, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.groups import FiniteGroup, Subgroup, cyclic_subgroup, element_order
-from pqsurf.singularities import SingularityType, SingularLocus, SingularPoint
+from pqsurf.hj import SingularityType
+from pqsurf.singularities import SingularLocus, SingularPoint
 from pqsurf.surface import BasisCurve, SurfaceModel
 
 

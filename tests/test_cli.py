@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pqsurf
+from pqsurf import bounds, hj, surface
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import ParseError
 from tests.conftest import fixture_path
@@ -203,6 +204,42 @@ class TestLocalCheck:
         assert code == 2
 
 
+def _cover_genus_plus_one(build):
+    def wrapped(sys1, sys2):
+        model = build(sys1, sys2)
+        model.g2 += 1
+        return model
+    return wrapped
+
+
+# one injected fault per engine gate: (owner, attribute, wrapper of the original, command, error line)
+ENGINE_FAULTS = {
+    "hj-determinant": (hj, "leading_minors", lambda f: lambda s: [*f(s)[:-1], f(s)[-1] + 1],
+                       ["hj", "7", "3"], "|det| = 6 != n = 7 for string (3, 2, 2)"),
+    "ksq-integer": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + Fraction(1, 2),
+                    ["invariants", BEAUVILLE], "K^2 = 17/2 is not an integer"),
+    "chi-integer": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + 1,
+                    ["invariants", BEAUVILLE], "chi = (K^2 + e)/12 = 13/12 is not a positive integer"),
+    "adjunction-parity": (surface.SurfaceModel, "lattice_numbers", lambda f: lambda m, c: (f(m, c)[0] + 1, *f(m, c)[1:]),
+                          ["bounds", TOY], "adjunction gives 2g - 2 = 3 on F1"),
+    "adjunction-sign": (surface.SurfaceModel, "lattice_numbers", lambda f: lambda m, c: (-4 - f(m, c)[2], *f(m, c)[1:]),
+                        ["bounds", TOY], "adjunction gives negative genus on F1"),
+    "tangent-case": (bounds, "_string_defect", lambda f: lambda m, c: f(m, c) + 1,
+                     ["bounds", TOY], "Y.E + Y^2 = 3 != r - sum a/n = 4 on N1"),
+    "riemann-hurwitz": (surface, "build_surface_model", _cover_genus_plus_one,
+                        ["bounds", TOY], "Riemann-Hurwitz gives 2g - 2 = -1 on N1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
+def test_engine_gate_exits_4(capsys, monkeypatch, fault):
+    owner, name, wrap, argv, message = ENGINE_FAULTS[fault]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestPolynomialParser:
     @pytest.mark.parametrize(
         "text, expected",
@@ -381,8 +418,10 @@ PARSE_ERRORS = [
     ("degree = 5\n", "line 1: 'degree = 5' comes before any [section] header"),
     ("[group]\ndegree = 5\ndegree = 6\n", "line 3: option 'degree' in section 'group' already exists"),
     ("[group]\ndegree = 5\n[group]\n", "line 3: section 'group' already exists"),
+    ("[group]\ndegree = 5\n[system1]\n[system2]\n", "no group generators given"),
 ]
-PARSE_ERROR_IDS = ["no-header", "duplicate-key", "duplicate-section"]
+PARSE_ERROR_IDS = ["no-header", "duplicate-key", "duplicate-section", "no-generators"]
+NOT_UTF8 = b"[group]\ndegree = 2\nt = (0 1)\xff\n"  # byte 28 is 0xff
 
 
 class TestInputErrors:
@@ -447,6 +486,26 @@ class TestInputErrors:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2
         assert "line 1" in record["error"] and "\n" not in record["error"]
+
+    @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
+    def test_file_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.pq"
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {path}: byte 28 is not UTF-8 text\n"
+
+    def test_file_not_utf8_in_table(self, capsys, tmp_path):
+        rows = tmp_path / "bad.rows"
+        rows.write_bytes(b"name,group_order,g1,g2,singularities,ksq\nx\xff,2,2,2,,\n")
+        code, out, err = run(capsys, "table", str(rows))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {rows}: byte 42 is not UTF-8 text\n"
+        pq = tmp_path / "bad.pq"
+        pq.write_bytes(NOT_UTF8)
+        code, out, _ = run(capsys, "table", str(pq))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2 and record["error"] == f"{pq}: cannot read {pq}: byte 28 is not UTF-8 text"
 
     @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
     @pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=PARSE_ERROR_IDS)

@@ -1,14 +1,14 @@
 """Fuzz of ``pqsurf.cli.main`` over mutated copies of the shipped ``.pq``
 fixtures: an edited degree, swapped, deleted or repeated lines, repeated
-generator words, generator lists past the ceiling on branch points and stray
-words, one of them a 5000-digit number.  Whatever the input, a command ends with
-exit 0, 2, 3 or 4, never with a traceback, and a failing single-file command
-prints one ``error:`` line.  ``table`` gets the same check on random
-formula-mode ``.rows`` files: bad orders, genera, K^2 and singularity items,
-a dropped column, and lines that end early or run long.  ``hj``, ``bigness``
-and ``local-check`` get random command lines: bad, negative and 5000-digit
-ints and malformed sections, where every line of stderr, argparse's
-included, stays under 300 bytes.
+generator words, generator lists past the ceiling on branch points, stray
+words, one of them a 5000-digit number, and bytes that are not UTF-8.
+Whatever the input, a command ends with exit 0, 2, 3 or 4, never with a
+traceback, and a failing single-file command prints one ``error:`` line.
+``table`` gets the same check on random formula-mode ``.rows`` files: bad
+orders, genera, K^2 and singularity items, a dropped column, and lines that
+end early or run long.  ``hj``, ``bigness`` and ``local-check`` get random
+command lines: bad, negative and 5000-digit ints and malformed sections,
+where every line of stderr, argparse's included, stays under 300 bytes.
 
 A7 and A6 stay out: a mutation keeps the group, and their closures would
 make each example slow without reaching other code.
@@ -32,13 +32,17 @@ FIXTURES = ["beauville_55.pq", "z2_hyperelliptic.pq", "a5_255_335.pq"]
 COMMANDS = ["invariants", "singularities", "bounds", "table"]
 STRAY = ["x", "t", "a", "^", "*", "(", ")", "()", "=", ",", ";", "[group]", "[flags]", "-1", "0", "7", "a^-2",
          "9" * 5000]  # more digits than Python converts to an int
+# a lone 0xff, a lone continuation byte, a lead byte without its continuation,
+# as surrogate escapes that the file's UTF-8 encoding turns back into bytes
+BAD_BYTES = ["\udcff", "\udc80", "\udcc3"]
 
 
 @st.composite
 def mutated_pq(draw) -> str:
     lines = fixture_path(draw(st.sampled_from(FIXTURES))).read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["degree", "swap", "delete", "repeat", "repeat-word", "many-words", "stray"]))
+        kind = draw(st.sampled_from(
+            ["degree", "swap", "delete", "repeat", "repeat-word", "many-words", "stray", "bytes"]))
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "degree":
             value = draw(st.integers(-3, 12))
@@ -64,6 +68,9 @@ def mutated_pq(draw) -> str:
             words = lines[i].split(" ")
             words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(STRAY)))
             lines[i] = " ".join(words)
+        elif kind == "bytes":
+            k = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + draw(st.sampled_from(BAD_BYTES)) + lines[i][k:]
     return "\n".join(lines) + "\n"
 
 
@@ -72,7 +79,7 @@ def mutated_pq(draw) -> str:
 @given(text=mutated_pq(), command=st.sampled_from(COMMANDS), as_json=st.booleans())
 def test_mutated_fixture_ends_in_a_known_exit_code(tmp_path_factory, text, command, as_json):
     path = tmp_path_factory.getbasetemp() / "fuzz.pq"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command, str(path), *(["--json"] if as_json else [])])

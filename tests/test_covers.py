@@ -120,15 +120,18 @@ class TestGenus:
         assert rh_genus(z2_system(2)) == 0
 
     def test_odd_branching_rejected(self):
-        # Z/3 with two branch points: 3(-2 + 4/3) = -2, genus 0 is fine;
-        # a single branch point gives -2 + 2/3, a non-integral value.  No
-        # valid system has that signature, so a stand-in carries it.
+        # Z/3 with two branch points: 3(-2 + 4/3) = -2, genus 0 is fine.  No
+        # valid system has the signatures below, so stand-ins carry them: one
+        # branch point of order 3 gives 3(-2 + 2/3) = -4, below -2; one of
+        # order 2 gives 3(-2 + 1/2) = -9/2, not an integer; Z/2 with three
+        # gives 2(-2 + 3/2) = -1, odd.
         group = group_from_generators([Permutation.from_cycles("(0 1 2)", 3)])
         t = group.generator_indices[0]
         assert rh_genus(SphericalSystem(group, (t, group.power(t, -1)))) == 0
-        inadmissible = exactly("branching data gives 2g - 2 = -4, not an admissible value")
-        with pytest.raises(ValidationError, match=inadmissible):
-            rh_genus(SimpleNamespace(group=group, signature=(3,)))
+        for order, signature, value in [(3, (3,), "-4"), (3, (2,), "-9/2"), (2, (2, 2, 2), "-1")]:
+            inadmissible = exactly(f"branching data gives 2g - 2 = {value}, not an admissible value")
+            with pytest.raises(ValidationError, match=inadmissible):
+                rh_genus(SimpleNamespace(group=SimpleNamespace(order=order), signature=signature))
 
     def test_genus_floor_gate(self):
         with pytest.raises(ValidationError, match=exactly("cover has genus 0 < 2")):

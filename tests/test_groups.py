@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pqsurf import groups
 from pqsurf.covers import SphericalSystem, validate_system
-from pqsurf.errors import ParseError, ValidationError
+from pqsurf.errors import EngineInconsistencyError, ParseError, ValidationError
 from pqsurf.groups import (
     FiniteGroup,
     Permutation,
@@ -148,6 +148,11 @@ class TestClosure:
         repeated = group_from_generators(gens * 24)
         assert repeated.images == plain.images
         assert repeated.generator_indices == plain.generator_indices * 24
+
+    def test_element_zero_must_be_the_identity(self):
+        images = [b"\x01\x00", b"\x00\x01"]
+        with pytest.raises(EngineInconsistencyError, match="^element 0 must be the identity$"):
+            FiniteGroup(images, [0], {im: i for i, im in enumerate(images)})
 
     def test_group_laws(self):
         group = group_from_generators(PSL27_GENS)

@@ -5,6 +5,8 @@ import pytest
 
 from pqsurf.errors import ValidationError
 from pqsurf.hj import (
+    SingularityType,
+    dual_type,
     hj_evaluate,
     hj_expand,
     leading_minors,
@@ -12,7 +14,6 @@ from pqsurf.hj import (
     string_intersection_matrix,
     string_length,
 )
-from pqsurf.singularities import SingularityType, dual_type
 
 COPRIME_PAIRS = [
     (n, a) for n in range(2, 51) for a in range(1, n) if gcd(a, n) == 1

@@ -15,23 +15,6 @@ import pqsurf
 
 SRC = Path(pqsurf.__file__).resolve().parent.parent
 
-# pqsurf.__all__ as it was when the package imported every submodule eagerly,
-# less quotient_data, DivisorClass, serialize_input and make_system, which are
-# deleted, and orbit_partition and intersect_subgroups, which only the test
-# oracles use (tests/locus_oracle.py)
-ALL = [
-    "EngineInconsistencyError", "FiniteGroup", "PQError", "ParseError",
-    "Permutation", "SingularityType", "SourceSection", "SphericalSystem", "Subgroup",
-    "SurfaceModel", "ValidationError", "bigness_certificate", "branch_fiber",
-    "build_surface_model", "conjugate_subgroup", "covers", "cyclic_subgroup", "differentials",
-    "dual_type", "element_order", "enumerate_singularities", "errors", "gamma_pullback",
-    "group_from_generators", "groups", "hj", "hj_evaluate", "hj_expand", "inputs",
-    "invariance_check", "is_holomorphic", "left_cosets",
-    "normalized_key", "parse_input", "realize", "rh_genus",
-    "run_invariants", "singularities", "string_intersection_matrix",
-    "string_length", "surface", "validate_system", "vanishing_conditions",
-]
-
 ENGINE = {"groups", "covers", "surface", "inputs", "bounds"}
 
 
@@ -104,18 +87,10 @@ def test_package_import_loads_no_submodule():
     assert loaded("-c", "import pqsurf") == set()
 
 
-def test_all_is_unchanged_and_resolves():
-    assert pqsurf.__all__ == ALL
-    for name in ALL:
-        assert getattr(pqsurf, name) is not None
-
-
 def test_submodules_and_moved_names_resolve():
     from pqsurf import bounds, hj, singularities
 
-    assert bounds.__name__ == "pqsurf.bounds"
-    assert pqsurf.singularities is singularities
-    assert singularities.SingularityType is hj.SingularityType is pqsurf.SingularityType
-    assert singularities.dual_type is pqsurf.dual_type
+    assert [m.__name__ for m in (bounds, hj, singularities)] == ["pqsurf.bounds", "pqsurf.hj", "pqsurf.singularities"]
+    assert not {"__all__", "__getattr__", "__dir__"} & set(vars(pqsurf))  # one import path per name: its module
     with pytest.raises(AttributeError):
         getattr(pqsurf, "no_such_name")

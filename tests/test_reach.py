@@ -26,7 +26,6 @@ _RECORD_COPY = "checks copies of a record made by _make or _replace; safety code
 _BRANCH_FIBER = ("used only by branch_fiber, which the benchmark's staged covers.fiber_ms layer and the "
                  "test oracles call; they leave the package together")
 UNREACHED = {
-    "pqsurf.__dir__": "lists the lazily imported names for dir() and tab completion",
     "pqsurf.covers.SphericalSystem.<lambda>": _RECORD_COPY,
     "pqsurf.differentials.SourceSection.<lambda>": _RECORD_COPY,
     "pqsurf.differentials.PuiseuxDifferential.<lambda>": _RECORD_COPY,
@@ -42,7 +41,6 @@ UNREACHED = {
     "pqsurf.groups.Subgroup.order": _BRANCH_FIBER,
     "pqsurf.groups.Subgroup.__contains__": _BRANCH_FIBER,
     "pqsurf.groups.FiniteGroup.conjugate": _BRANCH_FIBER,
-    "pqsurf.bounds.solve_two_branch_elliptic": "release criterion 8 (tests/test_acceptance.py), listed in the README",
 }
 
 # Runs in the fresh interpreter: prints [file name, first line, qualified

@@ -5,13 +5,8 @@ import pytest
 
 from pqsurf.cli import main
 from pqsurf.errors import EngineInconsistencyError, ValidationError
-from pqsurf.singularities import (
-    SingularityType,
-    dual_type,
-    enumerate_singularities,
-    normalized_key,
-    orbit_counts,
-)
+from pqsurf.hj import SingularityType, dual_type, normalized_key
+from pqsurf.singularities import enumerate_singularities, orbit_counts
 from tests.conftest import fixture_path
 from tests.test_covers import BEAUVILLE_1, BEAUVILLE_2, z2_system, z5sq_triple
 
