@@ -6,7 +6,11 @@ only one that defines its keys: with ``--json`` the payload is printed as
 JSON, and without it the command's ``render_*`` prints the text view from
 that payload alone.  All numeric output is exact; non-integral rationals
 print as "p/q".  Exit codes: 0 success, 2 parse error, 3 validation error,
-4 engine inconsistency.
+4 engine inconsistency, 141 when the reader of standard output closes it
+before the output is written (as in ``pqsurf bounds x.pq | head -1``): then
+nothing goes to stderr, and if standard output is the process's own, it is
+pointed at the null device so that the interpreter's final flush is quiet.
+An in-process caller's replacement ``sys.stdout`` is left as it is.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -31,6 +36,7 @@ SCHEMA_VERSION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_ENGINE = 4
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
 def _emit_json(payload: dict) -> None:
@@ -247,11 +253,14 @@ def cmd_table(args) -> tuple[dict, int]:
                     records.append({"name": "", "error": f"{row.name}: {exc}"})
                     errors.append(exc)
         else:
-            try:  # the error cell names the file
-                desc = parse_input(_read_text(path))
-                records.append(record(run_invariants(desc, name=Path(path).stem, cap=args.max_group_order)))
+            prefix = ""  # the error cell names the file once, and a read error already does
+            try:
+                text = _read_text(path)
+                prefix = f"{path}: "
+                summary = run_invariants(parse_input(text), name=Path(path).stem, cap=args.max_group_order)
+                records.append(record(summary))
             except PQError as exc:
-                records.append({"name": "", "error": f"{path}: {exc}"})
+                records.append({"name": "", "error": prefix + str(exc)})
                 errors.append(exc)
     return {"rows": records}, _exit_code_for(errors[0]) if errors else 0
 
@@ -443,10 +452,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     payload, code = result if isinstance(result, tuple) else (result, 0)
-    if args.json:
-        _emit_json(payload)
-    else:
-        args.render(payload)
+    try:
+        if args.json:
+            _emit_json(payload)
+        else:
+            args.render(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader of stdout is gone, e.g. `| head -1`
+        if sys.stdout is sys.__stdout__:  # the interpreter's final flush then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -10,14 +10,16 @@ given order, and one already in the span is skipped.  Adding a generator g
 appends, in order, each new p * g for the elements p found so far; then the
 elements appended are taken in turn, and each is composed with every
 generator kept so far, in their order, appending what is new.  A redundant
-generator thus costs one lookup: a fixture that names six generators of A6
-is closed over the two that span it.
+generator thus costs one lookup.  A ``.pq`` file's group is spanned by its
+first system without the last element (``inputs.realize``), so the element
+order follows that system, not the order of the ``[group]`` lines.
 
 An element is one ``bytes`` string of its images, so a degree is at most 256
 (``limits.MAX_DEGREE``).  With the 256-byte table of p (its images, then the
 identity), ``q.translate(table)`` is the image string of p * q: one C call,
-whose result caches its hash.  ``FiniteGroup.mul`` builds the table of its
-left factor on each call; the spans (the closure, ``covers``' generation
+whose result caches its hash.  ``product_images`` builds the table of its
+left factor on each call, for ``FiniteGroup.mul`` and the words of a
+``.pq`` file; the spans (the closure, ``covers``' generation
 check and the conjugacy classes) go through ``_close``, which builds each
 element's table once.  Neither builds a ``Permutation``.
 """
@@ -90,16 +92,17 @@ class FiniteGroup:
     Element 0 is the identity.  Elements are addressed by index everywhere;
     a product translates the images of the right factor by the table of the
     left one and looks the result up by its images; ``images[i]`` is the
-    image bytes of element i, and ``index`` maps images[i] to i.
+    image bytes of element i, and ``index`` maps images[i] to i.  The
+    elements ``generator_indices`` span the group, so a tuple that contains
+    them generates it (``covers.validate_system`` relies on this).
     """
 
     def __init__(self, images: Sequence[bytes], generator_indices: Sequence[int], index: dict):
         self.images: tuple[bytes, ...] = tuple(images)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
-        self._index: dict[bytes, int] = index
+        self.index: dict[bytes, int] = index
         if self.images[0] != _POINTS[:len(self.images[0])]:
             raise EngineInconsistencyError("element 0 must be the identity")
-        self._tail = _POINTS[len(self.images[0]):]
         self._powers: dict[int, list[int]] = {}
 
     @property
@@ -111,11 +114,11 @@ class FiniteGroup:
         return 0
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self.images[j].translate(self.images[i] + self._tail)]
+        return self.index[product_images(self.images[i], self.images[j])]
 
     def conjugate(self, i: int, t: int) -> int:
         """t i t^-1."""
-        return self.mul(self.mul(t, i), self._index[_inverse_images(self.images[t])])
+        return self.mul(self.mul(t, i), self.index[_inverse_images(self.images[t])])
 
     def powers(self, i: int) -> list[int]:
         """[e, i, i^2, ..., i^(m-1)] with m the order of i; cached on the group."""
@@ -129,15 +132,33 @@ class FiniteGroup:
             self._powers[i] = cached
         return cached
 
-    def power(self, i: int, k: int) -> int:
-        """i^k for k of either sign, read off the cached powers of i."""
-        cycle = self.powers(i)
-        return cycle[k % len(cycle)]
-
 
 def _inverse_images(p: bytes) -> bytes:
     """The images of p^-1: the table mapping each p[x] back to x, cut to degree."""
     return bytes.maketrans(p, _POINTS[:len(p)])[:len(p)]
+
+
+def product_images(p: bytes, q: bytes) -> bytes:
+    """The images of p * q, q acting first."""
+    return q.translate(p + _POINTS[len(p):])
+
+
+def power_images(p: bytes, k: int) -> bytes:
+    """The images of p^k for k of either sign: each cycle of p is rotated by
+    k mod its length, so the cost is the degree, however large k or the
+    order of p."""
+    images = bytearray(len(p))
+    seen = bytearray(len(p))
+    for start in range(len(p)):
+        if not seen[start]:
+            cycle = [start]
+            while (x := p[cycle[-1]]) != start:
+                cycle.append(x)
+            shift = k % len(cycle)
+            for x, y in zip(cycle, cycle[shift:] + cycle[:shift]):
+                images[x] = y
+                seen[x] = 1
+    return bytes(images)
 
 
 class _SubgroupFields(NamedTuple):
@@ -212,11 +233,21 @@ def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[li
     return found, index
 
 
+def group_spanned_by(generators: Sequence[bytes], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """The group that non-empty image strings of one degree span, elements
+    in the order of the module docstring; refused as soon as the span passes
+    ``cap``.  Its ``generator_indices`` are those of ``generators``."""
+    images, index = _span(_POINTS[:len(generators[0])], generators, cap)
+    if len(images) > cap:
+        raise ValidationError(f"group order exceeds cap {cap}")
+    return FiniteGroup(images, [index[g] for g in generators], index)
+
+
 def group_from_generators(
     gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
-    """The group a non-empty generator list spans, elements in the order of
-    the module docstring; refused as soon as the span passes ``cap``."""
+    """``group_spanned_by`` on a non-empty list of permutations, checked to
+    act on one domain of at most ``MAX_DEGREE`` points."""
     if not gens:
         raise ValidationError("need at least one generator")
     degree = gens[0].degree
@@ -224,11 +255,7 @@ def group_from_generators(
         raise ValidationError("generators act on different domains")
     if degree > MAX_DEGREE:
         raise ValidationError(f"degree {degree} is above the ceiling {MAX_DEGREE}")
-    generators = [bytes(g.images) for g in gens]
-    images, index = _span(_POINTS[:degree], generators, cap)
-    if len(images) > cap:
-        raise ValidationError(f"group order exceeds cap {cap}")
-    return FiniteGroup(images, [index[g] for g in generators], index)
+    return group_spanned_by([bytes(g.images) for g in gens], cap)
 
 
 def spans_more_than(group: FiniteGroup, generators: Sequence[int], bound: int) -> bool:

@@ -14,7 +14,7 @@ Both modes compute e, chi and P_g in ``euler_chi_pg``; full mode feeds it
 the K^2 of the divisor lattice.  Both report the singularity multiset
 through ``singularity_multiset``, which merges each type with its dual.
 
-.pq grammar (INI sections)::
+.pq grammar::
 
     [group]
     degree = 10
@@ -35,7 +35,14 @@ through ``singularity_multiset``, which merges each type with its dual.
     ; optional
     in_scope_c1sq6 = false
 
-Comments take whole lines (configparser strips no inline comments).
+A line is blank, a comment (its first character other than white space is
+'#' or ';'), a ``[section]`` header, or ``key = value``, split at the first
+'=' and stripped, so a value may hold '=', ';' or '#'.  Keys are
+case-sensitive.  Headers and keys start their line: an indented line, which
+INI readers take as the continuation of a value, is refused, as are a key
+before the first header, a repeated section or key, and any other line;
+each is a ``ParseError`` that names the line.  ``in_scope_c1sq6`` is one of
+1/yes/true/on or 0/no/false/off, in any case.
 
 Generator words are '*'-separated factors ``name`` or ``name^k`` (k may be
 negative).
@@ -43,7 +50,6 @@ negative).
 
 from __future__ import annotations
 
-import configparser
 import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -70,23 +76,40 @@ class InputDescription(NamedTuple):
     in_scope_c1sq6: bool = False
 
 
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """The sections of a .pq text, each a dict of its keys' values, in file
+    order, by the grammar of the module docstring."""
+    sections: dict[str, dict[str, str]] = {}
+    section = name = None
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            raise ParseError(f"line {number}: {shortened(stripped)!r} is indented: a value takes one line")
+        if stripped[0] == "[" and stripped[-1] == "]" and len(stripped) > 2:
+            name = stripped[1:-1]
+            if name in sections:
+                raise ParseError(f"line {number}: section {name!r} already exists")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise ParseError(f"line {number}: {shortened(stripped)!r} comes before any [section] header")
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip()
+        if not equals or not key or stripped[0] == "[":
+            raise ParseError(f"line {number}: neither a [section] header nor 'key = value'")
+        if key in section:
+            raise ParseError(f"line {number}: option {key!r} in section {name!r} already exists")
+        section[key] = value.lstrip()
+    return sections
+
+
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True, "0": False, "no": False, "false": False, "off": False}
+
+
 def parse_input(text: str) -> InputDescription:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # generator names are case-sensitive
-    try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header") from None
-    except configparser.ParsingError as exc:
-        raise ParseError(f"line {exc.errors[0][0]}: neither a [section] header nor 'key = value'") from None
-    except configparser.DuplicateOptionError as exc:
-        raise ParseError(
-            f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
-        ) from None
-    except configparser.DuplicateSectionError as exc:
-        raise ParseError(f"line {exc.lineno}: section {exc.section!r} already exists") from None
-    except configparser.Error as exc:
-        raise ParseError(str(exc)) from None
+    parser = _read_sections(text)
     for section in ("group", "system1", "system2"):
         if section not in parser:
             raise ParseError(f"missing [{section}] section")
@@ -131,21 +154,22 @@ def parse_input(text: str) -> InputDescription:
             except ValueError:
                 raise ParseError(f"bad signature in [{section}]") from None
         systems.append(SystemSpec(words, signature))
-    in_scope = False
-    if "flags" in parser:
-        try:
-            in_scope = parser["flags"].getboolean("in_scope_c1sq6", fallback=False)
-        except ValueError:
-            value = shortened(parser["flags"]["in_scope_c1sq6"])
-            raise ParseError(f"bad in_scope_c1sq6 {value!r} in [flags]") from None
+    flag = parser.get("flags", {}).get("in_scope_c1sq6", "false")
+    in_scope = _BOOLEANS.get(flag.lower())
+    if in_scope is None:
+        raise ParseError(f"bad in_scope_c1sq6 {shortened(flag)!r} in [flags]")
     return InputDescription(degree, generators, systems[0], systems[1], in_scope)
 
 
 _WORD_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(-?\d+))?$")
 
 
-def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
-    acc = group.identity
+def _evaluate_word(named: dict[str, bytes], word: str) -> bytes:
+    """The image string of a word in the named generators; a power is read
+    off the cycles of its generator (``groups.power_images``)."""
+    from .groups import power_images, product_images
+
+    acc = b""
     for factor in word.split("*"):
         match = _WORD_FACTOR.match(factor.strip())
         if not match:
@@ -153,29 +177,39 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str) -> int:
         name, power = match.group(1), parse_int(match.group(2) or "1", "power")
         if name not in named:
             raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
-        acc = group.mul(acc, group.power(named[name], power))
+        p = named[name] if power == 1 else power_images(named[name], power)
+        acc = product_images(acc, p) if acc else p
     return acc
 
 
 def realize(
     desc: InputDescription, cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[FiniteGroup, SphericalSystem, SphericalSystem]:
-    from .covers import SphericalSystem
-    from .groups import Permutation, group_from_generators
+    """The group and the two systems of a description.  The words are
+    evaluated on image strings, and the group is closed once, as the span of
+    the first system without its last element, once that system has passed
+    the checks that need no span; every named generator must then lie in
+    it, or the first system does not generate the group the file names."""
+    from .covers import NOT_GENERATING, SphericalSystem, check_relation
+    from .groups import Permutation, group_spanned_by, product_images
 
-    perms = [Permutation.from_cycles(text, desc.degree) for _, text in desc.generators]
-    group = group_from_generators(perms, cap=cap)
-    named = {name: i for (name, _), i in zip(desc.generators, group.generator_indices)}
-    systems = []
-    for spec in (desc.system1, desc.system2):
-        elements = tuple(_evaluate_word(group, named, w) for w in spec.words)
-        sys = SphericalSystem(group, elements)
+    named = {name: bytes(Permutation.from_cycles(text, desc.degree).images) for name, text in desc.generators}
+    elements1 = [_evaluate_word(named, w) for w in desc.system1.words]
+    check_relation(elements1, bytes(range(desc.degree)), product_images)
+    group = group_spanned_by(elements1[:-1], cap)
+    if not all(p in group.index for p in named.values()):
+        raise ValidationError(NOT_GENERATING)
+
+    def system(spec: SystemSpec, elements: list[bytes]) -> SphericalSystem:
+        sys = SphericalSystem(group, tuple(group.index[p] for p in elements))
         if spec.signature is not None and spec.signature != sys.signature:
             raise ValidationError(
                 f"declared signature {shortened(str(spec.signature))} != derived {shortened(str(sys.signature))}"
             )
-        systems.append(sys)
-    return group, systems[0], systems[1]
+        return sys
+
+    sys1 = system(desc.system1, elements1)
+    return group, sys1, system(desc.system2, [_evaluate_word(named, w) for w in desc.system2.words])
 
 
 # -- summaries ---------------------------------------------------------------

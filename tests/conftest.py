@@ -8,6 +8,12 @@ from pqsurf.inputs import parse_input, realize
 from pqsurf.surface import build_surface_model
 
 
+def power(group, i: int, k: int) -> int:
+    """i^k in the group, for k of either sign, read off the powers of i."""
+    cycle = group.powers(i)
+    return cycle[k % len(cycle)]
+
+
 def fixture_path(name: str):
     """The path of a fixture shipped inside the package."""
     return files("pqsurf") / "fixtures" / name
@@ -44,5 +50,5 @@ def z4_mixed_model():
     g = Permutation.from_cycles("(0 1 2 3)")
     group = group_from_generators([g])
     (i,) = group.generator_indices
-    sys = SphericalSystem(group, (i, group.power(i, 3), group.power(i, 2), group.power(i, 2)))
+    sys = SphericalSystem(group, (i, power(group, i, 3), power(group, i, 2), power(group, i, 2)))
     return build_surface_model(sys, sys)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -505,7 +506,7 @@ class TestInputErrors:
         pq.write_bytes(NOT_UTF8)
         code, out, _ = run(capsys, "table", str(pq))
         (record,) = csv.DictReader(io.StringIO(out))
-        assert code == 2 and record["error"] == f"{pq}: cannot read {pq}: byte 28 is not UTF-8 text"
+        assert code == 2 and record["error"] == f"cannot read {pq}: byte 28 is not UTF-8 text"
 
     @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
     @pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=PARSE_ERROR_IDS)
@@ -523,6 +524,27 @@ class TestInputErrors:
         code, out, _ = run(capsys, "table", str(path))
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2 and record["error"] == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a^4*b^4\n", "a^4*b^4,\n    a*b^2\n", "line 10: 'a*b^2' is indented: a value takes one line"),
+            ("b = (5 6 7 8 9)", "  b = (5 6 7 8 9)", "line 5: 'b = (5 6 7 8 9)' is indented: a value takes one line"),
+            ("degree = 10", "degree: 10", "line 3: neither a [section] header nor 'key = value'"),
+            ("[flags]", "[]", "line 17: neither a [section] header nor 'key = value'"),
+            ("[flags]", "[flags] x", "line 17: neither a [section] header nor 'key = value'"),
+            ("[group]", "[]", "line 2: '[]' comes before any [section] header"),
+        ],
+        ids=["continuation", "indented-key", "colon", "empty-header", "header-and-text", "empty-first-header"],
+    )
+    def test_refused_line(self, capsys, tmp_path, old, new, message):
+        # lines an INI reader takes, or takes with another meaning: one line
+        # naming the file and the line
+        path = tmp_path / "bad.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
     @pytest.mark.parametrize(
@@ -710,6 +732,59 @@ class TestInputErrors:
             _, want, _ = run(capsys, command, BEAUVILLE, "--json")
             assert code == 0 and out == want
 
+    def test_first_system_misses_a_named_generator(self, capsys, tmp_path):
+        # a and a^4 span <a>, and b = (5 6 7 8 9) is not in it
+        path = tmp_path / "beauville_55.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace("a, b, a^4*b^4", "a, a^4", 1))
+        for command in ("invariants", "singularities", "bounds"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert err == "error: invalid spherical system: generators do not generate the whole group\n"
+
+    def test_group_over_the_cap_with_a_small_first_system(self, capsys, tmp_path):
+        # the group is closed over the first system, which spans <x1> of order
+        # 2: the named generators outside it are found before any cap is met
+        path = tmp_path / "a7_247_357.pq"
+        path.write_text(fixture_path("a7_247_357.pq").read_text().replace("x1, x2, x3", "x1, x1", 1))
+        code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: invalid spherical system: generators do not generate the whole group\n"
+        # a first system that spans the whole group still meets the cap
+        code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(fixture_path("a7_247_357.pq")))
+        assert code == 3 and err == "error: group order exceeds cap 100\n"
+
+    @pytest.mark.parametrize("shift, message", [
+        (0, "invalid spherical system: generators do not generate the whole group"),
+        (1, "invalid spherical system: long relation: product of generators is not the identity"),
+    ], ids=["right-element", "wrong-element"])
+    def test_huge_power_of_an_element_of_huge_order(self, capsys, tmp_path, shift, message):
+        # g has cycles of the first 12 primes on 197 of 200 points, so its
+        # order is their product, about 7e12; k has 30 digits, divisible by
+        # every cycle length from 5 on, so g^k moves points 0..4 only.  The
+        # file names h = g^k by its cycles: the system (h, g^-k) has product
+        # 1 exactly when g^k is evaluated right, and then spans <h>, of order
+        # 6, which misses g.  Evaluating by repeated products would not end.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        cycles, start = [], 0
+        for m in primes:
+            cycles.append(list(range(start, start + m)))
+            start += m
+        k = (10**17 + 1) * math.prod(primes[2:])
+        assert len(str(k)) == 30 and k % 2 and k % 3
+
+        def text(cycles):
+            return "".join(f"({' '.join(map(str, c))})" for c in cycles if c)
+
+        # c[i] -> c[i + r] on a cycle of prime length is the one cycle (c[0] c[r] c[2r] ...)
+        h = [[c[i * (k + shift) % len(c)] for i in range(len(c))] if (k + shift) % len(c) else []
+             for c in cycles[:2]]
+        path = tmp_path / "huge.pq"
+        path.write_text(f"[group]\ndegree = 200\ng = {text(cycles)}\nh = {text(h)}\n\n"
+                        f"[system1]\ngenerators = h, g^-{k}\n\n[system2]\ngenerators = h, h^-1\n")
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_hj_above_ceiling(self, capsys):
         from pqsurf.limits import MAX_HJ_ORDER
 
@@ -750,3 +825,30 @@ def test_no_output_depends_on_the_hash_seed():
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1 and '"group_order": 360' in outputs.pop()
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe after one line, as `| head -1` does,
+    gets exit 141 and nothing on stderr.  `hj 200 199 --json` prints about
+    400 KB, more than a pipe holds, so the write is pending when the pipe closes."""
+    path = os.pathsep.join(filter(None, [str(Path(pqsurf.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "pqsurf.cli", "hj", "200", "199", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_closed_replacement_stdout_is_left_alone(monkeypatch):
+    # an in-process caller's stdout: the exit code says so, and fd 1 is not redirected
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["hj", "7", "3"]) == 141
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

@@ -12,6 +12,7 @@ from pqsurf.covers import (
 )
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, element_order, group_from_generators
+from tests.conftest import power
 
 
 def exactly(message: str) -> str:
@@ -36,7 +37,7 @@ def z5sq_triple(exponents):
     ia, ib = group.generator_indices
 
     def element(x, y):
-        return group.mul(group.power(ia, x), group.power(ib, y))
+        return group.mul(power(group, ia, x), power(group, ib, y))
 
     return SphericalSystem(group, tuple(element(x, y) for x, y in exponents))
 
@@ -127,7 +128,7 @@ class TestGenus:
         # gives 2(-2 + 3/2) = -1, odd.
         group = group_from_generators([Permutation.from_cycles("(0 1 2)", 3)])
         t = group.generator_indices[0]
-        assert rh_genus(SphericalSystem(group, (t, group.power(t, -1)))) == 0
+        assert rh_genus(SphericalSystem(group, (t, power(group, t, -1)))) == 0
         for order, signature, value in [(3, (3,), "-4"), (3, (2,), "-9/2"), (2, (2, 2, 2), "-1")]:
             inadmissible = exactly(f"branching data gives 2g - 2 = {value}, not an admissible value")
             with pytest.raises(ValidationError, match=inadmissible):

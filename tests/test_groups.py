@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqsurf import groups
+from pqsurf import covers, groups
 from pqsurf.covers import SphericalSystem, validate_system
 from pqsurf.errors import EngineInconsistencyError, ParseError, ValidationError
 from pqsurf.groups import (
@@ -19,10 +19,12 @@ from pqsurf.groups import (
     element_order,
     group_from_generators,
     left_cosets,
+    power_images,
+    product_images,
 )
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, power
 from tests.locus_oracle import ActionAxiomError, closure_images, intersect_subgroups, orbit_partition
 from tests.test_covers import NOT_GENERATING
 
@@ -115,7 +117,7 @@ class TestPermutation:
         p = Permutation.from_cycles("(0 1 2 3 4)")
         group = group_from_generators([p])
         i = index_of(group, p)
-        assert [group.images[group.power(i, -1)][x] for x in p.images] == list(range(5))
+        assert [group.images[power(group, i, -1)][x] for x in p.images] == list(range(5))
 
 
 class TestClosure:
@@ -157,7 +159,7 @@ class TestClosure:
     def test_group_laws(self):
         group = group_from_generators(PSL27_GENS)
         for i in range(group.order):
-            assert group.mul(i, group.power(i, -1)) == group.identity
+            assert group.mul(i, power(group, i, -1)) == group.identity
         rng = random.Random(7)
         for _ in range(50):
             a, b, c = (rng.randrange(group.order) for _ in range(3))
@@ -165,28 +167,27 @@ class TestClosure:
 
 
 class TestPower:
-    def test_huge_exponent_costs_at_most_the_group_order(self, monkeypatch):
-        group = group_from_generators([SWAP])
-        t = group.generator_indices[0]
-        calls = count_mul(monkeypatch)
-        assert group.power(t, 1_000_000_001) == t
-        assert calls[0] <= group.order + 2
+    """``groups.power_images``, which a ``.pq`` word's ``name^k`` goes
+    through, against the powers a group lists by repeated products."""
 
-    def test_huge_negative_exponent(self, monkeypatch):
-        gens = [Permutation.from_cycles("(0 1 2 3 4 5 6)")]
-        oracle, group = group_from_generators(gens), group_from_generators(gens)
-        r = group.generator_indices[0]
-        expected = oracle.power(oracle.power(r, -1), 1_000_000_001 % 7)
+    def test_huge_exponent_costs_at_most_the_group_order(self, monkeypatch):
+        # no product at all: the cycles of the element are rotated
         calls = count_mul(monkeypatch)
-        assert group.power(r, -1_000_000_001) == expected
-        assert calls[0] <= group.order + 2
+        assert power_images(bytes(SWAP.images), 1_000_000_001) == bytes(SWAP.images)
+        assert calls[0] == 0
+
+    def test_huge_negative_exponent(self):
+        gens = [Permutation.from_cycles("(0 1 2 3 4 5 6)")]
+        group = group_from_generators(gens)
+        r = group.generator_indices[0]
+        expected = power(group, power(group, r, -1), 1_000_000_001 % 7)
+        assert power_images(group.images[r], -1_000_000_001) == group.images[expected]
 
     def test_inverse_of_an_element_with_cached_powers_costs_no_product(self, monkeypatch):
         group = group_from_generators([Permutation.from_cycles("(0 1 2 3 4 5 6)")])
         r = group.generator_indices[0]
-        group.powers(r)
         calls = count_mul(monkeypatch)
-        inverse = group.power(r, -1)
+        inverse = group.index[power_images(group.images[r], -1)]
         assert calls[0] == 0
         assert group.mul(r, inverse) == group.identity
 
@@ -195,9 +196,26 @@ class TestPower:
         for g in group.generator_indices + (5, 77):
             acc = group.identity
             for k in range(12):
-                assert group.power(g, k) == acc
-                assert group.mul(group.power(g, -k), acc) == group.identity
+                assert power_images(group.images[g], k) == group.images[acc]
+                assert group.mul(group.index[power_images(group.images[g], -k)], acc) == group.identity
                 acc = group.mul(acc, g)
+
+    def test_element_of_huge_order_is_powered_at_once(self):
+        # cycles of the first 12 primes, 197 points, and 3 fixed points:
+        # the order is their product, about 7e12, and k has 30 digits
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        cycles, start = [], 0
+        for m in primes:
+            cycles.append(tuple(range(start, start + m)))
+            start += m
+        p = bytes(Permutation.from_cycles("".join(f"({' '.join(map(str, c))})" for c in cycles), 200).images)
+        k = 10**29 + 7
+        images = power_images(p, k)
+        for cycle in cycles:
+            for i, x in enumerate(cycle):
+                assert images[x] == cycle[(i + k) % len(cycle)]
+        assert images[197:] == bytes([197, 198, 199])
+        assert product_images(images, power_images(p, -k)) == bytes(range(200))
 
 
 class TestElementOrder:
@@ -401,29 +419,45 @@ class TestClosureAgainstOracle:
 # generation check of each system and of the class closures of the locus.
 # They are deterministic, so a span that closes over more generators than it
 # needs fails here instead of hiding in timing noise.
+# realize closes the group once, over system1 without its last element, so
+# system1's generation check takes no span (it was 277 on A6, 1974 on A7)
 SPAN_COMPOSITIONS = {
-    "a6_245_334.pq": {"closure": 720, "generation": [277, 253], "classes": 272},
-    "a7_247_357.pq": {"closure": 5040, "generation": [1974, 1674], "classes": 722},
+    "a6_245_334.pq": {"closure": 720, "generation": [0, 253], "classes": 272},
+    "a7_247_357.pq": {"closure": 5040, "generation": [0, 1674], "classes": 722},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPAN_COMPOSITIONS))
 def test_span_compositions_are_pinned(monkeypatch, name):
     # FiniteGroup.mul composes without a span move, so below only the
-    # spans' own products are counted
-    _, sys1, sys2 = realize(parse_input(fixture_path(name).read_text()))
+    # spans' own products are counted: those of realize, split into each
+    # system's generation check and the closure, then those of the locus
+    desc = parse_input(fixture_path(name).read_text())
     calls = count_compositions(monkeypatch)
-    counts = {}
-    group_from_generators(fixture_generators(name))
-    counts["closure"], calls[0] = calls[0], 0
-    counts["generation"] = []
-    for sys in (sys1, sys2):
-        validate_system(sys)
-        counts["generation"].append(calls[0])
-        calls[0] = 0
+    generation = []
+    check = covers.validate_system
+
+    def counted_check(sys):
+        before = calls[0]
+        check(sys)
+        generation.append(calls[0] - before)
+
+    monkeypatch.setattr(covers, "validate_system", counted_check)
+    _, sys1, sys2 = realize(desc)
+    counts = {"closure": calls[0] - sum(generation), "generation": generation}
+    calls[0] = 0
     enumerate_singularities(sys1, sys2)
     counts["classes"] = calls[0]
     assert counts == SPAN_COMPOSITIONS[name]
+
+
+@pytest.mark.parametrize("name", ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq"])
+def test_realize_closes_the_group_over_system1(name):
+    # the element order is the discovery order over system1[:-1], whatever
+    # the [group] lines name
+    group, sys1, _ = realize(parse_input(fixture_path(name).read_text()))
+    assert elements(group) == closure_images([group.images[g] for g in sys1.generators[:-1]])
+    assert group.generator_indices == sys1.generators[:-1]
 
 
 def test_s8_closure_composition_count_is_pinned(monkeypatch):
@@ -447,7 +481,7 @@ def symmetric_systems(draw):
     for g in elements:
         acc = group.mul(acc, g)
     assume(acc != group.identity)
-    return group, (*elements, group.power(acc, -1))
+    return group, (*elements, power(group, acc, -1))
 
 
 class TestGenerationCheck:
@@ -464,7 +498,7 @@ class TestGenerationCheck:
     def test_generating_system_stops_past_half_the_group(self, monkeypatch):
         group = symmetric_group(6)
         x, y = group.generator_indices
-        z = group.power(group.mul(x, y), -1)
+        z = power(group, group.mul(x, y), -1)
         products, calls = count_mul(monkeypatch), count_compositions(monkeypatch)
         SphericalSystem(group, (x, y, z))
         # at most 3 products for the long relation, then the span of x and
@@ -478,7 +512,7 @@ class TestGenerationCheck:
         group = symmetric_group(6)
         c = index_of(group, Permutation.from_cycles("(0 1 2)", 6))
         with pytest.raises(ValidationError, match=NOT_GENERATING):
-            SphericalSystem(group, (c, group.power(c, -1)))
+            SphericalSystem(group, (c, power(group, c, -1)))
 
 
 def test_a_used_group_is_freed_by_reference_counting():
@@ -489,7 +523,7 @@ def test_a_used_group_is_freed_by_reference_counting():
     try:
         group = group_from_generators(PSL27_GENS)
         for g in range(group.order):
-            group.powers(group.conjugate(g, group.power(g, -1)))
+            group.powers(group.conjugate(g, power(group, g, -1)))
         ref = weakref.ref(group)
         del group
         assert ref() is None

@@ -1,11 +1,16 @@
+import configparser
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqsurf.cli import main
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.inputs import (
     FormulaRow,
+    _read_sections,
     format_singularity_multiset,
     formula_invariants,
     parse_input,
@@ -69,6 +74,67 @@ class TestParseInput:
         text = MINIMAL.replace("t, t, t, t, t, t", "t^3, t^-1, t*t*t, t", 1)
         _, sys1, _ = realize(parse_input(text))
         assert sys1.signature == (2, 2, 2, 2)
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """What the INI reader of the standard library makes of a text, with
+    case-sensitive keys and no interpolation: the oracle of ``_read_sections``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+DATA = Path(__file__).resolve().parent / "data"
+PQ_FILES = {p.name: p for p in fixture_path("").iterdir() if p.name.endswith(".pq")} | {
+    f"data/{p.name}": p for p in DATA.glob("*.pq")}
+
+SPACING = st.text(" \t", max_size=2)
+# one line each; '=', ';', '#' and ':' inside a value are part of it
+VALUES = st.text(st.sampled_from("ab7 \t=;#:,()^*-_\r\x0c\u00e9"), max_size=12)
+KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_ .-]{0,5}[A-Za-z0-9_]?", fullmatch=True)
+# DEFAULT is a section configparser treats apart; brackets end a header
+SECTION_NAMES = st.text(st.sampled_from("abgroupsystem12 _-.#;="), min_size=1, max_size=8).filter(
+    lambda name: name != "DEFAULT")
+FILLERS = st.one_of(
+    st.builds(lambda indent, mark, rest: indent + mark + rest, SPACING, st.sampled_from("#;"), VALUES),
+    SPACING,  # a blank line
+)
+
+
+@st.composite
+def ini_texts(draw) -> str:
+    """Texts in the .pq grammar: comments and blank lines anywhere, headers,
+    and keys with any spacing around '='."""
+    lines = draw(st.lists(FILLERS, max_size=2))
+    for name in draw(st.lists(SECTION_NAMES, unique=True, max_size=4)):
+        lines.append(f"[{name}]" + draw(SPACING))
+        for key in draw(st.lists(KEYS, unique_by=str.rstrip, max_size=4)):
+            lines += draw(st.lists(FILLERS, max_size=1))
+            lines.append(key + draw(SPACING) + "=" + draw(SPACING) + draw(VALUES) + draw(SPACING))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestReader:
+    """``_read_sections`` against configparser, which it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(PQ_FILES))
+    def test_shipped_files_read_as_configparser_reads_them(self, name):
+        text = PQ_FILES[name].read_text()
+        assert _read_sections(text) == configparser_sections(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ini_texts())
+    def test_grammar_texts_read_as_configparser_reads_them(self, text):
+        assert _read_sections(text) == configparser_sections(text)
+
+    @pytest.mark.parametrize("value", ["1", "yes", "TRUE", "On", "0", "No", "false", "OFF"])
+    def test_in_scope_flag_takes_what_configparser_took(self, value):
+        text = MINIMAL + f"\n[flags]\nin_scope_c1sq6 = {value}\n"
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        assert parse_input(text).in_scope_c1sq6 is parser["flags"].getboolean("in_scope_c1sq6")
 
 
 class TestRunInvariants:

@@ -56,6 +56,13 @@ def test_no_command_imports_dataclasses(command):
     assert not modules & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_imports_configparser(command):
+    # the .pq grammar is read by inputs itself, in a few lines
+    modules = imported("-m", "pqsurf.cli", *COMMANDS[command], "--json")
+    assert "configparser" not in modules
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -19,7 +19,7 @@ from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from pqsurf.surface import SurfaceModel, build_surface_model
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, power
 from tests.locus_oracle import enumerate_singularities as oracle_singularities
 from tests.locus_oracle import fibre_genus
 
@@ -54,7 +54,7 @@ def generating_vector(draw, group):
     acc = group.identity
     for g in elements:
         acc = group.mul(acc, g)
-    elements.append(group.power(acc, -1))
+    elements.append(power(group, acc, -1))
     try:
         return SphericalSystem(group, tuple(elements))
     except ValidationError:

@@ -25,6 +25,8 @@ COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 _RECORD_COPY = "checks copies of a record made by _make or _replace; safety code that no command needs"
 _BRANCH_FIBER = ("used only by branch_fiber, which the benchmark's staged covers.fiber_ms layer and the "
                  "test oracles call; they leave the package together")
+_PERMUTATION_GROUPS = ("builds a group from Permutation objects, for the benchmark's groups.closure_ms layer and "
+                       "the tests; a command closes its group over the image strings of its first system")
 UNREACHED = {
     "pqsurf.covers.SphericalSystem.<lambda>": _RECORD_COPY,
     "pqsurf.differentials.SourceSection.<lambda>": _RECORD_COPY,
@@ -41,6 +43,8 @@ UNREACHED = {
     "pqsurf.groups.Subgroup.order": _BRANCH_FIBER,
     "pqsurf.groups.Subgroup.__contains__": _BRANCH_FIBER,
     "pqsurf.groups.FiniteGroup.conjugate": _BRANCH_FIBER,
+    "pqsurf.groups.group_from_generators": _PERMUTATION_GROUPS,
+    "pqsurf.groups.Permutation.degree": "used only by group_from_generators: " + _PERMUTATION_GROUPS,
 }
 
 # Runs in the fresh interpreter: prints [file name, first line, qualified
