@@ -5,9 +5,11 @@ curves not contained in the exceptional divisor, together with the
 tangent-case arithmetic for central components (K_Y.Y, Y.E, Y^2 and the
 non-negative string defect r - sum a_i/n_i over the r strings meeting Y,
 where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
-for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 come from
-``SurfaceModel.lattice_numbers``, read once per curve off its row of the
-form, so a report builds no divisor and calls no ``intersect``.
+for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 are the
+ints of ``SurfaceModel.lattice_numbers``, read once per curve off its row
+of the form, so a report builds no divisor and calls no ``intersect``.  The
+string defect alone is a Fraction sum: it is the second route of the gate
+Y.E + Y^2 = r - sum a_i/n_i.
 
 The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
 two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
@@ -29,16 +31,16 @@ from .surface import BasisCurve, SurfaceModel
 
 
 class TangentCaseData(NamedTuple):
-    ky_dot_y: Fraction  # K_Y.Y = (K_S + Y).Y
-    y_dot_e: Fraction
-    y_sq: Fraction
+    ky_dot_y: int  # K_Y.Y = (K_S + Y).Y
+    y_dot_e: int
+    y_sq: int
     string_defect: Fraction  # r - sum a_i/n_i, must be >= 0
 
 
 class CurveReport(NamedTuple):
     curve: BasisCurve
     genus: int
-    kme_degree: Fraction  # (K - E).C
+    kme_degree: int  # (K - E).C
     bound: int  # 2(2g - 2)
     satisfied: bool
     n1_e: int  # E.C: the strings meeting N_i or M_j, each meets it once; 0 on F1, F2
@@ -67,7 +69,7 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
         kme_degree=kme,
         bound=bound,
         satisfied=kme <= bound,
-        n1_e=int(e_dot_c),
+        n1_e=e_dot_c,
         tangent_case=tangent,
     )
 

@@ -49,6 +49,11 @@ def _require_at_most(flag: str, value: int, ceiling: int) -> None:
         raise ValidationError(f"{flag} = {shortened(str(value))} is above the ceiling {ceiling}")
 
 
+def _require_at_least(flag: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ValidationError(f"{flag} = {shortened(str(value))} is below the floor {floor}")
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -274,39 +279,47 @@ def render_table(p: dict) -> None:
     writer.writerows(p["rows"])
 
 
-_POLY_TERM = re.compile(
-    r"^\s*(?P<coeff>-?\d+(/\d+)?)?\s*\*?\s*(?:z1(?:\^(?P<i>\d+))?)?\s*\*?\s*(?:z2(?:\^(?P<j>\d+))?)?\s*$"
-)
+_POLY_FACTOR = re.compile(r"(?P<num>\d+)(?:/(?P<den>\d+))?|z(?P<var>[12])(?:\^(?P<exp>\d+))?")
+
+
+def _poly_terms(text: str):
+    """(sign, term) pairs: a + or - opens a new term unless it follows * or ^,
+    where it stays inside the term (and the term's factors refuse it)."""
+    pieces = re.split(r"([+-])", text)
+    terms = [["+", pieces[0]]]
+    for sign, rest in zip(pieces[1::2], pieces[2::2]):
+        if terms[-1][1].rstrip().endswith(("*", "^")):
+            terms[-1][1] += sign + rest
+        else:
+            terms.append([sign, rest])
+    return [(sign, term.strip()) for sign, term in terms]
 
 
 def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
-    """Parse e.g. "3*z1^2*z2 - z2^4 + 1/2" into (i, j, coefficient) terms."""
-    normalized = text.replace("-", "+-").replace(" ", "")
+    """Parse e.g. "3*z1^2*z2 - z2^4 + 1/2" into (i, j, coefficient) terms.
+
+    A term is an optional sign, then *-separated factors: at most one
+    coefficient p or p/q, and z1 and z2 at most once each, with an optional
+    exponent ^k, k >= 0.  Empty terms between + signs are skipped; anything
+    else is a parse error quoting the term."""
     terms = []
-    for chunk in normalized.split("+"):
-        if not chunk:
+    for sign, term in _poly_terms(text):
+        if not term and sign == "+":
             continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign, chunk = Fraction(-1), chunk[1:]
-        match = _POLY_TERM.match(chunk)
-        if not match or not chunk:
-            raise ParseError(f"bad polynomial term {shortened(chunk)!r}")
-        has_z1 = "z1" in chunk
-        has_z2 = "z2" in chunk
-        coeff_text = match.group("coeff")
-        if coeff_text is None and not (has_z1 or has_z2):
-            raise ParseError(f"bad polynomial term {shortened(chunk)!r}")
-        coeff = sign
-        if coeff_text:
-            num, _, den_text = coeff_text.partition("/")
-            den = parse_int(den_text or "1", "denominator")
-            if not den:
-                raise ParseError(f"zero denominator in polynomial term {shortened(chunk)!r}")
-            coeff *= Fraction(parse_int(num, "coefficient"), den)
-        i = parse_int(match.group("i"), "exponent") if match.group("i") else int(has_z1)
-        j = parse_int(match.group("j"), "exponent") if match.group("j") else int(has_z2)
-        terms.append((i, j, coeff))
+        coeff = Fraction(-1 if sign == "-" else 1)
+        exponents = {}
+        for factor in term.split("*"):
+            match = _POLY_FACTOR.fullmatch(factor.strip())
+            kind = match and (match["var"] or "coefficient")
+            if not match or kind in exponents:
+                raise ParseError(f"bad polynomial term {shortened(term or sign)!r}")
+            if kind == "coefficient":
+                den = parse_int(match["den"] or "1", "denominator")
+                if not den:
+                    raise ParseError(f"zero denominator in polynomial term {shortened(term)!r}")
+                coeff *= Fraction(parse_int(match["num"], "coefficient"), den)
+            exponents[kind] = parse_int(match["exp"], "exponent") if match["exp"] else 1
+        terms.append((exponents.get("1", 0), exponents.get("2", 0), coeff))
     if not terms:
         raise ParseError(f"empty polynomial {shortened(text)!r}")
     return tuple(terms)
@@ -344,6 +357,7 @@ def render_local_check(p: dict) -> None:
 def cmd_bigness(args) -> dict:
     from .differentials import bigness_certificate
 
+    _require_at_least("bigness --max-m", args.max_m, 2)  # the search starts at m = 2
     _require_at_most("bigness --max-m", args.max_m, MAX_CERTIFICATE_SEARCH)
     cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
     return {
@@ -446,6 +460,7 @@ def _exit_code_for(exc: PQError) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_at_least("--max-group-order", args.max_group_order, 1)
         _require_at_most("--max-group-order", args.max_group_order, MAX_ORDER_CAP)
         result = args.func(args)
     except PQError as exc:

@@ -2,9 +2,10 @@
 
 Basis curves: the two generic fiber classes F1, F2, one central component
 N[i] / M[j] per branch point of each system, and the components Z[p][k] of
-the Hirzebruch-Jung string resolving each singular point p.  All pairings
-are exact rationals; the global self-tests (Noether divisibility, adjunction
-on fibers and strings) live in the invariants of this module.
+the Hirzebruch-Jung string resolving each singular point p.  Every pairing
+is an integer, and so is every coefficient of K and E; the global self-tests
+(Noether divisibility, adjunction on fibers and strings) live in the
+invariants of this module.
 
 Pairing rules:
   F1.F1 = F2.F2 = 0, F1.F2 = |G|;
@@ -13,7 +14,7 @@ Pairing rules:
   resolved by the H-J string of n/a', a a' = 1 mod n, whose Z_1 meets N[i]
   and Z_l meets M[j];
   N[i]^2 = -sum a'/n and M[j]^2 = -sum a/n over the strings meeting them,
-  each gated to be an integer;
+  each summed as a Fraction and gated to be an integer;
   N[i].M[j] = number of free G-orbits of coset pairs over (i, j).
 
 The canonical class follows Serrano's formula with every component of every
@@ -23,15 +24,17 @@ of the linear conditions fiber.Z = 0 and fiber.N = 0 (the string block is
 negative definite), found by an integer recurrence along the string and gated
 to be positive integers.
 
-Storage: the form is kept once, as one row {neighbour: pairing} per basis
-curve, diagonal included, holding only the curves it meets.  A divisor is a
-plain {basis curve: coefficient} map.  K and E are built once per model, and
-``lattice_numbers`` reads (K.C, E.C, C^2) off the row of C in O(deg C), once
-per curve; adjunction and the bound reports read nothing else.  K^2 alone
-still goes through ``intersect``, which sums over every pair of
-coefficients: a K^2 linear in the basis size is to land with its closed-form
-gate (Bauer-Pignatelli, Serrano), and with a benchmark whose peak-memory
-reading does not grow with the number of operations it completes, since that
+Storage: the form is kept once, as one row {neighbour: int pairing} per
+basis curve, diagonal included, holding only the curves it meets; |G|/m is
+divided with a remainder gate, so no pairing is truncated.  A divisor is a
+plain {basis curve: coefficient} map, and K and E have int coefficients.  K
+and E are built once per model, and ``lattice_numbers`` reads the ints
+(K.C, E.C, C^2) off the row of C in O(deg C), once per curve; adjunction
+and the bound reports read nothing else.  K^2 alone still goes through
+``intersect``, which sums Fractions over every pair of coefficients: a K^2
+linear in the basis size is to land with its closed-form gate
+(Bauer-Pignatelli, Serrano), and with a benchmark whose peak-memory reading
+does not grow with the number of operations it completes, since that
 reading would otherwise rise with the speed-up.
 """
 
@@ -89,35 +92,37 @@ class SurfaceModel:
         self.strings: list[StringData] = []
         self.Z: list[list[BasisCurve]] = []
         # one row per basis curve, in basis order: Z rows are added by _build
-        self._rows: dict[BasisCurve, dict[BasisCurve, Fraction]] = {
+        self._rows: dict[BasisCurve, dict[BasisCurve, int]] = {
             c: {} for c in (self.F1, self.F2, *self.N, *self.M)
         }
         self._build()
         self._k = self.canonical_class()
         self._e = self.exceptional_class()
-        self._numbers: dict[BasisCurve, tuple[Fraction, Fraction, Fraction]] = {}
+        self._numbers: dict[BasisCurve, tuple[int, int, int]] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _set(self, c1: BasisCurve, c2: BasisCurve, value) -> None:
-        self._rows[c1][c2] = self._rows[c2][c1] = Fraction(value)
+    def _set(self, c1: BasisCurve, c2: BasisCurve, value: int) -> None:
+        self._rows[c1][c2] = self._rows[c2][c1] = value
 
-    def _row(self, curve: BasisCurve) -> dict[BasisCurve, Fraction]:
+    def _row(self, curve: BasisCurve) -> dict[BasisCurve, int]:
         try:
             return self._rows[curve]
         except KeyError:
             raise ValidationError(f"unknown basis element {curve.label}") from None
 
     def pair(self, c1: BasisCurve, c2: BasisCurve) -> Fraction:
-        return self._rows.get(c1, {}).get(c2, Fraction(0))
+        return Fraction(self._rows.get(c1, {}).get(c2, 0))
 
     def _build(self) -> None:
         order = self.group.order
         self._set(self.F1, self.F2, order)
-        for i, n_curve in enumerate(self.N):
-            self._set(self.F2, n_curve, Fraction(order, self.sig1[i]))
-        for j, m_curve in enumerate(self.M):
-            self._set(self.F1, m_curve, Fraction(order, self.sig2[j]))
+        for fiber, centrals, sig in ((self.F2, self.N, self.sig1), (self.F1, self.M, self.sig2)):
+            for curve, m in zip(centrals, sig):
+                degree, rest = divmod(order, m)  # an integer by Lagrange, gated all the same
+                if rest:
+                    raise EngineInconsistencyError(f"|G| = {order} is not divisible by m = {m} of {curve.label}")
+                self._set(fiber, curve, degree)
         for (i, j), count in self.locus.free_orbit_counts.items():
             if count:
                 self._set(self.N[i - 1], self.M[j - 1], count)
@@ -151,7 +156,7 @@ class SurfaceModel:
                 raise ValidationError(
                     f"central component {curve.label} has non-integral self-intersection {value}"
                 )
-            self._set(curve, curve, value)
+            self._set(curve, curve, int(value))
 
     # -- queries -----------------------------------------------------------
 
@@ -165,24 +170,21 @@ class SurfaceModel:
                 total += v1 * v2 * self.pair(c1, c2)
         return total
 
-    def canonical_class(self) -> dict[BasisCurve, Fraction]:
-        coeffs: dict[BasisCurve, Fraction] = {
-            self.F1: Fraction(-2),
-            self.F2: Fraction(-2),
-        }
+    def canonical_class(self) -> dict[BasisCurve, int]:
+        coeffs = {self.F1: -2, self.F2: -2}
         for curve, m in zip(self.N, self.sig1):
-            coeffs[curve] = Fraction(m - 1)
+            coeffs[curve] = m - 1
         for curve, m in zip(self.M, self.sig2):
-            coeffs[curve] = Fraction(m - 1)
+            coeffs[curve] = m - 1
         for data, comps in zip(self.strings, self.Z):
             for k, comp in enumerate(comps):
                 c1 = data.sigma1_multiplicities[k]
                 c2 = data.sigma2_multiplicities[k]
-                coeffs[comp] = Fraction(c1 + c2 - 1)
+                coeffs[comp] = c1 + c2 - 1
         return coeffs
 
-    def exceptional_class(self) -> dict[BasisCurve, Fraction]:
-        return {c: Fraction(1) for comps in self.Z for c in comps}
+    def exceptional_class(self) -> dict[BasisCurve, int]:
+        return {c: 1 for comps in self.Z for c in comps}
 
     def numerical_invariants(self) -> TableRowSummary:
         """The summary of S, unnamed: K^2 from the lattice; e, chi and P_g from
@@ -197,7 +199,7 @@ class SurfaceModel:
             raise EngineInconsistencyError(str(exc)) from None
         return TableRowSummary("", self.group.order, self.g1, self.g2, sings, e, int(ksq), chi, 0, pg)
 
-    def lattice_numbers(self, curve: BasisCurve) -> tuple[Fraction, Fraction, Fraction]:
+    def lattice_numbers(self, curve: BasisCurve) -> tuple[int, int, int]:
         """(K.C, E.C, C^2) of one basis curve, read off its row of the form
         and kept for the life of the model."""
         numbers = self._numbers.get(curve)
@@ -205,9 +207,9 @@ class SurfaceModel:
             row = self._row(curve)
             k, e = self._k, self._e
             numbers = (
-                sum((v * k.get(c, 0) for c, v in row.items()), Fraction(0)),
-                sum((v * e.get(c, 0) for c, v in row.items()), Fraction(0)),
-                row.get(curve, Fraction(0)),
+                sum(v * k.get(c, 0) for c, v in row.items()),
+                sum(v * e.get(c, 0) for c, v in row.items()),
+                row.get(curve, 0),
             )
             self._numbers[curve] = numbers
         return numbers
@@ -215,9 +217,9 @@ class SurfaceModel:
     def adjunction_genus(self, curve: BasisCurve) -> int:
         k_dot_c, _, c_sq = self.lattice_numbers(curve)
         two_g_minus_2 = k_dot_c + c_sq
-        if two_g_minus_2.denominator != 1 or (int(two_g_minus_2) + 2) % 2 != 0:
+        if two_g_minus_2 % 2:
             raise EngineInconsistencyError(f"adjunction gives 2g - 2 = {two_g_minus_2} on {curve.label}")
-        g = (int(two_g_minus_2) + 2) // 2
+        g = two_g_minus_2 // 2 + 1
         if g < 0:
             raise EngineInconsistencyError(f"adjunction gives negative genus on {curve.label}")
         return g

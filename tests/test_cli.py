@@ -250,6 +250,10 @@ class TestPolynomialParser:
             ("3*z1^2*z2", ((2, 1, Fraction(3)),)),
             ("1/2", ((0, 0, Fraction(1, 2)),)),
             ("z1*z2 - 2*z2^2", ((1, 1, Fraction(1)), (0, 2, Fraction(-2)))),
+            ("z2*z1", ((1, 1, Fraction(1)),)),  # factors in either order
+            ("z2^2*z1^3", ((3, 2, Fraction(1)),)),
+            ("- 3 * z2*z1^0", ((0, 1, Fraction(-3)),)),
+            ("z1 + + z2", ((1, 0, Fraction(1)), (0, 1, Fraction(1)))),  # empty terms between + are skipped
         ],
     )
     def test_good(self, text, expected):
@@ -259,6 +263,40 @@ class TestPolynomialParser:
     def test_bad(self, text):
         with pytest.raises(ParseError):
             parse_polynomial(text)
+
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [
+            ("2*-z1", "2*-z1"),  # a sign after * stays in its term
+            ("z1 + 2* -z2", "2* -z2"),
+            ("2*", "2*"),
+            ("z1*", "z1*"),
+            ("*z1", "*z1"),
+            ("z1^-1", "z1^-1"),
+            ("-z2^-3", "z2^-3"),
+            ("z1*z1", "z1*z1"),
+            ("2*1/2*z1", "2*1/2*z1"),
+            ("3z1", "3z1"),
+            ("z1 - - z2", "-"),
+            ("z1 -", "-"),
+        ],
+    )
+    def test_bad_term_is_quoted_whole(self, text, quoted):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == f"bad polynomial term {quoted!r}"
+
+    def test_sign_after_star_exits_2(self, capsys):
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section", "2*-z1")
+        assert code == 2 and out == ""
+        assert err == "error: bad polynomial term '2*-z1'\n"
+
+    def test_leading_minus_as_one_argument(self, capsys):
+        # argparse reads `--section -z1` as a missing value; `--section=-z1` passes it
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section=-z1", "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["terms"] == json.loads(
+            run(capsys, "local-check", "--m", "1", "--section", "0 - z1", "--json")[1])["terms"]
 
 
 BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
@@ -809,6 +847,24 @@ class TestInputErrors:
         code, out, err = run(capsys, *(value if a is None else a for a in argv))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and flag in err and value in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-group-order", "0", "invariants", BEAUVILLE], "--max-group-order = 0 is below the floor 1"),
+            (["--max-group-order", "-5", "invariants", "no-such-file.pq"], "--max-group-order = -5 is below the floor 1"),
+            (["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "1"],
+             "bigness --max-m = 1 is below the floor 2"),
+            (["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "-1"],
+             "bigness --max-m = -1 is below the floor 2"),
+        ],
+        ids=["order-0", "order-negative-before-read", "max-m-1", "max-m-negative"],
+    )
+    def test_below_floor(self, capsys, argv, message):
+        # refused before any work: the missing file is never read
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_no_output_depends_on_the_hash_seed():

@@ -4,7 +4,8 @@ pair enumeration of ``tests.locus_oracle``: the same points cell by cell, in
 orders.  The genus of every central component, read off the locus by
 ``central_component_genus_crosscheck``, equals the fibre-route oracle, and
 the N1_E of every curve, read as E.C off the lattice, is the number of
-singular points over its branch point."""
+singular points over its branch point.  (K.C, E.C, C^2), read off the row of
+each basis curve, equals the same three numbers through ``intersect``."""
 
 from functools import lru_cache
 
@@ -88,6 +89,15 @@ def assert_n1_e_counts_locus_points(model):
         assert degree_bound_report(model, curve).n1_e == len(over), curve.label
 
 
+def assert_rows_agree_with_intersect(model):
+    """The int numbers read off each row equal the whole-form route."""
+    k, e = model.canonical_class(), model.exceptional_class()
+    for curve in [model.F1, model.F2, *model.N, *model.M, *(c for comps in model.Z for c in comps)]:
+        c = {curve: 1}
+        numbers = (model.intersect(k, c), model.intersect(e, c), model.intersect(c, c))
+        assert model.lattice_numbers(curve) == numbers, curve.label
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(system_pairs())
 def test_class_count_matches_pair_enumeration(pair):
@@ -98,6 +108,7 @@ def test_class_count_matches_pair_enumeration(pair):
         model.numerical_invariants()
         assert_same_central_genera(model)
         assert_n1_e_counts_locus_points(model)
+        assert_rows_agree_with_intersect(model)
 
 
 FIXTURES = ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq", "z2_hyperelliptic.pq"]

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqsurf import cli
 from tests.conftest import fixture_path
@@ -83,3 +85,19 @@ def test_staged_pass_reaches_every_layer(perfbench, fixture):
     samples = defaultdict(list)
     layers.staged(op, samples)
     assert set(samples) == STAGED_KEYS
+
+
+TERMS = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9),
+              st.fractions(min_value=-50, max_value=50, max_denominator=6)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(terms=TERMS)
+def test_section_text_parses_back(perfbench, terms):
+    """The sections that cli_batch's local-check operations write parse back
+    to the terms they were written from."""
+    _, workloads = perfbench
+    assert cli.parse_polynomial(workloads.section_text(terms)) == tuple(terms)

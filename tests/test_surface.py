@@ -10,7 +10,7 @@ from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.hj import hj_expand
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from pqsurf.surface import BasisCurve, _string_multiplicities, build_surface_model
+from pqsurf.surface import BasisCurve, SurfaceModel, _string_multiplicities, build_surface_model
 from tests.conftest import fixture_path
 from tests.test_covers import z2_system
 
@@ -230,8 +230,27 @@ class TestLatticeNumbers:
             c = {curve: 1}
             numbers = (m.intersect(k, c), m.intersect(e, c), m.intersect(c, c))
             assert m.lattice_numbers(curve) == numbers, curve.label
-            assert all(isinstance(x, Fraction) for x in m.lattice_numbers(curve))
+            assert all(type(x) is int for x in m.lattice_numbers(curve))
             assert m.adjunction_genus(curve) == (numbers[0] + numbers[2] + 2) / 2, curve.label
+
+    @pytest.mark.parametrize("fixture", PQ_FIXTURES)
+    def test_stored_values_are_ints(self, fixture):
+        """Every stored pairing and every coefficient of K and E is an int,
+        not a bool and not a Fraction; ``pair`` still answers in Fractions."""
+        _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
+        m = build_surface_model(sys1, sys2)
+        stored = [v for row in m._rows.values() for v in row.values()]
+        stored += [*m.canonical_class().values(), *m.exceptional_class().values()]
+        assert stored and all(type(v) is int for v in stored)
+        assert all(type(m.pair(c, c)) is Fraction for c in basis(m))
+
+    def test_fiber_degree_is_gated_to_divide(self, beauville, monkeypatch):
+        # |G|/m is exact by Lagrange; a remainder is an engine fault, not a truncation
+        _, sys1, sys2 = beauville
+        locus = enumerate_singularities(sys1, sys2)
+        monkeypatch.setattr(covers.SphericalSystem, "signature", property(lambda s: (7,) * s.branch_count))
+        with pytest.raises(EngineInconsistencyError, match=r"^\|G\| = 25 is not divisible by m = 7 of N1$"):
+            SurfaceModel(sys1, sys2, locus, 6, 6)
 
     def test_unknown_curve_rejected(self, toy_model):
         with pytest.raises(ValidationError, match="unknown basis element N99"):
