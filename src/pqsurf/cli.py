@@ -357,6 +357,10 @@ def render_local_check(p: dict) -> None:
 def cmd_bigness(args) -> dict:
     from .differentials import bigness_certificate
 
+    # the plurigenus formula holds on a minimal surface of general type: K^2 >= 1 and chi >= 1
+    _require_at_least("bigness --ksq", args.ksq, 1)
+    _require_at_least("bigness --chi", args.chi, 1)
+    _require_at_least("bigness --points", args.points, 0)
     _require_at_least("bigness --max-m", args.max_m, 2)  # the search starts at m = 2
     _require_at_most("bigness --max-m", args.max_m, MAX_CERTIFICATE_SEARCH)
     cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)

@@ -8,8 +8,10 @@ checks itself when it is built, so every system a function receives is
 valid, and it reads its signature off its elements.  Bases of positive genus
 are out of scope: with P_g = 0 and chi >= 1 the irregularity is 0, so both
 quotients C_i/G of a product-quotient surface are rational.  The points of
-the cover over branch point i correspond to the left cosets of the cyclic
-subgroup generated by the i-th element.
+the cover over branch point i correspond to the left cosets t<g_i> of the
+cyclic group of the i-th element; ``branch_fiber`` walks them over the
+group's cached ``powers``, and a point's stabilizer is a frozenset of
+element indices.
 
 Rotation convention: the distinguished generator t*g_i*t^-1 of the
 stabilizer of the coset-t point acts on the tangent line at that point as
@@ -25,15 +27,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    conjugate_subgroup,
-    cyclic_subgroup,
-    element_order,
-    left_cosets,
-    spans_more_than,
-)
+from .groups import FiniteGroup, element_order, spans_more_than
 
 
 class _SphericalSystemFields(NamedTuple):
@@ -68,7 +62,7 @@ class CoverPoint(NamedTuple):
 
     branch_index: int
     coset_rep: int
-    stabilizer: Subgroup
+    stabilizer: frozenset[int]
     rotation_generator: int
 
 
@@ -132,20 +126,22 @@ def require_genus_at_least_two(sys: SphericalSystem) -> int:
 
 
 def branch_fiber(sys: SphericalSystem, i: int) -> list[CoverPoint]:
-    """Points of the cover over branch point i (1-based), one per left coset."""
+    """Points of the cover over branch point i (1-based), one per left coset
+    t<g_i>, in the order of their representatives t, each the least element
+    index in its coset.  The stabilizer of the coset-t point is <t g_i t^-1>,
+    as a set of element indices."""
     if not 1 <= i <= sys.branch_count:
         raise ValidationError(f"branch index {i} out of range 1..{sys.branch_count}")
     group = sys.group
     g = sys.generators[i - 1]
-    base = cyclic_subgroup(group, g)
+    base = group.powers(g)
+    covered = [False] * group.order
     points = []
-    for t in left_cosets(group, base):
-        points.append(
-            CoverPoint(
-                branch_index=i,
-                coset_rep=t,
-                stabilizer=conjugate_subgroup(group, base, t),
-                rotation_generator=group.conjugate(g, t),
-            )
-        )
+    for t in range(group.order):
+        if not covered[t]:
+            for h in base:
+                covered[group.mul(t, h)] = True
+            rotation = group.conjugate(g, t)
+            points.append(CoverPoint(i, t, frozenset(group.powers(rotation)), rotation))
+    assert len(points) * len(base) == group.order
     return points

@@ -3,7 +3,9 @@
 Elements are permutations of {0..d-1}; a group enumerates its elements once,
 in a fixed order, so every downstream enumeration is reproducible
 bit-for-bit.  Composition convention: ``FiniteGroup.mul(i, j)`` is p * q with
-(p * q)(x) = p(q(x)), i.e. q acts first.
+(p * q)(x) = p(q(x)), i.e. q acts first.  There is no subgroup type: the
+cyclic group <g> is the cached list ``FiniteGroup.powers(g)``, and a subgroup
+is a set of element indices.
 
 Element order.  Element 0 is the identity.  The generators are taken in their
 given order, and one already in the span is skipped.  Adding a generator g
@@ -161,30 +163,6 @@ def power_images(p: bytes, k: int) -> bytes:
     return bytes(images)
 
 
-class _SubgroupFields(NamedTuple):
-    parent: FiniteGroup
-    members: frozenset[int]
-
-
-class Subgroup(_SubgroupFields):
-    """A subgroup given by its member element indices in the parent group."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, parent: FiniteGroup, members: frozenset[int]):
-        if parent.identity not in members:
-            raise ValidationError("subgroup must contain the identity")
-        return super().__new__(cls, parent, members)
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-
 def _close(
     found: list, index: dict, moves: Sequence, start: int, end: int | None = None, stop: float = float("inf")
 ) -> bool:
@@ -292,24 +270,3 @@ class ConjugacyClasses:
 
 def element_order(group: FiniteGroup, g: int) -> int:
     return len(group.powers(g))
-
-
-def cyclic_subgroup(group: FiniteGroup, g: int) -> Subgroup:
-    return Subgroup(group, frozenset(group.powers(g)))
-
-
-def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, t: int) -> Subgroup:
-    return Subgroup(group, frozenset(group.conjugate(h, t) for h in sub.members))
-
-
-def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
-    """Representatives of the left cosets gH, each the least element index in its coset."""
-    covered = [False] * group.order
-    reps = []
-    for g in range(group.order):
-        if not covered[g]:
-            reps.append(g)
-            for h in sub.members:
-                covered[group.mul(g, h)] = True
-    assert len(reps) * sub.order == group.order
-    return reps

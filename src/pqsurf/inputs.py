@@ -42,7 +42,9 @@ case-sensitive.  Headers and keys start their line: an indented line, which
 INI readers take as the continuation of a value, is refused, as are a key
 before the first header, a repeated section or key, and any other line;
 each is a ``ParseError`` that names the line.  ``in_scope_c1sq6`` is one of
-1/yes/true/on or 0/no/false/off, in any case.
+1/yes/true/on or 0/no/false/off, in any case.  Only the sections and keys
+shown are read: any other section, or any other key in a system section or
+in ``[flags]``, is a ``ParseError`` that names it.
 
 Generator words are '*'-separated factors ``name`` or ``name^k`` (k may be
 negative).
@@ -106,6 +108,8 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 _BOOLEANS = {"1": True, "yes": True, "true": True, "on": True, "0": False, "no": False, "false": False, "off": False}
+_SYSTEM_KEYS = ("base_genus", "generators", "signature")
+_KEYS = {"system1": _SYSTEM_KEYS, "system2": _SYSTEM_KEYS, "flags": ("in_scope_c1sq6",)}
 
 
 def parse_input(text: str) -> InputDescription:
@@ -113,6 +117,13 @@ def parse_input(text: str) -> InputDescription:
     for section in ("group", "system1", "system2"):
         if section not in parser:
             raise ParseError(f"missing [{section}] section")
+    for section, sec in parser.items():
+        keys = sec if section == "group" else _KEYS.get(section)  # [group] keys name the degree and generators
+        if keys is None:
+            raise ParseError(f"unknown section [{shortened(section)}]: the sections are group, system1, system2, flags")
+        for key in sec:
+            if key not in keys:
+                raise ParseError(f"unknown key {shortened(key)!r} in [{section}]: its keys are {', '.join(keys)}")
     group_section = parser["group"]
     if "degree" not in group_section:
         raise ParseError("missing 'degree' in [group]")
@@ -313,6 +324,9 @@ def parse_rows(text: str) -> list[FormulaRow]:
             short = sorted(c for c in required if record[c] is None)  # the line ended early
             if short:
                 raise ParseError(f"no value for {', '.join(short)}")
+            if None in record:  # the line ran on past the header
+                cells = len(reader.fieldnames) + len(record[None])
+                raise ParseError(f"{cells} cells, the header has {len(reader.fieldnames)}")
             rows.append(FormulaRow(
                 name=name,
                 group_order=_integer_cell(record, "group_order"),

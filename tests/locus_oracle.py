@@ -12,8 +12,9 @@ only they use.
 * ``fibre_genus``: the genus of a central component by Riemann-Hurwitz over
   the branch fibres of the opposite curve, intersecting subgroups point by
   point.  ``pqsurf.bounds`` reads the same genus off the singular locus.
-* ``orbit_partition`` and ``intersect_subgroups``, the generic group
-  operations both oracles are built from.
+* ``orbit_partition``, ``cyclic_subgroup`` and ``intersect_subgroups``, the
+  generic group operations both oracles are built from; a subgroup is a
+  frozenset of element indices.
 * ``closure_images``: the group spanned by image tuples, with products
   composed by a plain list comprehension, in the element order
   ``pqsurf.groups`` documents and ``group_from_generators`` must keep.
@@ -27,7 +28,7 @@ from typing import Callable, Hashable, Iterable
 
 from pqsurf.covers import SphericalSystem, branch_fiber, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
-from pqsurf.groups import FiniteGroup, Subgroup, cyclic_subgroup, element_order
+from pqsurf.groups import FiniteGroup, element_order
 from pqsurf.hj import SingularityType
 from pqsurf.singularities import SingularLocus, SingularPoint
 from pqsurf.surface import BasisCurve, SurfaceModel
@@ -37,13 +38,19 @@ class ActionAxiomError(EngineInconsistencyError):
     pass
 
 
-def intersect_subgroups(group: FiniteGroup, h1: Subgroup, h2: Subgroup) -> Subgroup:
-    members = h1.members & h2.members
+def cyclic_subgroup(group: FiniteGroup, g: int) -> frozenset[int]:
+    return frozenset(group.powers(g))
+
+
+def intersect_subgroups(group: FiniteGroup, h1: frozenset[int], h2: frozenset[int]) -> frozenset[int]:
+    members = h1 & h2
+    if group.identity not in members:
+        raise EngineInconsistencyError("subgroup intersection lacks the identity")
     for a in members:
         for b in members:
             if group.mul(a, b) not in members:
                 raise EngineInconsistencyError("subgroup intersection not closed")
-    return Subgroup(group, frozenset(members))
+    return members
 
 
 def orbit_partition(
@@ -136,16 +143,16 @@ def fibre_genus(model: SurfaceModel, curve: BasisCurve) -> int:
     ramification = 0
     for j in range(1, other.branch_count + 1):
         for point in branch_fiber(other, j):
-            ramification += intersect_subgroups(group, h, point.stabilizer).order - 1
-    two_g_minus_2 = Fraction(2 * rh_genus(other) - 2 - ramification, h.order)
+            ramification += len(intersect_subgroups(group, h, point.stabilizer)) - 1
+    two_g_minus_2 = Fraction(2 * rh_genus(other) - 2 - ramification, len(h))
     if two_g_minus_2.denominator != 1 or two_g_minus_2.numerator % 2 != 0:
         raise EngineInconsistencyError(f"Riemann-Hurwitz gives 2g - 2 = {two_g_minus_2} on {curve.label}")
     return two_g_minus_2.numerator // 2 + 1
 
 
-def coset_of(group: FiniteGroup, sub: Subgroup, g: int) -> int:
+def coset_of(group: FiniteGroup, sub: frozenset[int], g: int) -> int:
     """Canonical representative (least element index) of the coset g*sub."""
-    return min(group.mul(g, h) for h in sub.members)
+    return min(group.mul(g, h) for h in sub)
 
 
 def rotation_exponent(group: FiniteGroup, rotation_generator: int, h: int, n: int) -> int:
@@ -168,10 +175,10 @@ def rotation_exponent(group: FiniteGroup, rotation_generator: int, h: int, n: in
 def _classify_pair(group: FiniteGroup, p, q) -> SingularityType | None:
     """Oriented type of the fixed point (p, q), or None if the pair is free."""
     inter = intersect_subgroups(group, p.stabilizer, q.stabilizer)
-    n = inter.order
+    n = len(inter)
     if n == 1:
         return None
-    for h in sorted(inter.members):
+    for h in sorted(inter):
         if element_order(group, h) != n:
             continue
         if rotation_exponent(group, p.rotation_generator, h, n) == 1:

@@ -452,6 +452,11 @@ class TestBigness:
         payload = json.loads(out)
         assert payload["certificate"] == {"m_star": 2, "value": "9"}
 
+    def test_floors_are_accepted(self, capsys):
+        # K^2 = 1, chi = 1 and no points is the smallest input refused by none of the floors
+        code, out, _ = run(capsys, "bigness", "--ksq", "1", "--chi", "1", "--points", "0")
+        assert code == 0 and out == "m* = 2, section-count lower bound = 2\n"
+
 
 PARSE_ERRORS = [
     ("degree = 5\n", "line 1: 'degree = 5' comes before any [section] header"),
@@ -618,6 +623,35 @@ class TestInputErrors:
         assert err == (
             f"error: {path}: rows file must have columns ['g1', 'g2', 'group_order', 'name', 'singularities']\n"
         )
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("signature = 5, 5, 5", "signatur = 1, 2",
+             "unknown key 'signatur' in [system1]: its keys are base_genus, generators, signature"),
+            ("[system2]\nbase_genus = 0", "[system2]\ngenus = 0",
+             "unknown key 'genus' in [system2]: its keys are base_genus, generators, signature"),
+            ("[flags]", "[flag]", "unknown section [flag]: the sections are group, system1, system2, flags"),
+            ("in_scope_c1sq6 = false", "in_scope = true", "unknown key 'in_scope' in [flags]: its keys are in_scope_c1sq6"),
+        ],
+        ids=["misspelt-signature", "system2-key", "misspelt-flags", "flags-key"],
+    )
+    def test_unknown_section_or_key(self, capsys, tmp_path, old, new, message):
+        # refused rather than ignored: a misspelt key or section would drop its check or flag silently
+        path = tmp_path / "bad.pq"
+        text = fixture_path("beauville_55.pq").read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_rows_line_running_past_the_header(self, capsys, tmp_path):
+        path = tmp_path / "long.rows"
+        path.write_text("name,group_order,g1,g2,singularities,ksq\nr,4,3,3,,8,zz\n")
+        code, out, err = run(capsys, "table", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: bad row 'r': 7 cells, the header has 6\n"
 
     def test_rows_line_ending_early(self, capsys, tmp_path):
         path = tmp_path / "short.rows"
@@ -857,8 +891,15 @@ class TestInputErrors:
              "bigness --max-m = 1 is below the floor 2"),
             (["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "-1"],
              "bigness --max-m = -1 is below the floor 2"),
+            # the plurigenus formula holds only with K^2 >= 1 and chi >= 1
+            (["bigness", "--ksq", "-2", "--chi", "40", "--points", "0"], "bigness --ksq = -2 is below the floor 1"),
+            (["bigness", "--ksq", "0", "--chi", "1", "--points", "0"], "bigness --ksq = 0 is below the floor 1"),
+            (["bigness", "--ksq", "1", "--chi", "-3", "--points", "0"], "bigness --chi = -3 is below the floor 1"),
+            (["bigness", "--ksq", "1", "--chi", "0", "--points", "0"], "bigness --chi = 0 is below the floor 1"),
+            (["bigness", "--ksq", "6", "--chi", "1", "--points", "-1"], "bigness --points = -1 is below the floor 0"),
         ],
-        ids=["order-0", "order-negative-before-read", "max-m-1", "max-m-negative"],
+        ids=["order-0", "order-negative-before-read", "max-m-1", "max-m-negative",
+             "ksq-negative", "ksq-0", "chi-negative", "chi-0", "points-negative"],
     )
     def test_below_floor(self, capsys, argv, message):
         # refused before any work: the missing file is never read

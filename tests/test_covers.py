@@ -44,6 +44,47 @@ def z5sq_triple(exponents):
 
 BEAUVILLE_1 = [(1, 0), (0, 1), (4, 4)]
 BEAUVILLE_2 = [(1, 2), (3, 4), (1, 4)]
+PSL27_GENS = [
+    Permutation.from_cycles("(0 3 1)(2 4 5)", 7),
+    Permutation.from_cycles("(1 5)(2 6)", 7),
+]
+
+
+def triangle_system(gens):
+    """(a, b, (ab)^-1) for the two generators of a group."""
+    group = group_from_generators(gens)
+    a, b = group.generator_indices
+    return SphericalSystem(group, (a, b, power(group, group.mul(a, b), -1)))
+
+
+def s3_system():
+    """(0 1), (1 2), (0 2 1) in S3: signature (2, 2, 3)."""
+    return triangle_system([Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(1 2)", 3)])
+
+
+def psl27_system():
+    """PSL(2, 7) on the 7 points of the Fano plane: signature (3, 2, 7)."""
+    return triangle_system(PSL27_GENS)
+
+
+def assert_fibre_is_cosets(sys, i):
+    """The fibre over branch point i is the left cosets t<g_i>, which
+    partition G, in the order of their representatives t, each the least
+    index of its coset; the stabilizer of the coset-t point is the conjugate
+    t<g_i>t^-1, of order m_i, rotated by t g_i t^-1."""
+    group, g = sys.group, sys.generators[i - 1]
+    cyclic = group.powers(g)
+    fibre = branch_fiber(sys, i)
+    cosets = [{group.mul(point.coset_rep, h) for h in cyclic} for point in fibre]
+    assert sorted(x for coset in cosets for x in coset) == list(range(group.order))
+    reps = [point.coset_rep for point in fibre]
+    assert reps == sorted(reps)
+    for point, coset in zip(fibre, cosets):
+        t = point.coset_rep
+        assert point.branch_index == i and t == min(coset)
+        assert point.stabilizer == {group.conjugate(h, t) for h in cyclic}
+        assert len(point.stabilizer) == sys.signature[i - 1]
+        assert point.rotation_generator == group.conjugate(g, t)
 
 
 class TestValidation:
@@ -145,7 +186,7 @@ class TestBranchFibers:
         for i in range(1, 7):
             fiber = branch_fiber(sys, i)
             assert len(fiber) == 1
-            assert fiber[0].stabilizer.order == 2
+            assert fiber[0].stabilizer == frozenset({0, 1})
 
     def test_fiber_size_is_index(self):
         sys = z5sq_triple(BEAUVILLE_1)
@@ -153,20 +194,26 @@ class TestBranchFibers:
             fiber = branch_fiber(sys, i)
             assert len(fiber) == 5
             for point in fiber:
-                assert point.stabilizer.order == 5
+                assert len(point.stabilizer) == 5
                 assert element_order(sys.group, point.rotation_generator) == 5
 
     def test_abelian_stabilizers_equal_the_line(self):
         sys = z5sq_triple(BEAUVILLE_1)
         fiber = branch_fiber(sys, 1)
-        stabs = {p.stabilizer.members for p in fiber}
+        stabs = {p.stabilizer for p in fiber}
         assert len(stabs) == 1  # conjugation is trivial
 
     def test_rotation_generator_generates_stabilizer(self):
         sys = z5sq_triple(BEAUVILLE_2)
         for i in range(1, 4):
             for point in branch_fiber(sys, i):
-                assert point.rotation_generator in point.stabilizer.members
+                assert point.rotation_generator in point.stabilizer
+
+    @pytest.mark.parametrize("make", [s3_system, lambda: z5sq_triple(BEAUVILLE_2), psl27_system])
+    def test_fibres_are_the_cosets(self, make):
+        sys = make()
+        for i in range(1, sys.branch_count + 1):
+            assert_fibre_is_cosets(sys, i)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):

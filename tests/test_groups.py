@@ -8,31 +8,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqsurf import covers, groups
-from pqsurf.covers import SphericalSystem, validate_system
+from pqsurf.covers import SphericalSystem, branch_fiber, validate_system
 from pqsurf.errors import EngineInconsistencyError, ParseError, ValidationError
-from pqsurf.groups import (
-    FiniteGroup,
-    Permutation,
-    Subgroup,
-    conjugate_subgroup,
-    cyclic_subgroup,
-    element_order,
-    group_from_generators,
-    left_cosets,
-    power_images,
-    product_images,
-)
+from pqsurf.groups import FiniteGroup, Permutation, element_order, group_from_generators, power_images, product_images
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from tests.conftest import fixture_path, power
-from tests.locus_oracle import ActionAxiomError, closure_images, intersect_subgroups, orbit_partition
-from tests.test_covers import NOT_GENERATING
+from tests.locus_oracle import (
+    ActionAxiomError,
+    closure_images,
+    coset_of,
+    cyclic_subgroup,
+    intersect_subgroups,
+    orbit_partition,
+)
+from tests.test_covers import (
+    BEAUVILLE_1,
+    NOT_GENERATING,
+    PSL27_GENS,
+    assert_fibre_is_cosets,
+    psl27_system,
+    s3_system,
+    z2_system,
+    z5sq_triple,
+)
 
 SWAP = Permutation.from_cycles("(0 1)", 2)
-PSL27_GENS = [
-    Permutation.from_cycles("(0 3 1)(2 4 5)", 7),
-    Permutation.from_cycles("(1 5)(2 6)", 7),
-]
 
 
 def count_mul(monkeypatch) -> list[int]:
@@ -235,52 +236,53 @@ class TestElementOrder:
 class TestSubgroups:
     def test_cyclic_trivial(self):
         group = group_from_generators([SWAP])
-        assert cyclic_subgroup(group, group.identity).order == 1
+        assert len(cyclic_subgroup(group, group.identity)) == 1
 
     def test_cyclic_order_four(self):
         p = Permutation.from_cycles("(0 1 2 3)")
         group = group_from_generators([p])
-        assert cyclic_subgroup(group, index_of(group, p)).order == 4
+        assert len(cyclic_subgroup(group, index_of(group, p))) == 4
 
     def test_cyclic_line_in_z5_squared(self):
         group, a, b = z5_squared()
         i, j = index_of(group, a), index_of(group, b)
         line = cyclic_subgroup(group, group.mul(i, group.mul(j, j)))
-        assert line.order == 5
+        assert len(line) == 5
 
     def test_conjugation_by_identity_and_in_abelian_groups(self):
-        group, a, _ = z5_squared()
-        h = cyclic_subgroup(group, index_of(group, a))
-        assert conjugate_subgroup(group, h, group.identity).members == h.members
-        for t in range(group.order):
-            assert conjugate_subgroup(group, h, t).members == h.members
+        sys = z5sq_triple(BEAUVILLE_1)
+        for i, g in enumerate(sys.generators, 1):
+            fibre = branch_fiber(sys, i)
+            assert fibre[0].coset_rep == sys.group.identity and fibre[0].rotation_generator == g
+            assert {point.stabilizer for point in fibre} == {cyclic_subgroup(sys.group, g)}
+            assert_fibre_is_cosets(sys, i)
 
     def test_conjugation_moves_transpositions(self):
-        gens = [Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(0 1 2)", 3)]
-        group = group_from_generators(gens)
-        h = cyclic_subgroup(group, index_of(group, Permutation.from_cycles("(0 1)", 3)))
-        t = index_of(group, Permutation.from_cycles("(1 2)", 3))
-        conj = conjugate_subgroup(group, h, t)
-        assert conj.members == cyclic_subgroup(
-            group, index_of(group, Permutation.from_cycles("(0 2)", 3))
-        ).members
+        sys = s3_system()
+        group = sys.group
+        transpositions = [index_of(group, Permutation.from_cycles(c, 3)) for c in ("(0 1)", "(0 2)", "(1 2)")]
+        for i in (1, 2):
+            fibre = branch_fiber(sys, i)
+            assert {point.stabilizer for point in fibre} == {cyclic_subgroup(group, t) for t in transpositions}
+            assert {point.rotation_generator for point in fibre} == set(transpositions)
+            assert_fibre_is_cosets(sys, i)
 
     def test_conjugation_preserves_order(self):
-        group = group_from_generators(PSL27_GENS)
-        h = cyclic_subgroup(group, group.generator_indices[0])
-        for t in range(0, group.order, 17):
-            assert conjugate_subgroup(group, h, t).order == h.order
+        sys = psl27_system()
+        for i, m in enumerate(sys.signature, 1):
+            assert all(len(point.stabilizer) == m for point in branch_fiber(sys, i))
+            assert_fibre_is_cosets(sys, i)
 
     def test_intersection_idempotent(self):
         group, a, _ = z5_squared()
         h = cyclic_subgroup(group, index_of(group, a))
-        assert intersect_subgroups(group, h, h).members == h.members
+        assert intersect_subgroups(group, h, h) == h
 
     def test_distinct_lines_intersect_trivially(self):
         group, a, b = z5_squared()
         h1 = cyclic_subgroup(group, index_of(group, a))
         h2 = cyclic_subgroup(group, index_of(group, b))
-        assert intersect_subgroups(group, h1, h2).order == 1
+        assert intersect_subgroups(group, h1, h2) == {group.identity}
 
     def test_intersection_with_overgroup(self):
         gens = [
@@ -289,38 +291,44 @@ class TestSubgroups:
         ]
         group = group_from_generators(gens)
         h1 = cyclic_subgroup(group, group.generator_indices[0])
-        klein = Subgroup(group, frozenset(range(group.order)))
-        assert intersect_subgroups(group, h1, klein).order == 2
+        klein = frozenset(range(group.order))
+        assert len(intersect_subgroups(group, h1, klein)) == 2
 
     def test_intersection_order_divides_both(self):
         group = group_from_generators(PSL27_GENS)
         h1 = cyclic_subgroup(group, group.generator_indices[0])
         h2 = cyclic_subgroup(group, group.generator_indices[1])
-        inter = intersect_subgroups(group, h1, h2)
-        assert h1.order % inter.order == 0 and h2.order % inter.order == 0
+        order = len(intersect_subgroups(group, h1, h2))
+        assert len(h1) % order == 0 and len(h2) % order == 0
 
 
 class TestCosets:
     def test_whole_group(self):
-        group = group_from_generators([SWAP])
-        assert left_cosets(group, Subgroup(group, frozenset(range(2)))) == [0]
+        sys = z2_system(2)
+        for i in (1, 2):
+            [point] = branch_fiber(sys, i)
+            assert point.coset_rep == 0 and point.stabilizer == frozenset(range(2))
+            assert_fibre_is_cosets(sys, i)
 
     def test_trivial_subgroup(self):
-        group = group_from_generators([SWAP])
-        assert left_cosets(group, Subgroup(group, frozenset([0]))) == [0, 1]
+        # the oracle's coset of the trivial subgroup is the element itself
+        group = s3_system().group
+        assert [coset_of(group, frozenset({0}), g) for g in range(group.order)] == list(range(group.order))
 
     def test_lagrange(self):
-        gens = [Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(0 1 2)", 3)]
-        group = group_from_generators(gens)
-        h = cyclic_subgroup(group, index_of(group, Permutation.from_cycles("(0 1)", 3)))
-        reps = left_cosets(group, h)
-        assert len(reps) == 3
-        assert len(reps) * h.order == group.order
+        sys = s3_system()
+        fibre = branch_fiber(sys, 1)
+        assert len(fibre) == 3
+        assert len(fibre) * sys.signature[0] == sys.group.order
+        # the oracle's coset action lands on the fibre's representatives
+        reps = {point.coset_rep for point in fibre}
+        assert {coset_of(sys.group, cyclic_subgroup(sys.group, sys.generators[0]), g)
+                for g in range(sys.group.order)} == reps
 
     def test_lagrange_psl(self):
-        group = group_from_generators(PSL27_GENS)
-        h = cyclic_subgroup(group, group.generator_indices[0])
-        assert len(left_cosets(group, h)) * h.order == group.order
+        sys = psl27_system()
+        for i, m in enumerate(sys.signature, 1):
+            assert len(branch_fiber(sys, i)) * m == sys.group.order == 168
 
 
 class TestOrbits:

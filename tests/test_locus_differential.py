@@ -5,7 +5,9 @@ orders.  The genus of every central component, read off the locus by
 ``central_component_genus_crosscheck``, equals the fibre-route oracle, and
 the N1_E of every curve, read as E.C off the lattice, is the number of
 singular points over its branch point.  (K.C, E.C, C^2), read off the row of
-each basis curve, equals the same three numbers through ``intersect``."""
+each basis curve, equals the same three numbers through ``intersect``.  Every
+branch fibre of a drawn system is the left cosets of its branch element, with
+the conjugate cyclic groups as stabilizers."""
 
 from functools import lru_cache
 
@@ -23,6 +25,7 @@ from pqsurf.surface import SurfaceModel, build_surface_model
 from tests.conftest import fixture_path, power
 from tests.locus_oracle import enumerate_singularities as oracle_singularities
 from tests.locus_oracle import fibre_genus
+from tests.test_covers import assert_fibre_is_cosets
 
 # groups of order <= 60 as permutation groups; Z/n is drawn separately
 GROUPS = {
@@ -109,6 +112,14 @@ def test_class_count_matches_pair_enumeration(pair):
         assert_same_central_genera(model)
         assert_n1_e_counts_locus_points(model)
         assert_rows_agree_with_intersect(model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(system_pairs())
+def test_every_fibre_is_the_cosets_of_its_branch_element(pair):
+    for sys in pair:
+        for i in range(1, sys.branch_count + 1):
+            assert_fibre_is_cosets(sys, i)
 
 
 FIXTURES = ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq", "z2_hyperelliptic.pq"]

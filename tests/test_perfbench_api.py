@@ -71,7 +71,8 @@ def test_work_counts_are_pinned(perfbench, capsys, fixture):
     assert {key: counts[key] for key in WORK_COUNTS[fixture]} == WORK_COUNTS[fixture]
 
 
-@pytest.mark.parametrize("fixture", ["beauville_55.pq", "z2_hyperelliptic.pq"])
+# A5 and A6 are not abelian, so the staged covers.fiber_ms layer conjugates
+@pytest.mark.parametrize("fixture", ["beauville_55.pq", "z2_hyperelliptic.pq", "a5_255_335.pq", "a6_245_334.pq"])
 def test_staged_pass_reaches_every_layer(perfbench, fixture):
     layers, workloads = perfbench
     op = workloads.Op(

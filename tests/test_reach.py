@@ -23,8 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 
 _RECORD_COPY = "checks copies of a record made by _make or _replace; safety code that no command needs"
-_BRANCH_FIBER = ("used only by branch_fiber, which the benchmark's staged covers.fiber_ms layer and the "
-                 "test oracles call; they leave the package together")
+_BRANCH_FIBER = ("called by the benchmark's staged covers.fiber_ms layer and the test oracles; "
+                 "a command reads the singular locus off conjugacy classes, not off fibres")
 _PERMUTATION_GROUPS = ("builds a group from Permutation objects, for the benchmark's groups.closure_ms layer and "
                        "the tests; a command closes its group over the image strings of its first system")
 UNREACHED = {
@@ -32,17 +32,10 @@ UNREACHED = {
     "pqsurf.differentials.SourceSection.<lambda>": _RECORD_COPY,
     "pqsurf.differentials.PuiseuxDifferential.<lambda>": _RECORD_COPY,
     "pqsurf.groups.Permutation.<lambda>": _RECORD_COPY,
-    "pqsurf.groups.Subgroup.<lambda>": _RECORD_COPY,
     "pqsurf.hj.SingularityType.<lambda>": _RECORD_COPY,
     "pqsurf.hj.HJString.<lambda>": _RECORD_COPY,
     "pqsurf.covers.branch_fiber": _BRANCH_FIBER,
-    "pqsurf.groups.cyclic_subgroup": _BRANCH_FIBER,
-    "pqsurf.groups.conjugate_subgroup": _BRANCH_FIBER,
-    "pqsurf.groups.left_cosets": _BRANCH_FIBER,
-    "pqsurf.groups.Subgroup.__new__": _BRANCH_FIBER,
-    "pqsurf.groups.Subgroup.order": _BRANCH_FIBER,
-    "pqsurf.groups.Subgroup.__contains__": _BRANCH_FIBER,
-    "pqsurf.groups.FiniteGroup.conjugate": _BRANCH_FIBER,
+    "pqsurf.groups.FiniteGroup.conjugate": "used only by branch_fiber: " + _BRANCH_FIBER,
     "pqsurf.groups.group_from_generators": _PERMUTATION_GROUPS,
     "pqsurf.groups.Permutation.degree": "used only by group_from_generators: " + _PERMUTATION_GROUPS,
 }

@@ -15,7 +15,7 @@ from pqsurf.bounds import CurveReport, LemmaCCReport, TangentCaseData
 from pqsurf.covers import CoverPoint, SphericalSystem, validate_system
 from pqsurf.differentials import BignessCertificate, PuiseuxDifferential, SourceSection
 from pqsurf.errors import ValidationError
-from pqsurf.groups import Permutation, Subgroup, group_from_generators
+from pqsurf.groups import Permutation, group_from_generators
 from pqsurf.hj import HJString, SingularityType
 from pqsurf.inputs import FormulaRow, InputDescription, SystemSpec, TableRowSummary
 from pqsurf.singularities import SingularLocus, SingularPoint
@@ -30,9 +30,8 @@ RECORDS = {
     "PuiseuxDifferential": lambda: PuiseuxDifferential(1, ((F(1, 2), 0, 1, 1, F(1)),)),
     "BignessCertificate": lambda: BignessCertificate(4, F(1)),
     "Permutation": lambda: Permutation((1, 0, 2)),
-    "Subgroup": lambda: Subgroup(Z2, frozenset({0, 1})),
     "SphericalSystem": lambda: SphericalSystem(Z2, (1, 1)),
-    "CoverPoint": lambda: CoverPoint(1, 0, Subgroup(Z2, frozenset({0, 1})), 1),
+    "CoverPoint": lambda: CoverPoint(1, 0, frozenset({0, 1}), 1),
     "BasisCurve": lambda: BasisCurve("Z", 3, 2),
     "StringData": lambda: StringData((2,), (1,), (1,)),
     "SingularPoint": lambda: SingularPoint((1, 2), SingularityType(2, 1), 1),
@@ -91,7 +90,6 @@ def test_defaults():
         (lambda: PuiseuxDifferential(1, ((F(0), 0, 1, 0, F(1)),)), "every term must have total differential degree 2m"),
         (lambda: PuiseuxDifferential(1, ((F(1, 3), 0, 1, 1, F(1)),)), "mu1 exponents must be half-integers"),
         (lambda: Permutation((0, 0)), "not a bijection of 0..1: (0, 0)"),
-        (lambda: Subgroup(Z2, frozenset({1})), "subgroup must contain the identity"),
         (lambda: SphericalSystem(Z2, (1,)),
          "invalid spherical system: long relation: product of generators is not the identity"),
     ],
@@ -110,7 +108,6 @@ def test_validation_errors_keep_their_messages(make, message):
         (lambda: SourceSection(1, ())._replace(m=0), "tensor power m must be >= 1"),
         (lambda: PuiseuxDifferential(1, ())._replace(terms=((F(1, 3), 0, 1, 1, F(1)),)),
          "mu1 exponents must be half-integers"),
-        (lambda: Subgroup(Z2, frozenset({0}))._replace(members=frozenset({1})), "subgroup must contain the identity"),
         (lambda: SphericalSystem(Z2, (1, 1))._replace(generators=(1, 0)),
          "invalid spherical system: long relation: product of generators is not the identity"),
     ],
