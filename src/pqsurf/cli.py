@@ -5,12 +5,14 @@ bigness.  Each ``cmd_*`` computes one payload dict, and this module is the
 only one that defines its keys: with ``--json`` the payload is printed as
 JSON, and without it the command's ``render_*`` prints the text view from
 that payload alone.  All numeric output is exact; non-integral rationals
-print as "p/q".  Exit codes: 0 success, 2 parse error, 3 validation error,
-4 engine inconsistency, 141 when the reader of standard output closes it
-before the output is written (as in ``pqsurf bounds x.pq | head -1``): then
-nothing goes to stderr, and if standard output is the process's own, it is
-pointed at the null device so that the interpreter's final flush is quiet.
-An in-process caller's replacement ``sys.stdout`` is left as it is.
+print as "p/q".  An error of a command that reads a .pq file names the file
+once.  Exit codes: 0 success, else the ``exit_code`` of the error's class (2
+parse, 3 validation, 4 engine inconsistency), or 141 when the reader of
+standard output closes it before the output is written (as in ``pqsurf
+bounds x.pq | head -1``): then nothing goes to stderr, and if standard output
+is the process's own, it is pointed at the null device so that the
+interpreter's final flush is quiet.  An in-process caller's replacement
+``sys.stdout`` is left as it is.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .limits import (DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_CERTIFICATE_S
 # command such as `hj` or `bigness` does not load the group engine.
 
 SCHEMA_VERSION = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_ENGINE = 4
 EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
@@ -58,27 +57,28 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: byte {exc.start} is not UTF-8 text") from None
 
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """A parse error raised inside the block names the file."""
+    """An error raised inside the block names the file: the same class, its
+    message prefixed by the path."""
     try:
         yield
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except PQError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_description(path: str):
-    """The parsed .pq file; a parse error names the file."""
-    from .inputs import parse_input
+def _surface_summary(path: str, text: str, cap: int):
+    """The invariants of the .pq text read from path, named by its stem."""
+    from .inputs import parse_input, realize
+    from .surface import build_surface_model
 
-    text = _read_text(path)
-    with _naming(path):
-        return parse_input(text)
+    _, sys1, sys2 = realize(parse_input(text), cap=cap)
+    return build_surface_model(sys1, sys2).numerical_invariants()._replace(name=Path(path).stem)
 
 
 def _summary_payload(summary) -> dict:
@@ -100,21 +100,21 @@ def _summary_payload(summary) -> dict:
 
 
 def cmd_hj(args) -> dict:
-    from .hj import SingularityType, dual_type, leading_minors, string_for, string_intersection_matrix
+    from .hj import SingularityType, dual_type, hj_expand, leading_minors, string_intersection_matrix
 
     if args.n > MAX_HJ_ORDER:
         raise ValidationError(
             f"hj: n = {shortened(str(args.n))} is above the ceiling {MAX_HJ_ORDER} of the dense string matrix"
         )
     t = SingularityType(args.n, args.a)
-    s = string_for(t)
+    b = hj_expand(t.n, t.a)
     return {
         "n": t.n,
         "a": t.a,
         "dual_a": dual_type(t).a,
-        "expansion": list(s.b),
-        "matrix": string_intersection_matrix(s),
-        "determinant": leading_minors(s)[-1],
+        "expansion": b,
+        "matrix": string_intersection_matrix(t, b),
+        "determinant": leading_minors(b)[-1],
     }
 
 
@@ -129,12 +129,9 @@ def render_hj(p: dict) -> None:
 
 
 def cmd_invariants(args) -> dict:
-    from .inputs import run_invariants
-
-    desc = _load_description(args.file)
-    with _naming(args.file):  # realizing the words can fail to parse too
-        summary = run_invariants(desc, name=Path(args.file).stem, cap=args.max_group_order)
-    return _summary_payload(summary)
+    text = _read_text(args.file)
+    with _naming(args.file):
+        return _summary_payload(_surface_summary(args.file, text, args.max_group_order))
 
 
 def render_invariants(p: dict) -> None:
@@ -151,13 +148,13 @@ def render_invariants(p: dict) -> None:
 
 def cmd_singularities(args) -> dict:
     from .hj import normalized_key
-    from .inputs import realize
+    from .inputs import parse_input, realize
     from .singularities import enumerate_singularities
 
-    desc = _load_description(args.file)
+    text = _read_text(args.file)
     with _naming(args.file):
-        _, sys1, sys2 = realize(desc, cap=args.max_group_order)
-    locus = enumerate_singularities(sys1, sys2)
+        _, sys1, sys2 = realize(parse_input(text), cap=args.max_group_order)
+        locus = enumerate_singularities(sys1, sys2)
     return {
         "singularities": [
             {
@@ -203,18 +200,19 @@ def _curve_payload(report) -> dict:
 
 def cmd_bounds(args) -> dict:
     from .bounds import degree_bound_report, lemma_cc_check
-    from .inputs import realize
+    from .inputs import parse_input, realize
     from .surface import build_surface_model
 
-    desc = _load_description(args.file)
+    text = _read_text(args.file)
     with _naming(args.file):
+        desc = parse_input(text)
         _, sys1, sys2 = realize(desc, cap=args.max_group_order)
-    model = build_surface_model(sys1, sys2)
-    curves = [
-        _curve_payload(degree_bound_report(model, curve))
-        for curve in [model.F1, model.F2, *model.N, *model.M]
-    ]
-    cc = lemma_cc_check(model, in_scope=desc.in_scope_c1sq6)
+        model = build_surface_model(sys1, sys2)
+        curves = [
+            _curve_payload(degree_bound_report(model, curve))
+            for curve in [model.F1, model.F2, *model.N, *model.M]
+        ]
+        cc = lemma_cc_check(model, in_scope=desc.in_scope_c1sq6)
     return {
         "curves": curves,
         "central_genera": [{"curve": c, "genus": g} for c, g in cc.genera],
@@ -236,7 +234,7 @@ def render_bounds(p: dict) -> None:
 
 
 def cmd_table(args) -> tuple[dict, int]:
-    from .inputs import format_singularity_multiset, formula_invariants, parse_input, parse_rows, run_invariants
+    from .inputs import format_singularity_multiset, formula_invariants, parse_rows
 
     def record(summary) -> dict:
         out = _summary_payload(summary)
@@ -258,16 +256,14 @@ def cmd_table(args) -> tuple[dict, int]:
                     records.append({"name": "", "error": f"{row.name}: {exc}"})
                     errors.append(exc)
         else:
-            prefix = ""  # the error cell names the file once, and a read error already does
             try:
-                text = _read_text(path)
-                prefix = f"{path}: "
-                summary = run_invariants(parse_input(text), name=Path(path).stem, cap=args.max_group_order)
-                records.append(record(summary))
+                text = _read_text(path)  # a read error names the file already
+                with _naming(path):
+                    records.append(record(_surface_summary(path, text, args.max_group_order)))
             except PQError as exc:
-                records.append({"name": "", "error": prefix + str(exc)})
+                records.append({"name": "", "error": str(exc)})
                 errors.append(exc)
-    return {"rows": records}, _exit_code_for(errors[0]) if errors else 0
+    return {"rows": records}, errors[0].exit_code if errors else 0
 
 
 def render_table(p: dict) -> None:
@@ -328,6 +324,7 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 def cmd_local_check(args) -> dict:
     from .differentials import SourceSection, gamma_closed_form, gamma_pullback, invariance_check, is_holomorphic
 
+    _require_at_least("local-check --m", args.m, 1)
     _require_at_most("local-check --m", args.m, MAX_LOCAL_M)
     section = SourceSection(args.m, parse_polynomial(args.section))
     pullback = gamma_pullback(section)
@@ -453,14 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code_for(exc: PQError) -> int:
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, EngineInconsistencyError):
-        return EXIT_ENGINE
-    return EXIT_VALIDATION
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -469,7 +458,7 @@ def main(argv=None) -> int:
         result = args.func(args)
     except PQError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     payload, code = result if isinstance(result, tuple) else (result, 0)
     try:
         if args.json:

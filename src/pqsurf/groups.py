@@ -33,7 +33,7 @@ from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError
-from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int
+from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int, shortened
 
 
 _POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table is p + _POINTS[len(p):]
@@ -66,21 +66,21 @@ class Permutation(_PermutationFields):
         """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()"."""
         stripped = text.replace(",", " ").strip()
         if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", stripped):
-            raise ParseError(f"bad cycle notation: {text!r}")
+            raise ParseError(f"bad cycle notation: {shortened(text)!r}")
         cycles = []
         for body in re.findall(r"\(([^()]*)\)", stripped):
             entries = [parse_int(tok, "point") for tok in body.split()]
             if len(set(entries)) != len(entries):
-                raise ParseError(f"repeated point inside a cycle: {text!r}")
+                raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
             cycles.append(entries)
         seen: set[int] = set()
         for cyc in cycles:
             if seen & set(cyc):
-                raise ParseError(f"cycles are not disjoint: {text!r}")
+                raise ParseError(f"cycles are not disjoint: {shortened(text)!r}")
             seen |= set(cyc)
         d = degree if degree is not None else (max(seen) + 1 if seen else 1)
         if seen and max(seen) >= d:
-            raise ParseError(f"point {max(seen)} out of domain 0..{d - 1}")
+            raise ParseError(f"point {shortened(str(max(seen)))} out of domain 0..{d - 1}")
         images = list(range(d))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):

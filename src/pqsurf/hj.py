@@ -2,7 +2,8 @@
 exceptional-string intersection data.
 
 n/a = b_1 - 1/(b_2 - 1/(... - 1/b_l)) with every b_i >= 2; the expansion is
-unique and computed by the greedy ceiling recursion in exact integers.
+unique and computed by the greedy ceiling recursion in exact integers.  An
+exceptional string is passed as that expansion, a plain list.
 """
 
 from __future__ import annotations
@@ -67,55 +68,32 @@ def hj_evaluate(b: list[int]) -> Fraction:
     return value
 
 
-class _HJStringFields(NamedTuple):
-    b: tuple[int, ...]
-    source_type: SingularityType
+def string_intersection_matrix(t: SingularityType, b: list[int]) -> list[list[int]]:
+    """Diagonal -b_i, super/sub-diagonal 1, zero elsewhere, for the expansion b of t.
 
-
-class HJString(_HJStringFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, b: tuple[int, ...], source_type: SingularityType):
-        if hj_evaluate(list(b)) != Fraction(source_type.n, source_type.a):
-            raise ValidationError("string does not evaluate to n/a of its source type")
-        return super().__new__(cls, b, source_type)
-
-    @property
-    def length(self) -> int:
-        return len(self.b)
-
-
-def string_for(t: SingularityType) -> HJString:
-    return HJString(tuple(hj_expand(t.n, t.a)), t)
-
-
-def string_intersection_matrix(s: HJString) -> list[list[int]]:
-    """Diagonal -b_i, super/sub-diagonal 1, zero elsewhere.
-
-    |det| = n is asserted at construction time, on the last leading minor: it
-    catches sign-convention bugs cheaply.
+    b must evaluate to n/a, and the last leading minor must have |det| = n,
+    which catches sign-convention bugs cheaply; a failure is an engine bug.
     """
-    l = s.length
+    if hj_evaluate(b) != Fraction(t.n, t.a):
+        raise EngineInconsistencyError(f"string {shortened(str(b))} does not evaluate to n/a = {t.n}/{t.a}")
+    det = leading_minors(b)[-1]
+    if abs(det) != t.n:
+        raise EngineInconsistencyError(f"|det| = {abs(det)} != n = {t.n} for string {shortened(str(b))}")
+    l = len(b)
     mat = [[0] * l for _ in range(l)]
     for i in range(l):
-        mat[i][i] = -s.b[i]
+        mat[i][i] = -b[i]
         if i + 1 < l:
             mat[i][i + 1] = 1
             mat[i + 1][i] = 1
-    det = leading_minors(s)[-1]
-    if abs(det) != s.source_type.n:
-        raise EngineInconsistencyError(
-            f"|det| = {abs(det)} != n = {s.source_type.n} for string {s.b}"
-        )
     return mat
 
 
-def leading_minors(s: HJString) -> list[int]:
+def leading_minors(b: list[int]) -> list[int]:
     """Determinants D_1, ..., D_l of the leading k x k blocks of the string
-    matrix, in one pass of D_k = -b_k D_(k-1) - D_(k-2), D_0 = 1, D_(-1) = 0."""
+    matrix of b, in one pass of D_k = -b_k D_(k-1) - D_(k-2), D_0 = 1, D_(-1) = 0."""
     minors, prev2, prev1 = [], 0, 1
-    for x in s.b:
+    for x in b:
         prev2, prev1 = prev1, -x * prev1 - prev2
         minors.append(prev1)
     return minors

@@ -92,7 +92,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         if stripped[0] == "[" and stripped[-1] == "]" and len(stripped) > 2:
             name = stripped[1:-1]
             if name in sections:
-                raise ParseError(f"line {number}: section {name!r} already exists")
+                raise ParseError(f"line {number}: section {shortened(name)!r} already exists")
             section = sections[name] = {}
             continue
         if section is None:
@@ -102,7 +102,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         if not equals or not key or stripped[0] == "[":
             raise ParseError(f"line {number}: neither a [section] header nor 'key = value'")
         if key in section:
-            raise ParseError(f"line {number}: option {key!r} in section {name!r} already exists")
+            raise ParseError(f"line {number}: option {shortened(key)!r} in section {shortened(name)!r} already exists")
         section[key] = value.lstrip()
     return sections
 
@@ -239,13 +239,6 @@ class TableRowSummary(NamedTuple):
     pg: int | None
 
 
-def run_invariants(desc: InputDescription, name: str = "", cap: int = DEFAULT_ORDER_CAP) -> TableRowSummary:
-    from .surface import build_surface_model
-
-    _, sys1, sys2 = realize(desc, cap=cap)
-    return build_surface_model(sys1, sys2).numerical_invariants()._replace(name=name)
-
-
 # -- formula mode ------------------------------------------------------------
 
 
@@ -350,12 +343,12 @@ def euler_chi_pg(group_order: int, g1: int, g2: int, singularities, ksq: int | N
     for n, a, count in singularities:
         e += count * (1 - Fraction(1, n) + string_length(SingularityType(n, a)))
     if e.denominator != 1:
-        raise ValidationError(f"Euler number {e} is not an integer")
+        raise ValidationError(f"Euler number {shortened(str(e))} is not an integer")
     if ksq is None:
         return int(e), None, None
     chi = Fraction(ksq + int(e), 12)
     if chi.denominator != 1 or chi <= 0:
-        raise ValidationError(f"chi = (K^2 + e)/12 = {chi} is not a positive integer")
+        raise ValidationError(f"chi = (K^2 + e)/12 = {shortened(str(chi))} is not a positive integer")
     return int(e), int(chi), int(chi) - 1
 
 

@@ -19,6 +19,13 @@ def fixture_path(name: str):
     return files("pqsurf") / "fixtures" / name
 
 
+def run_invariants(desc, name: str = ""):
+    """The numerical invariants of a parsed .pq description, by the route of
+    `pqsurf invariants`: realize, build the model, read its invariants."""
+    _, sys1, sys2 = realize(desc)
+    return build_surface_model(sys1, sys2).numerical_invariants()._replace(name=name)
+
+
 @pytest.fixture(scope="session")
 def beauville():
     desc = parse_input(fixture_path("beauville_55.pq").read_text())

@@ -19,10 +19,10 @@ from pqsurf.differentials import (
     vanishing_conditions,
 )
 from pqsurf.errors import ValidationError
-from pqsurf.hj import SingularityType, dual_type, hj_expand, hj_evaluate, leading_minors, string_for
-from pqsurf.inputs import parse_input, parse_rows, formula_invariants, run_invariants
+from pqsurf.hj import SingularityType, dual_type, hj_expand, hj_evaluate, leading_minors
+from pqsurf.inputs import parse_input, parse_rows, formula_invariants
 from pqsurf.surface import build_surface_model
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, run_invariants
 
 
 def _ok(label: str) -> None:
@@ -94,7 +94,7 @@ def test_criterion_4_hj_property_suite():
             t = SingularityType(n, a)
             dual = dual_type(t)
             assert hj_expand(dual.n, dual.a) == b[::-1]
-            minors = leading_minors(string_for(t))
+            minors = leading_minors(b)
             assert abs(minors[-1]) == n
             for k, minor in enumerate(minors, start=1):
                 assert minor * (-1) ** k > 0  # alternating signs: negative definite

@@ -2,9 +2,9 @@
 
 import pytest
 
-from pqsurf.inputs import parse_input, realize, run_invariants
+from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, run_invariants
 
 ALTERNATING = [
     # name, |G|, (g1, g2), e, K^2, chi, normalized singularities (n, a, count)

@@ -88,9 +88,10 @@ class TestGenusCrossCheck:
     def test_mismatch_fails_bounds_with_exit_4(self, monkeypatch, capsys):
         adjunction = SurfaceModel.adjunction_genus
         monkeypatch.setattr(SurfaceModel, "adjunction_genus", lambda self, curve: adjunction(self, curve) + 1)
-        assert cli.main(["bounds", str(fixture_path("beauville_55.pq"))]) == 4
+        path = str(fixture_path("beauville_55.pq"))
+        assert cli.main(["bounds", path]) == 4
         err = capsys.readouterr().err
-        assert err == "error: genus mismatch on N1: adjunction 3, Riemann-Hurwitz 2\n"
+        assert err == f"error: {path}: genus mismatch on N1: adjunction 3, Riemann-Hurwitz 2\n"
 
 
 class CountedPoint(SingularPoint):

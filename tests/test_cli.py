@@ -14,7 +14,7 @@ import pytest
 import pqsurf
 from pqsurf import bounds, hj, surface
 from pqsurf.cli import main, parse_polynomial
-from pqsurf.errors import ParseError
+from pqsurf.errors import EngineInconsistencyError, ParseError, PQError, ValidationError
 from tests.conftest import fixture_path
 
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
@@ -213,10 +213,13 @@ def _cover_genus_plus_one(build):
     return wrapped
 
 
-# one injected fault per engine gate: (owner, attribute, wrapper of the original, command, error line)
+# one injected fault per engine gate: (owner, attribute, wrapper of the original, command, error
+# line); an error of a command that reads a .pq file names the file first
 ENGINE_FAULTS = {
-    "hj-determinant": (hj, "leading_minors", lambda f: lambda s: [*f(s)[:-1], f(s)[-1] + 1],
-                       ["hj", "7", "3"], "|det| = 6 != n = 7 for string (3, 2, 2)"),
+    "hj-determinant": (hj, "leading_minors", lambda f: lambda b: [*f(b)[:-1], f(b)[-1] + 1],
+                       ["hj", "7", "3"], "|det| = 6 != n = 7 for string [3, 2, 2]"),
+    "hj-evaluate": (hj, "hj_evaluate", lambda f: lambda b: f(b) + 1,
+                    ["hj", "7", "3"], "string [3, 2, 2] does not evaluate to n/a = 7/3"),
     "ksq-integer": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + Fraction(1, 2),
                     ["invariants", BEAUVILLE], "K^2 = 17/2 is not an integer"),
     "chi-integer": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + 1,
@@ -237,8 +240,20 @@ def test_engine_gate_exits_4(capsys, monkeypatch, fault):
     owner, name, wrap, argv, message = ENGINE_FAULTS[fault]
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     code, out, err = run(capsys, *argv)
+    named = f"{argv[1]}: " if argv[1].endswith(".pq") else ""
     assert code == 4 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {named}{message}\n"
+
+
+@pytest.mark.parametrize("error, code", [(ParseError, 2), (ValidationError, 3), (EngineInconsistencyError, 4),
+                                         (PQError, 3)])
+def test_main_returns_the_exit_code_of_the_error_class(capsys, monkeypatch, error, code):
+    def fail(n, a):
+        raise error("raised in hj")
+
+    monkeypatch.setattr(hj, "hj_expand", fail)  # cmd_hj imports it when it runs
+    assert error.exit_code == code
+    assert run(capsys, "hj", "7", "3") == (code, "", "error: raised in hj\n")
 
 
 class TestPolynomialParser:
@@ -303,6 +318,7 @@ BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
 SHORTENED = "'9999999999...9999999999'"
 TOO_LONG = f"{SHORTENED} has 5000 digits, more than Python converts to an integer"
 PARSED = "9" * 4000  # converts, but no check downstream accepts it
+PRIMES = [p for p in range(2, 1224) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 class TestOversizedLiterals:
@@ -387,6 +403,44 @@ class TestOversizedLiterals:
     def test_rows_value_that_parses_but_fails_later(self, capsys, tmp_path, row, message):
         path = tmp_path / "big.rows"
         path.write_text(f"name,group_order,g1,g2,singularities,ksq\n{row}\n")
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 3 and err == ""
+        assert record["error"] == f"r: {message}" and len(out.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a = (0 1 2 3 4)", "a = (" + " ".join(map(str, range(199))) + " 0)",
+             "repeated point inside a cycle: '(0 1 2 3 4...197 198 0)'"),
+            ("a = (0 1 2 3 4)", f"a = (0 1 2 3 {PARSED})", "point 9999999999...9999999999 out of domain 0..9"),
+            ("a = (0 1 2 3 4)", "a = " + "(0 1)" * 400, "cycles are not disjoint: '(0 1)(0 1)...(0 1)(0 1)'"),
+            ("a = (0 1 2 3 4)", "a = " + "(0 1" * 400, "bad cycle notation: '(0 1(0 1(0... 1(0 1(0 1'"),
+            ("[group]\n", f"[group]\n{'k' * 2000} = ()\n{'k' * 2000} = ()\n",
+             "line 4: option 'kkkkkkkkkk...kkkkkkkkkk' in section 'group' already exists"),
+            ("[flags]", f"[{'s' * 2000}]\n[{'s' * 2000}]", "line 18: section 'ssssssssss...ssssssssss' already exists"),
+        ],
+        ids=["repeated-point", "huge-point", "overlapping-cycles", "bad-notation", "repeated-key", "repeated-section"],
+    )
+    def test_long_cycle_key_or_section(self, capsys, tmp_path, old, new, message):
+        path = tmp_path / "long.pq"
+        path.write_text(fixture_path("beauville_55.pq").read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n" and len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "singularities, ksq, message",
+        [
+            # 200 distinct primes p, each 1/p(1,p-1): e has their product as denominator
+            ("+".join(f"{p}/{p - 1}x1" for p in PRIMES), "", "Euler number 5520170531...8203880710 is not an integer"),
+            ("2/1x36", PARSED, "chi = (K^2 + e)/12 = 1000000000...0000055/12 is not a positive integer"),
+        ],
+        ids=["euler", "chi"],
+    )
+    def test_rows_long_fraction(self, capsys, tmp_path, singularities, ksq, message):
+        path = tmp_path / "long.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,2,2,2,{singularities},{ksq}\n")
         code, out, err = run(capsys, "table", str(path))
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 3 and err == ""
@@ -551,6 +605,19 @@ class TestInputErrors:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 2 and record["error"] == f"cannot read {pq}: byte 28 is not UTF-8 text"
 
+    @pytest.mark.parametrize("name, reason", [("missing.pq", "No such file or directory"), ("", "Is a directory")],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_is_named_once(self, capsys, tmp_path, name, reason):
+        # the reason of the OSError alone: its own text would quote the path again
+        path = tmp_path / name
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {path}: {reason}\n"
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 2 and err == ""
+        assert record["error"] == f"cannot read {path}: {reason}"
+
     @pytest.mark.parametrize("command", ["invariants", "singularities", "bounds"])
     @pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=PARSE_ERROR_IDS)
     def test_parse_error_names_the_file(self, capsys, tmp_path, command, text, message):
@@ -675,7 +742,7 @@ class TestInputErrors:
         for command in ("invariants", "singularities", "bounds"):
             code, out, err = run(capsys, command, str(path))
             assert code == 3 and out == ""
-            assert err == f"error: degree = 100000000 in [group] is above the ceiling {MAX_DEGREE}\n"
+            assert err == f"error: {path}: degree = 100000000 in [group] is above the ceiling {MAX_DEGREE}\n"
 
     def test_degree_one_past_the_ceiling(self, capsys, tmp_path, monkeypatch):
         # an element is a bytes string, so no point past 255 can be named
@@ -693,7 +760,7 @@ class TestInputErrors:
         code, out, err = run(capsys, "invariants", str(path))
         assert MAX_DEGREE == 256
         assert code == 3 and out == ""
-        assert err == "error: degree = 257 in [group] is above the ceiling 256\n"
+        assert err == f"error: {path}: degree = 257 in [group] is above the ceiling 256\n"
 
     def test_degree_at_the_ceiling_closes(self, capsys, tmp_path):
         # Z/2 acting on all 256 points by 128 transpositions: the toy surface
@@ -729,7 +796,7 @@ class TestInputErrors:
         for command in ("invariants", "singularities", "bounds"):
             code, out, err = run(capsys, command, str(path))
             assert code == 3 and out == ""
-            assert err == "error: [system2] lists 21 generators, above the ceiling 20 on branch points\n"
+            assert err == f"error: {path}: [system2] lists 21 generators, above the ceiling 20 on branch points\n"
 
     def test_branch_points_at_the_ceiling_run(self, capsys, tmp_path):
         # Z/2 with 20 branch points on each curve: 400 nodes
@@ -760,7 +827,7 @@ class TestInputErrors:
         for command in ("invariants", "singularities", "bounds"):
             code, out, err = run(capsys, command, str(path))
             assert code == 3 and out == ""
-            assert err == "error: invalid spherical system: signature entry 1 < 2\n"
+            assert err == f"error: {path}: invalid spherical system: signature entry 1 < 2\n"
 
     @pytest.mark.parametrize(
         "word, message",
@@ -778,7 +845,7 @@ class TestInputErrors:
         path.write_text(text.replace("signature = 5, 5, 5", "signature = 5, 5, 3", 1))
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 3 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {path}: {message}\n"
 
     def test_upper_case_generator_names(self, capsys, tmp_path):
         path = tmp_path / "beauville_55.pq"
@@ -811,7 +878,7 @@ class TestInputErrors:
         for command in ("invariants", "singularities", "bounds"):
             code, out, err = run(capsys, command, str(path))
             assert code == 3 and out == ""
-            assert err == "error: invalid spherical system: generators do not generate the whole group\n"
+            assert err == f"error: {path}: invalid spherical system: generators do not generate the whole group\n"
 
     def test_group_over_the_cap_with_a_small_first_system(self, capsys, tmp_path):
         # the group is closed over the first system, which spans <x1> of order
@@ -820,10 +887,11 @@ class TestInputErrors:
         path.write_text(fixture_path("a7_247_357.pq").read_text().replace("x1, x2, x3", "x1, x1", 1))
         code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(path))
         assert code == 3 and out == ""
-        assert err == "error: invalid spherical system: generators do not generate the whole group\n"
+        assert err == f"error: {path}: invalid spherical system: generators do not generate the whole group\n"
         # a first system that spans the whole group still meets the cap
-        code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(fixture_path("a7_247_357.pq")))
-        assert code == 3 and err == "error: group order exceeds cap 100\n"
+        a7 = fixture_path("a7_247_357.pq")
+        code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(a7))
+        assert code == 3 and err == f"error: {a7}: group order exceeds cap 100\n"
 
     @pytest.mark.parametrize("shift, message", [
         (0, "invalid spherical system: generators do not generate the whole group"),
@@ -855,7 +923,7 @@ class TestInputErrors:
                         f"[system1]\ngenerators = h, g^-{k}\n\n[system2]\ngenerators = h, h^-1\n")
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 3 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {path}: {message}\n"
 
     def test_hj_above_ceiling(self, capsys):
         from pqsurf.limits import MAX_HJ_ORDER
@@ -897,9 +965,11 @@ class TestInputErrors:
             (["bigness", "--ksq", "1", "--chi", "-3", "--points", "0"], "bigness --chi = -3 is below the floor 1"),
             (["bigness", "--ksq", "1", "--chi", "0", "--points", "0"], "bigness --chi = 0 is below the floor 1"),
             (["bigness", "--ksq", "6", "--chi", "1", "--points", "-1"], "bigness --points = -1 is below the floor 0"),
+            (["local-check", "--m", "0", "--section", "z1"], "local-check --m = 0 is below the floor 1"),
+            (["local-check", "--m", "-3", "--section", "z1"], "local-check --m = -3 is below the floor 1"),
         ],
         ids=["order-0", "order-negative-before-read", "max-m-1", "max-m-negative",
-             "ksq-negative", "ksq-0", "chi-negative", "chi-0", "points-negative"],
+             "ksq-negative", "ksq-0", "chi-negative", "chi-0", "points-negative", "local-m-0", "local-m-negative"],
     )
     def test_below_floor(self, capsys, argv, message):
         # refused before any work: the missing file is never read

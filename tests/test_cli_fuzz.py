@@ -1,14 +1,16 @@
 """Fuzz of ``pqsurf.cli.main`` over mutated copies of the shipped ``.pq``
 fixtures: an edited degree, swapped, deleted or repeated lines, repeated
 generator words, generator lists past the ceiling on branch points, stray
-words, one of them a 5000-digit number, and bytes that are not UTF-8.
-Whatever the input, a command ends with exit 0, 2, 3 or 4, never with a
-traceback, and a failing single-file command prints one ``error:`` line.
-``table`` gets the same check on random formula-mode ``.rows`` files: bad
-orders, genera, K^2 and singularity items, a dropped column, and lines that
-end early or run long.  ``hj``, ``bigness`` and ``local-check`` get random
-command lines: bad, negative and 5000-digit ints and malformed sections,
-where every line of stderr, argparse's included, stays under 300 bytes.
+words, one of them a 5000-digit number, bytes that are not UTF-8, and
+2000-character cycles, keys and section names.  Whatever the input, a
+command ends with exit 0, 2, 3 or 4, never with a traceback, and a failing
+single-file command prints one ``error:`` line under 300 bytes; every
+``table`` error cell is under 300 bytes too.  ``table`` gets the same checks
+on random formula-mode ``.rows`` files: bad orders, genera, K^2 and
+singularity items, a dropped column, and lines that end early or run long.
+``hj``, ``bigness`` and ``local-check`` get random command lines: bad,
+negative and 5000-digit ints and malformed sections, where every line of
+stderr, argparse's included, stays under 300 bytes.
 
 A7 and A6 stay out: a mutation keeps the group, and their closures would
 make each example slow without reaching other code.
@@ -17,7 +19,9 @@ make each example slow without reaching other code.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import random
 from math import gcd
 
@@ -35,6 +39,15 @@ STRAY = ["x", "t", "a", "^", "*", "(", ")", "()", "=", ",", ";", "[group]", "[fl
 # a lone 0xff, a lone continuation byte, a lead byte without its continuation,
 # as surrogate escapes that the file's UTF-8 encoding turns back into bytes
 BAD_BYTES = ["\udcff", "\udc80", "\udcc3"]
+# 2000-character cycles: a repeated point, overlapping cycles, bad notation, a point out of the domain
+LONG_CYCLES = ["(" + " 0" * 1000 + ")", "(0 1)" * 400, "(0 1" * 500, "(0 " + "9" * 2000 + ")"]
+SHORT = 300  # bytes: the most an error line or cell may take
+
+
+def error_cells(out: str, as_json: bool) -> list[str]:
+    """The error cells of a ``table`` output, in either view."""
+    rows = json.loads(out)["rows"] if as_json else csv.DictReader(io.StringIO(out))
+    return [row["error"] for row in rows]
 
 
 @st.composite
@@ -42,7 +55,7 @@ def mutated_pq(draw) -> str:
     lines = fixture_path(draw(st.sampled_from(FIXTURES))).read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
-            ["degree", "swap", "delete", "repeat", "repeat-word", "many-words", "stray", "bytes"]))
+            ["degree", "swap", "delete", "repeat", "repeat-word", "many-words", "stray", "bytes", "long"]))
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "degree":
             value = draw(st.integers(-3, 12))
@@ -71,6 +84,15 @@ def mutated_pq(draw) -> str:
         elif kind == "bytes":
             k = draw(st.integers(0, len(lines[i])))
             lines[i] = lines[i][:k] + draw(st.sampled_from(BAD_BYTES)) + lines[i][k:]
+        elif kind == "long":  # a long cycle after a generator, or a long key or section name given twice
+            form = draw(st.sampled_from(["cycle", "key", "section"]))
+            if form == "cycle":
+                rows = [k for k, line in enumerate(lines) if "= (" in line]
+                k = draw(st.sampled_from(rows)) if rows else i
+                lines[k] += draw(st.sampled_from(LONG_CYCLES))
+            else:
+                line = "k" * 2000 + " = ()" if form == "key" else "[" + "s" * 2000 + "]"
+                lines[i:i] = [line, line]
     return "\n".join(lines) + "\n"
 
 
@@ -86,8 +108,10 @@ def test_mutated_fixture_ends_in_a_known_exit_code(tmp_path_factory, text, comma
     assert code in (0, 2, 3, 4), text
     if command == "table":
         assert err.getvalue() == ""
+        assert all(len(cell.encode()) < SHORT for cell in error_cells(out.getvalue(), as_json)), text[:SHORT]
     elif code:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert len(err.getvalue().encode()) < SHORT, err.getvalue()[:SHORT]
 
 
 # -- formula-mode rows -------------------------------------------------------
@@ -153,8 +177,10 @@ def test_random_rows_end_in_a_known_exit_code(tmp_path_factory, seed, view):
     assert code in (0, 2, 3, 4), text
     if out.getvalue():  # a failing row is an error cell
         assert err.getvalue() == "", text
+        assert all(len(cell.encode()) < SHORT for cell in error_cells(out.getvalue(), view == ["--json"])), text
     else:  # a file the parser refuses is one error line
         assert code and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
+        assert len(err.getvalue().encode()) < SHORT, text
 
 
 # -- command-line arguments --------------------------------------------------
@@ -205,4 +231,4 @@ def test_argv_ends_in_a_known_exit_code_with_short_lines(seed):
             code = exc.code
     assert code in (0, 2, 3, 4), args
     assert "Traceback" not in err.getvalue()
-    assert all(len(line.encode()) < 300 for line in err.getvalue().splitlines()), err.getvalue()[:300]
+    assert all(len(line.encode()) < SHORT for line in err.getvalue().splitlines()), err.getvalue()[:SHORT]

@@ -3,14 +3,13 @@ from math import gcd
 
 import pytest
 
-from pqsurf.errors import ValidationError
+from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.hj import (
     SingularityType,
     dual_type,
     hj_evaluate,
     hj_expand,
     leading_minors,
-    string_for,
     string_intersection_matrix,
     string_length,
 )
@@ -67,27 +66,23 @@ class TestExpansion:
 
 class TestStrings:
     def test_string_validates_its_type(self):
-        from pqsurf.hj import HJString
-
-        with pytest.raises(ValidationError):
-            HJString((2, 2), SingularityType(5, 2))
+        # [2, 2] is 3/2, not 5/2: a wrong expansion is an engine fault, not bad input
+        with pytest.raises(EngineInconsistencyError, match=r"^string \[2, 2\] does not evaluate to n/a = 5/2$"):
+            string_intersection_matrix(SingularityType(5, 2), [2, 2])
 
     @pytest.mark.parametrize("n, a", COPRIME_PAIRS)
     def test_determinant_is_n(self, n, a):
-        s = string_for(SingularityType(n, a))
-        mat = string_intersection_matrix(s)
+        mat = string_intersection_matrix(SingularityType(n, a), hj_expand(n, a))
         assert abs(_det(mat)) == n
 
     @pytest.mark.parametrize("n, a", [(2, 1), (5, 2), (7, 3), (12, 5), (30, 11)])
     def test_negative_definite(self, n, a):
         # alternating-sign leading minors == negative definiteness
-        s = string_for(SingularityType(n, a))
-        for k, minor in enumerate(leading_minors(s), start=1):
+        for k, minor in enumerate(leading_minors(hj_expand(n, a)), start=1):
             assert minor * (-1) ** k > 0
 
     def test_matrix_shape(self):
-        s = string_for(SingularityType(7, 3))
-        mat = string_intersection_matrix(s)
+        mat = string_intersection_matrix(SingularityType(7, 3), hj_expand(7, 3))
         assert [row[i] for i, row in enumerate(mat)] == [-3, -2, -2]
         assert mat[0][1] == mat[1][0] == 1
         assert mat[0][2] == 0

@@ -17,9 +17,8 @@ from pqsurf.inputs import (
     parse_rows,
     parse_singularity_multiset,
     realize,
-    run_invariants,
 )
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, run_invariants
 
 MINIMAL = """\
 [group]

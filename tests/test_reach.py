@@ -33,7 +33,6 @@ UNREACHED = {
     "pqsurf.differentials.PuiseuxDifferential.<lambda>": _RECORD_COPY,
     "pqsurf.groups.Permutation.<lambda>": _RECORD_COPY,
     "pqsurf.hj.SingularityType.<lambda>": _RECORD_COPY,
-    "pqsurf.hj.HJString.<lambda>": _RECORD_COPY,
     "pqsurf.covers.branch_fiber": _BRANCH_FIBER,
     "pqsurf.groups.FiniteGroup.conjugate": "used only by branch_fiber: " + _BRANCH_FIBER,
     "pqsurf.groups.group_from_generators": _PERMUTATION_GROUPS,

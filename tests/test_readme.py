@@ -2,7 +2,8 @@
 
 The python block under "## Library entry points" is run on the Beauville
 fixture in place of its ``surface.pq``, so every import it documents must
-resolve and the pipeline it shows must give that surface's invariants.
+resolve, the pipeline it shows must give that surface's invariants, and the
+string matrix it shows must be the one its comment states.
 """
 
 import re
@@ -21,3 +22,4 @@ def test_library_example_runs():
     exec(block.replace('"surface.pq"', repr(str(fixture_path("beauville_55.pq")))), namespace)
     inv = namespace["inv"]
     assert (inv.e, inv.ksq, inv.chi, inv.pg) == (4, 8, 1, 0)
+    assert namespace["matrix"] == [[-3, 1], [1, -2]]

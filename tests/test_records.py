@@ -16,7 +16,7 @@ from pqsurf.covers import CoverPoint, SphericalSystem, validate_system
 from pqsurf.differentials import BignessCertificate, PuiseuxDifferential, SourceSection
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
-from pqsurf.hj import HJString, SingularityType
+from pqsurf.hj import SingularityType
 from pqsurf.inputs import FormulaRow, InputDescription, SystemSpec, TableRowSummary
 from pqsurf.singularities import SingularLocus, SingularPoint
 from pqsurf.surface import BasisCurve, StringData
@@ -25,7 +25,6 @@ Z2 = group_from_generators([Permutation((1, 0))])
 
 RECORDS = {
     "SingularityType": lambda: SingularityType(5, 2),
-    "HJString": lambda: HJString((3, 2), SingularityType(5, 2)),
     "SourceSection": lambda: SourceSection(2, ((2, 0, F(1)), (0, 2, F(-1)))),
     "PuiseuxDifferential": lambda: PuiseuxDifferential(1, ((F(1, 2), 0, 1, 1, F(1)),)),
     "BignessCertificate": lambda: BignessCertificate(4, F(1)),
@@ -84,7 +83,6 @@ def test_defaults():
     [
         (lambda: SingularityType(4, 2), "not a valid singularity type 1/4(1,2)"),
         (lambda: SingularityType(n=1, a=1), "not a valid singularity type 1/1(1,1)"),
-        (lambda: HJString((2,), SingularityType(5, 2)), "string does not evaluate to n/a of its source type"),
         (lambda: SourceSection(0, ()), "tensor power m must be >= 1"),
         (lambda: SourceSection(1, ((-1, 0, F(1)),)), "source exponents must be non-negative"),
         (lambda: PuiseuxDifferential(1, ((F(0), 0, 1, 0, F(1)),)), "every term must have total differential degree 2m"),
@@ -104,7 +102,6 @@ def test_validation_errors_keep_their_messages(make, message):
     "make, message",
     [
         (lambda: SingularityType(5, 2)._replace(a=5), "not a valid singularity type 1/5(1,5)"),
-        (lambda: HJString._make(((2,), SingularityType(5, 2))), "string does not evaluate to n/a of its source type"),
         (lambda: SourceSection(1, ())._replace(m=0), "tensor power m must be >= 1"),
         (lambda: PuiseuxDifferential(1, ())._replace(terms=((F(1, 3), 0, 1, 1, F(1)),)),
          "mu1 exponents must be half-integers"),
