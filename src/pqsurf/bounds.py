@@ -8,8 +8,8 @@ where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
 for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 are the
 ints of ``SurfaceModel.lattice_numbers``, read once per curve off its row
 of the form, so a report builds no divisor and calls no ``intersect``.  The
-string defect alone is a Fraction sum: it is the second route of the gate
-Y.E + Y^2 = r - sum a_i/n_i.
+string defect is summed in integers over the common denominator of its n_i:
+it is the second route of the gate Y.E + Y^2 = r - sum a_i/n_i.
 
 The genus of each central component N_i = C2/H_i or M_j = C1/K_j is taken
 two ways: by adjunction on S, and by Riemann-Hurwitz over the singular
@@ -23,6 +23,7 @@ and its locus: no group products, no subgroup arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
@@ -34,7 +35,7 @@ class TangentCaseData(NamedTuple):
     ky_dot_y: int  # K_Y.Y = (K_S + Y).Y
     y_dot_e: int
     y_sq: int
-    string_defect: Fraction  # r - sum a_i/n_i, must be >= 0
+    string_defect: int  # r - sum a_i/n_i, an integer once the gate has passed; must be >= 0
 
 
 class CurveReport(NamedTuple):
@@ -57,12 +58,12 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
     tangent = None
     if curve.kind in ("N", "M"):
         y_sq, y_dot_e, ky_dot_y = c_sq, e_dot_c, k_dot_c + c_sq
-        defect = _string_defect(model, curve)
-        if y_dot_e + y_sq != defect:
+        num, den = _string_defect(model, curve)
+        if (y_dot_e + y_sq) * den != num:
             raise EngineInconsistencyError(
-                f"Y.E + Y^2 = {y_dot_e + y_sq} != r - sum a/n = {defect} on {curve.label}"
+                f"Y.E + Y^2 = {y_dot_e + y_sq} != r - sum a/n = {Fraction(num, den)} on {curve.label}"
             )
-        tangent = TangentCaseData(ky_dot_y, y_dot_e, y_sq, defect)
+        tangent = TangentCaseData(ky_dot_y, y_dot_e, y_sq, y_dot_e + y_sq)
     return CurveReport(
         curve=curve,
         genus=genus,
@@ -74,9 +75,12 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
     )
 
 
-def _string_defect(model: SurfaceModel, curve: BasisCurve) -> Fraction:
-    parts = [Fraction(dual_type(p.type).a if curve.kind == "N" else p.type.a, p.type.n) for p in model.points_on[curve]]
-    return len(parts) - sum(parts, Fraction(0))  # r - sum a_i/n_i over the r strings meeting the curve
+def _string_defect(model: SurfaceModel, curve: BasisCurve) -> tuple[int, int]:
+    """r - sum a_i/n_i over the r strings meeting the curve, as a numerator
+    over the common denominator of the n_i."""
+    points = model.points_on[curve]
+    den = lcm(*(p.type.n for p in points))
+    return sum(den - den // p.type.n * (dual_type(p.type).a if curve.kind == "N" else p.type.a) for p in points), den
 
 
 def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -> int:

@@ -9,21 +9,24 @@ is a set of element indices.
 
 Element order.  Element 0 is the identity.  The generators are taken in their
 given order, and one already in the span is skipped.  Adding a generator g
-appends, in order, each new p * g for the elements p found so far; then the
-elements appended are taken in turn, and each is composed with every
-generator kept so far, in their order, appending what is new.  A redundant
-generator thus costs one lookup.  A ``.pq`` file's group is spanned by its
-first system without the last element (``inputs.realize``), so the element
-order follows that system, not the order of the ``[group]`` lines.
+appends, in order, each g * p for the elements p found so far (all new, as
+the span found so far is a group without g); then the elements appended are
+taken in turn, and each is multiplied on the left by every generator kept so
+far, in their order, appending what is new.  A redundant generator thus
+costs one lookup.  A ``.pq`` file's group is spanned by its first system
+without the last element (``inputs.realize``), so the element order follows
+that system, not the order of the ``[group]`` lines.  No output depends on
+the order: the singular locus lists its points by cell and type.
 
 An element is one ``bytes`` string of its images, so a degree is at most 256
 (``limits.MAX_DEGREE``).  With the 256-byte table of p (its images, then the
 identity), ``q.translate(table)`` is the image string of p * q: one C call,
 whose result caches its hash.  ``product_images`` builds the table of its
 left factor on each call, for ``FiniteGroup.mul`` and the words of a
-``.pq`` file; the spans (the closure, ``covers``' generation
-check and the conjugacy classes) go through ``_close``, which builds each
-element's table once.  Neither builds a ``Permutation``.
+``.pq`` file.  A span (the closure and ``covers``' generation check) builds
+one table per generator and multiplies on the left, g * p being
+``p.translate(table_g)``; a conjugacy class builds the table of each member
+once.  Neither builds a ``Permutation``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int, shortened
 
 
 _POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table is p + _POINTS[len(p):]
+_CYCLES = re.compile(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+")  # cycles, each "(" points ")", none between them
 
 
 class _PermutationFields(NamedTuple):
@@ -65,10 +69,10 @@ class Permutation(_PermutationFields):
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
         """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()"."""
         stripped = text.replace(",", " ").strip()
-        if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", stripped):
+        if not _CYCLES.fullmatch(stripped):
             raise ParseError(f"bad cycle notation: {shortened(text)!r}")
         cycles = []
-        for body in re.findall(r"\(([^()]*)\)", stripped):
+        for body in stripped[1:-1].split(")("):
             entries = [parse_int(tok, "point") for tok in body.split()]
             if len(set(entries)) != len(entries):
                 raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
@@ -163,51 +167,29 @@ def power_images(p: bytes, k: int) -> bytes:
     return bytes(images)
 
 
-def _close(
-    found: list, index: dict, moves: Sequence, start: int, end: int | None = None, stop: float = float("inf")
-) -> bool:
-    """Apply ``moves`` to the elements at positions start..end of ``found``
-    (to the end of ``found`` as it grows when ``end`` is None): each element is
-    taken in turn and each move applied to its table, built once, in order; a
-    result not yet in ``index`` is appended and recorded there at its position.
-    With no ``end`` this closes found[start:] breadth-first.  Stops, and
-    returns True, as soon as ``found`` holds more than ``stop`` elements."""
-    tail = _POINTS[len(found[0]):]
-    for p in islice(found, start, end):  # a list iterator also yields what is appended
-        table = p + tail
-        for move in moves:
-            q = move(table)
-            if q not in index:
-                index[q] = len(found)
-                found.append(q)
-                if len(found) > stop:
-                    return True
-    return False
-
-
-def _multiplication(g: bytes, c: bytes | None = None):
-    """The move of ``_close`` that takes the table of p to p * g, or with ``c``
-    to c * p * g.  Every product a span composes is made by such a move."""
-    if c is None:
-        return g.translate
-    after = c + _POINTS[len(c):]
-    return lambda table: g.translate(table).translate(after)
-
-
 def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[list, dict]:
     """The image bytes of the group spanned by ``generators`` (of the degree
     of ``identity``), in the element order of the module docstring, and the
     position of each; stops as soon as more than ``stop`` are found."""
     found, index = [identity], {identity: 0}
-    kept: list = []
+    tail = _POINTS[len(identity):]
+    tables: list[bytes] = []
     for g in generators:
         if g in index:
             continue
+        tables.append(g + tail)
         old = len(found)
-        kept.append(_multiplication(g))
-        # the coset S g, all of it new, then the closure of what it added
-        if _close(found, index, kept[-1:], 0, old, stop) or _close(found, index, kept, old, stop=stop):
-            break
+        # the coset g S, then the closure of what it added; a list iterator
+        # also yields what is appended
+        for start, end, moves in ((0, old, tables[-1:]), (old, None, tables)):
+            for p in islice(found, start, end):
+                for table in moves:
+                    q = p.translate(table)
+                    if q not in index:
+                        index[q] = len(found)
+                        found.append(q)
+                        if len(found) > stop:
+                            return found, index
     return found, index
 
 
@@ -253,7 +235,8 @@ class ConjugacyClasses:
 
     def __init__(self, group: FiniteGroup, conjugators: Sequence[int]) -> None:
         images = self._images = group.images
-        self._moves = [_multiplication(_inverse_images(images[c]), images[c]) for c in dict.fromkeys(conjugators)]
+        self._tail = _POINTS[len(images[0]):]
+        self._moves = [(_inverse_images(images[c]), images[c] + self._tail) for c in dict.fromkeys(conjugators)]
         self._closed: list[dict] = []
 
     def of(self, x: int) -> dict[bytes, int]:
@@ -262,8 +245,14 @@ class ConjugacyClasses:
         for members in self._closed:
             if key in members:
                 return members
-        members = {key: 0}
-        _close([key], members, self._moves, 0)
+        found, members = [key], {key: 0}
+        for y in found:  # a list iterator also yields what is appended
+            table = y + self._tail
+            for c_inv, table_c in self._moves:
+                q = c_inv.translate(table).translate(table_c)
+                if q not in members:
+                    members[q] = len(found)
+                    found.append(q)
         self._closed.append(members)
         return members
 

@@ -100,4 +100,13 @@ def leading_minors(b: list[int]) -> list[int]:
 
 
 def string_length(t: SingularityType) -> int:
-    return len(hj_expand(t.n, t.a))
+    """``len(hj_expand(t.n, t.a))`` in O(log n) steps, read off the regular
+    continued fraction n/a = c_1 + 1/(c_2 + 1/(...)): a c_i at an odd
+    position gives one entry of the string, one at an even position c_i - 1
+    entries (a run of twos)."""
+    n, a, length, odd = t.n, t.a, 0, True
+    while a:
+        c, (n, a) = n // a, (a, n % a)
+        length += 1 if odd else c - 1
+        odd = not odd
+    return length

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -339,17 +340,20 @@ def euler_chi_pg(group_order: int, g1: int, g2: int, singularities, ksq: int | N
     e is the stratified count (2 - 2g1)(2 - 2g2)/|G| plus 1 - 1/n + l(n, a)
     per singular point; chi = (K^2 + e)/12 by Noether, and P_g = chi - 1 as
     q = 0.  Without K^2, chi and P_g are None.  Gates raise ValidationError."""
-    e = Fraction((2 - 2 * g1) * (2 - 2 * g2), group_order)
-    for n, a, count in singularities:
-        e += count * (1 - Fraction(1, n) + string_length(SingularityType(n, a)))
-    if e.denominator != 1:
-        raise ValidationError(f"Euler number {shortened(str(e))} is not an integer")
+    # the sum in integers over the common denominator of its terms; a Fraction only for a message
+    den = lcm(group_order, *(n for n, _, _ in singularities))
+    num = (2 - 2 * g1) * (2 - 2 * g2) * (den // group_order) + sum(
+        count * ((1 + string_length(SingularityType(n, a))) * den - den // n) for n, a, count in singularities
+    )
+    e, rest = divmod(num, den)
+    if rest:
+        raise ValidationError(f"Euler number {shortened(str(Fraction(num, den)))} is not an integer")
     if ksq is None:
-        return int(e), None, None
-    chi = Fraction(ksq + int(e), 12)
-    if chi.denominator != 1 or chi <= 0:
-        raise ValidationError(f"chi = (K^2 + e)/12 = {shortened(str(chi))} is not a positive integer")
-    return int(e), int(chi), int(chi) - 1
+        return e, None, None
+    chi, rest = divmod(ksq + e, 12)
+    if rest or chi <= 0:
+        raise ValidationError(f"chi = (K^2 + e)/12 = {shortened(str(Fraction(ksq + e, 12)))} is not a positive integer")
+    return e, chi, chi - 1
 
 
 def formula_invariants(row: FormulaRow) -> TableRowSummary:

@@ -14,7 +14,8 @@ Pairing rules:
   resolved by the H-J string of n/a', a a' = 1 mod n, whose Z_1 meets N[i]
   and Z_l meets M[j];
   N[i]^2 = -sum a'/n and M[j]^2 = -sum a/n over the strings meeting them,
-  each summed as a Fraction and gated to be an integer;
+  each summed in integers over a common denominator and gated to be an
+  integer;
   N[i].M[j] = number of free G-orbits of coset pairs over (i, j).
 
 The canonical class follows Serrano's formula with every component of every
@@ -41,6 +42,7 @@ reading would otherwise rise with the speed-up.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple
 
 from .covers import SphericalSystem, require_genus_at_least_two
@@ -127,11 +129,9 @@ class SurfaceModel:
             if count:
                 self._set(self.N[i - 1], self.M[j - 1], count)
 
-        n_selfs = [Fraction(0)] * len(self.N)
-        m_selfs = [Fraction(0)] * len(self.M)
         for p_index, point in enumerate(self.locus.points):
             i, j = point.branch_pair
-            n, a, a_dual = point.type.n, point.type.a, dual_type(point.type).a
+            n, a_dual = point.type.n, dual_type(point.type).a
             self.points_on[self.N[i - 1]].append(point)
             self.points_on[self.M[j - 1]].append(point)
             b = tuple(hj_expand(n, a_dual))
@@ -144,19 +144,22 @@ class SurfaceModel:
                     self._set(comp, comps[k + 1], 1)
             self._set(comps[0], self.N[i - 1], 1)
             self._set(comps[-1], self.M[j - 1], 1)
-            n_selfs[i - 1] -= Fraction(a_dual, n)
-            m_selfs[j - 1] -= Fraction(a, n)
             self.strings.append(StringData(
                 b,
                 _string_multiplicities(b, n, self.sig1[i - 1], first_end=True),
                 _string_multiplicities(b, n, self.sig2[j - 1], first_end=False),
             ))
-        for value, curve in zip(n_selfs + m_selfs, self.N + self.M):
-            if value.denominator != 1:
+        for curve in self.N + self.M:
+            # -sum a'/n on N[i], -sum a/n on M[j], in integers over the common denominator
+            points = self.points_on[curve]
+            den = lcm(*(p.type.n for p in points))
+            num = -sum(den // p.type.n * (dual_type(p.type).a if curve.kind == "N" else p.type.a) for p in points)
+            value, rest = divmod(num, den)
+            if rest:
                 raise ValidationError(
-                    f"central component {curve.label} has non-integral self-intersection {value}"
+                    f"central component {curve.label} has non-integral self-intersection {Fraction(num, den)}"
                 )
-            self._set(curve, curve, int(value))
+            self._set(curve, curve, value)
 
     # -- queries -----------------------------------------------------------
 
@@ -188,7 +191,13 @@ class SurfaceModel:
 
     def numerical_invariants(self) -> TableRowSummary:
         """The summary of S, unnamed: K^2 from the lattice; e, chi and P_g from
-        ``euler_chi_pg``, whose failed gates are engine inconsistencies here."""
+        ``euler_chi_pg``, whose failed gates are engine inconsistencies here.
+
+        Then the rank gate: F1, F2 and the string components span a lattice
+        of rank 2 + sum l_x (l_x the length of the string of point x) inside
+        H^{1,1}, so 2 + sum l_x <= h^{1,1} = e - 2 - 2 P_g, as q = 0.  The
+        gate is one-sided: it catches an e too small or a P_g too large, not
+        the reverse."""
         ksq = self.intersect(self._k, self._k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
@@ -197,6 +206,9 @@ class SurfaceModel:
             e, chi, pg = euler_chi_pg(self.group.order, self.g1, self.g2, sings, int(ksq))
         except ValidationError as exc:
             raise EngineInconsistencyError(str(exc)) from None
+        rank, h11 = 2 + sum(map(len, self.Z)), e - 2 - 2 * pg
+        if rank > h11:
+            raise EngineInconsistencyError(f"rank 2 + sum l_x = {rank} exceeds h^1,1 = e - 2 - 2 p_g = {h11}")
         return TableRowSummary("", self.group.order, self.g1, self.g2, sings, e, int(ksq), chi, 0, pg)
 
     def lattice_numbers(self, curve: BasisCurve) -> tuple[int, int, int]:

@@ -106,8 +106,8 @@ def _distinct_generators(group: FiniteGroup) -> tuple[int, ...]:
 def closure_images(generators: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Every element of the group the image tuples generate, in the documented
     order: the identity; then for each generator g not yet in the span S, the
-    coset S g in the order of S, then breadth-first over the new elements,
-    each composed with every generator kept so far."""
+    coset g S in the order of S, then breadth-first over the new elements,
+    each multiplied on the left by every generator kept so far."""
     identity = tuple(range(len(generators[0])))
     found = [identity]
     seen = {identity}
@@ -116,15 +116,15 @@ def closure_images(generators: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         if g in seen:
             continue
         kept.append(g)
-        coset = [tuple([p[x] for x in g]) for p in found]  # p * g: g acts first
+        coset = [tuple(g[x] for x in p) for p in found]  # g * p: p acts first
         seen.update(coset)
-        assert len(seen) == 2 * len(found), "a coset S g with g outside S is disjoint from S"
+        assert len(seen) == 2 * len(found), "a coset g S with g outside S is disjoint from S"
         found += coset
         queue = deque(coset)
         while queue:
             p = queue.popleft()
             for h in kept:
-                q = tuple([p[x] for x in h])
+                q = tuple(h[x] for x in p)
                 if q not in seen:
                     seen.add(q)
                     found.append(q)

@@ -15,6 +15,7 @@ import pqsurf
 from pqsurf import bounds, hj, surface
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import EngineInconsistencyError, ParseError, PQError, ValidationError
+from pqsurf.limits import shortened
 from tests.conftest import fixture_path
 
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
@@ -228,10 +229,12 @@ ENGINE_FAULTS = {
                           ["bounds", TOY], "adjunction gives 2g - 2 = 3 on F1"),
     "adjunction-sign": (surface.SurfaceModel, "lattice_numbers", lambda f: lambda m, c: (-4 - f(m, c)[2], *f(m, c)[1:]),
                         ["bounds", TOY], "adjunction gives negative genus on F1"),
-    "tangent-case": (bounds, "_string_defect", lambda f: lambda m, c: f(m, c) + 1,
+    "tangent-case": (bounds, "_string_defect", lambda f: lambda m, c: (f(m, c)[0] + f(m, c)[1], f(m, c)[1]),
                      ["bounds", TOY], "Y.E + Y^2 = 3 != r - sum a/n = 4 on N1"),
     "riemann-hurwitz": (surface, "build_surface_model", _cover_genus_plus_one,
                         ["bounds", TOY], "Riemann-Hurwitz gives 2g - 2 = -1 on N1"),
+    "rank-h11": (surface, "euler_chi_pg", lambda f: lambda *args: (*f(*args)[:2], f(*args)[2] + 1),
+                 ["invariants", BEAUVILLE], "rank 2 + sum l_x = 2 exceeds h^1,1 = e - 2 - 2 p_g = 0"),
 }
 
 
@@ -445,6 +448,22 @@ class TestOversizedLiterals:
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 3 and err == ""
         assert record["error"] == f"r: {message}" and len(out.encode()) < 300
+
+    def test_rows_many_long_strings_expand_none(self, capsys, tmp_path, monkeypatch):
+        # 200 points 1/n(1,n-1), n = 99801..100000, each a string of n - 1 twos:
+        # the Euler number reads their lengths without expanding a string
+        def expand(n, a):
+            raise AssertionError("hj_expand called")
+
+        monkeypatch.setattr(hj, "hj_expand", expand)
+        ns = range(99801, 100001)
+        path = tmp_path / "long.rows"
+        path.write_text("name,group_order,g1,g2,singularities\nr,2,2,2," + "+".join(f"{n}/{n - 1}x1" for n in ns) + "\n")
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        e = 2 + sum(Fraction(n * n - 1, n) for n in ns)  # 1 - 1/n + (n - 1) per point
+        assert code == 3 and err == ""
+        assert record["error"] == f"r: Euler number {shortened(str(e))} is not an integer"
 
     @pytest.mark.parametrize(
         "section, what",

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqsurf import covers, groups
+from pqsurf import covers
 from pqsurf.covers import SphericalSystem, branch_fiber, validate_system
 from pqsurf.errors import EngineInconsistencyError, ParseError, ValidationError
 from pqsurf.groups import FiniteGroup, Permutation, element_order, group_from_generators, power_images, product_images
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from tests.conftest import fixture_path, power
+from tests.conftest import fixture_path, power, span_compositions
 from tests.locus_oracle import (
     ActionAxiomError,
     closure_images,
@@ -52,25 +52,6 @@ def count_mul(monkeypatch) -> list[int]:
 def product(p: Permutation, q: Permutation) -> Permutation:
     """p * q, q acting first."""
     return Permutation(tuple(p.images[x] for x in q.images))
-
-
-def count_compositions(monkeypatch) -> list[int]:
-    """Count the calls of every span move that ``groups._multiplication``
-    makes from here on; the count is calls[0]."""
-    calls = [0]
-    original = groups._multiplication
-
-    def multiplication(*factors):
-        move = original(*factors)
-
-        def counted(table):
-            calls[0] += 1
-            return move(table)
-
-        return counted
-
-    monkeypatch.setattr(groups, "_multiplication", multiplication)
-    return calls
 
 
 def elements(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -379,8 +360,10 @@ def symmetric_group(n: int):
 
 
 class TestClosureAgainstOracle:
-    """Closure composes in C; the list-comprehension oracle fixes the
-    discovery order that element indices, the locus and every golden rest on."""
+    """Closure multiplies on the left in C, g * p being one translate of p
+    by the table of g; the oracle composes ``tuple(g[x] for x in p)`` in
+    Python and fixes the discovery order that element indices rest on.  No
+    output depends on that order: the locus lists its points by cell and type."""
 
     @pytest.mark.parametrize(
         "gens",
@@ -408,12 +391,13 @@ class TestClosureAgainstOracle:
         with pytest.raises(ValidationError, match="^group order exceeds cap 167$"):
             group_from_generators(gens, cap=167)
 
-    def test_refused_as_soon_as_the_span_passes_the_cap(self, monkeypatch):
-        calls = count_compositions(monkeypatch)
-        with pytest.raises(ValidationError, match="^group order exceeds cap 10$"):
+    def test_refused_as_soon_as_the_span_passes_the_cap(self):
+        with span_compositions() as calls, pytest.raises(ValidationError, match="^group order exceeds cap 10$"):
             group_from_generators(PSL27_GENS, cap=10)
-        # at most two products per element found; the whole group takes 2 * 168
-        assert calls[0] <= 2 * 11
+        # <g1>, of order 3, takes 3 products and the coset g2 <g1> 3 more; then
+        # 2 per element taken, from the coset on, until the 11th is found: 4
+        # elements here (the whole group takes 3 + 3 + 2 * 165)
+        assert calls[0] == 14
 
     @pytest.mark.parametrize("degree", [0, 1])
     def test_below_degree_two_the_group_is_trivial(self, degree):
@@ -428,20 +412,21 @@ class TestClosureAgainstOracle:
 # They are deterministic, so a span that closes over more generators than it
 # needs fails here instead of hiding in timing noise.
 # realize closes the group once, over system1 without its last element, so
-# system1's generation check takes no span (it was 277 on A6, 1974 on A7)
+# system1's generation check takes no span (it was 277 on A6, 1974 on A7).
+# A conjugation c y c^-1 is two translates, so the classes count 2 per
+# conjugation: 136 conjugations on A6, 722 on A7.
 SPAN_COMPOSITIONS = {
-    "a6_245_334.pq": {"closure": 720, "generation": [0, 253], "classes": 272},
-    "a7_247_357.pq": {"closure": 5040, "generation": [0, 1674], "classes": 722},
+    "a6_245_334.pq": {"closure": 720, "generation": [0, 253], "classes": 544},
+    "a7_247_357.pq": {"closure": 5040, "generation": [0, 1674], "classes": 1444},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPAN_COMPOSITIONS))
 def test_span_compositions_are_pinned(monkeypatch, name):
-    # FiniteGroup.mul composes without a span move, so below only the
-    # spans' own products are counted: those of realize, split into each
+    # FiniteGroup.mul translates in its own frame, not a span's, so below only
+    # the spans' own products are counted: those of realize, split into each
     # system's generation check and the closure, then those of the locus
     desc = parse_input(fixture_path(name).read_text())
-    calls = count_compositions(monkeypatch)
     generation = []
     check = covers.validate_system
 
@@ -451,10 +436,11 @@ def test_span_compositions_are_pinned(monkeypatch, name):
         generation.append(calls[0] - before)
 
     monkeypatch.setattr(covers, "validate_system", counted_check)
-    _, sys1, sys2 = realize(desc)
+    with span_compositions() as calls:
+        _, sys1, sys2 = realize(desc)
     counts = {"closure": calls[0] - sum(generation), "generation": generation}
-    calls[0] = 0
-    enumerate_singularities(sys1, sys2)
+    with span_compositions() as calls:
+        enumerate_singularities(sys1, sys2)
     counts["classes"] = calls[0]
     assert counts == SPAN_COMPOSITIONS[name]
 
@@ -468,13 +454,13 @@ def test_realize_closes_the_group_over_system1(name):
     assert group.generator_indices == sys1.generators[:-1]
 
 
-def test_s8_closure_composition_count_is_pinned(monkeypatch):
+def test_s8_closure_composition_count_is_pinned():
     # (0 1) spans {e, (0 1)} in 2 products; then the coset by the 8-cycle
     # takes 2 and each of the 40318 elements it adds is composed with both
     # generators: 2 products per element of S8
     gens = [Permutation.from_cycles("(0 1)", 8), Permutation.from_cycles("(0 1 2 3 4 5 6 7)", 8)]
-    calls = count_compositions(monkeypatch)
-    group = group_from_generators(gens, cap=40320)
+    with span_compositions() as calls:
+        group = group_from_generators(gens, cap=40320)
     assert group.order == 40320 and len(set(group.images)) == 40320
     assert calls[0] == 80640
 
@@ -507,8 +493,9 @@ class TestGenerationCheck:
         group = symmetric_group(6)
         x, y = group.generator_indices
         z = power(group, group.mul(x, y), -1)
-        products, calls = count_mul(monkeypatch), count_compositions(monkeypatch)
-        SphericalSystem(group, (x, y, z))
+        products = count_mul(monkeypatch)
+        with span_compositions() as calls:
+            SphericalSystem(group, (x, y, z))
         # at most 3 products for the long relation, then the span of x and
         # y, without the redundant last element: 2 per element taken while at
         # most |G|/2 are found; a full closure over the system would take 3

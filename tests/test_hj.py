@@ -93,6 +93,11 @@ class TestStrings:
     def test_length(self, n, a, expected):
         assert string_length(SingularityType(n, a)) == expected
 
+    def test_length_matches_the_expansion_for_every_small_type(self):
+        # string_length reads the regular continued fraction, not the expansion
+        pairs = [(n, a) for n in range(2, 200) for a in range(1, n) if gcd(n, a) == 1]
+        assert [string_length(SingularityType(n, a)) for n, a in pairs] == [len(hj_expand(n, a)) for n, a in pairs]
+
 
 def _det(mat):
     # fraction-free Gaussian elimination on a copy, small matrices only
