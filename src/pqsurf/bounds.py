@@ -5,7 +5,8 @@ curves not contained in the exceptional divisor, together with the
 tangent-case arithmetic for central components (K_Y.Y, Y.E, Y^2 and the
 non-negative string defect r - sum a_i/n_i over the r strings meeting Y,
 where a_i/n_i is the string's share of -Y^2: a'/n on N_i and a/n on M_j
-for a point of type 1/n(1,a), a a' = 1 mod n).  K.C, E.C and C^2 are the
+for a point of type 1/n(1,a), a a' = 1 mod n, with a' read off the model's
+record of the type).  K.C, E.C and C^2 are the
 ints of ``SurfaceModel.lattice_numbers``, read once per curve off its row
 of the form, so a report builds no divisor and calls no ``intersect``.  The
 string defect is summed in integers over the common denominator of its n_i:
@@ -27,7 +28,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import EngineInconsistencyError, ValidationError
-from .hj import dual_type
 from .surface import BasisCurve, SurfaceModel
 
 
@@ -78,9 +78,9 @@ def degree_bound_report(model: SurfaceModel, curve: BasisCurve) -> CurveReport:
 def _string_defect(model: SurfaceModel, curve: BasisCurve) -> tuple[int, int]:
     """r - sum a_i/n_i over the r strings meeting the curve, as a numerator
     over the common denominator of the n_i."""
-    points = model.points_on[curve]
+    points, types = model.points_on[curve], model.types
     den = lcm(*(p.type.n for p in points))
-    return sum(den - den // p.type.n * (dual_type(p.type).a if curve.kind == "N" else p.type.a) for p in points), den
+    return sum(den - den // p.type.n * (types[p.type].a_dual if curve.kind == "N" else p.type.a) for p in points), den
 
 
 def central_component_genus_crosscheck(model: SurfaceModel, curve: BasisCurve) -> int:

@@ -27,16 +27,31 @@ to be positive integers.
 
 Storage: the form is kept once, as one row {neighbour: int pairing} per
 basis curve, diagonal included, holding only the curves it meets; |G|/m is
-divided with a remainder gate, so no pairing is truncated.  A divisor is a
-plain {basis curve: coefficient} map, and K and E have int coefficients.  K
-and E are built once per model, and ``lattice_numbers`` reads the ints
-(K.C, E.C, C^2) off the row of C in O(deg C), once per curve; adjunction
-and the bound reports read nothing else.  K^2 alone still goes through
-``intersect``, which sums Fractions over every pair of coefficients: a K^2
-linear in the basis size is to land with its closed-form gate
-(Bauer-Pignatelli, Serrano), and with a benchmark whose peak-memory reading
-does not grow with the number of operations it completes, since that
-reading would otherwise rise with the speed-up.
+divided with a remainder gate, so no pairing is truncated.  Each distinct
+singularity type of the locus has one ``TypeData`` record per model: a',
+the string of n/a', its share k_x of K^2 and the string multiplicities for
+each pair of adjacent branch orders, which the rows, the central
+self-intersections, the string defects of the bound reports and the
+closed-form gate all read.  A divisor is a plain {basis curve: coefficient}
+map, and K and E have int coefficients.  K and E are built once per model,
+and ``lattice_numbers`` reads the ints (K.C, E.C, C^2) off the row of C in
+O(deg C), once per curve; adjunction and the bound reports read nothing
+else.  K^2 alone still goes through ``intersect``, which fetches the row of
+each left curve once and sums one Fraction per pair of coefficients.  It
+stays quadratic in the basis size until the benchmark's peak-memory reading
+stops growing with the number of operations a run completes: a linear K^2
+is an order of magnitude faster, so that reading would rise with the
+speed-up.
+
+Two second routes are gated on every call.  Every fibre is numerically a
+general fibre (Serrano): over the cell (i, j),
+  m_i N_i.M_j + sum_p d^{sigma1}_last(p) = F1.M_j = |G|/m'_j and
+  m'_j N_i.M_j + sum_p d^{sigma2}_first(p) = F2.N_i = |G|/m_i,
+the sums over the points p of the cell, which reads the free-orbit counts
+and the string multiplicities twice.  And K^2 from the lattice equals the
+closed form 8(g1-1)(g2-1)/|G| - sum_x k_x, k_x = -2 + (2+a+a')/n + sum(b_i-2)
+(Bauer-Pignatelli, Math. Comp. 2012), summed in integers over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from typing import Mapping, NamedTuple
 
 from .covers import SphericalSystem, require_genus_at_least_two
 from .errors import EngineInconsistencyError, ValidationError
-from .hj import dual_type, hj_expand
+from .hj import SingularityType, hj_expand
 from .inputs import TableRowSummary, euler_chi_pg, singularity_multiset
 from .singularities import SingularLocus, SingularPoint, enumerate_singularities
 
@@ -75,6 +90,22 @@ class StringData(NamedTuple):
     sigma2_multiplicities: tuple[int, ...]
 
 
+class TypeData(NamedTuple):
+    """Resolution data of one singularity type 1/n(1,a) of the locus, derived
+    once per model and read for every point of that type."""
+
+    a_dual: int  # a a' = 1 mod n
+    b: tuple[int, ...]  # expands n/a'
+    k_num: int  # n k_x, k_x = -2 + (2 + a + a')/n + sum(b_i - 2)
+    strings: dict[tuple[int, int], StringData]  # by the branch orders (m_i, m'_j) of a point's cell
+
+
+def _type_data(t: SingularityType) -> TypeData:
+    a_dual = pow(t.a, -1, t.n)
+    b = tuple(hj_expand(t.n, a_dual))
+    return TypeData(a_dual, b, 2 - 2 * t.n + t.a + a_dual + t.n * (sum(b) - 2 * len(b)), {})
+
+
 class SurfaceModel:
     """The lattice of S; g1 and g2 are the genera of C1 and C2 (``rh_genus``)."""
 
@@ -92,6 +123,7 @@ class SurfaceModel:
         # the singular points whose strings meet each central component, in locus order
         self.points_on: dict[BasisCurve, list[SingularPoint]] = {c: [] for c in (*self.N, *self.M)}
         self.strings: list[StringData] = []
+        self.types: dict[SingularityType, TypeData] = {}
         self.Z: list[list[BasisCurve]] = []
         # one row per basis curve, in basis order: Z rows are added by _build
         self._rows: dict[BasisCurve, dict[BasisCurve, int]] = {
@@ -113,9 +145,6 @@ class SurfaceModel:
         except KeyError:
             raise ValidationError(f"unknown basis element {curve.label}") from None
 
-    def pair(self, c1: BasisCurve, c2: BasisCurve) -> Fraction:
-        return Fraction(self._rows.get(c1, {}).get(c2, 0))
-
     def _build(self) -> None:
         order = self.group.order
         self._set(self.F1, self.F2, order)
@@ -129,12 +158,25 @@ class SurfaceModel:
             if count:
                 self._set(self.N[i - 1], self.M[j - 1], count)
 
+        ends: dict[tuple[int, int], list[int]] = {}  # (i, j) -> the fibre relations' string sums
         for p_index, point in enumerate(self.locus.points):
             i, j = point.branch_pair
-            n, a_dual = point.type.n, dual_type(point.type).a
+            t = point.type
+            data = self.types.get(t)
+            if data is None:
+                data = self.types[t] = _type_data(t)
+            orders = (self.sig1[i - 1], self.sig2[j - 1])
+            string = data.strings.get(orders)
+            if string is None:
+                string = data.strings[orders] = StringData(
+                    data.b,
+                    _string_multiplicities(data.b, t.n, orders[0], first_end=True),
+                    _string_multiplicities(data.b, t.n, orders[1], first_end=False),
+                )
+            self.strings.append(string)
             self.points_on[self.N[i - 1]].append(point)
             self.points_on[self.M[j - 1]].append(point)
-            b = tuple(hj_expand(n, a_dual))
+            b = data.b
             comps = [BasisCurve("Z", p_index, k) for k in range(1, len(b) + 1)]
             self.Z.append(comps)
             self._rows.update((comp, {}) for comp in comps)
@@ -144,16 +186,16 @@ class SurfaceModel:
                     self._set(comp, comps[k + 1], 1)
             self._set(comps[0], self.N[i - 1], 1)
             self._set(comps[-1], self.M[j - 1], 1)
-            self.strings.append(StringData(
-                b,
-                _string_multiplicities(b, n, self.sig1[i - 1], first_end=True),
-                _string_multiplicities(b, n, self.sig2[j - 1], first_end=False),
-            ))
+            sums = ends.setdefault((i, j), [0, 0])
+            sums[0] += string.sigma1_multiplicities[-1]
+            sums[1] += string.sigma2_multiplicities[0]
+        self._check_fibre_relations(ends)
         for curve in self.N + self.M:
             # -sum a'/n on N[i], -sum a/n on M[j], in integers over the common denominator
             points = self.points_on[curve]
             den = lcm(*(p.type.n for p in points))
-            num = -sum(den // p.type.n * (dual_type(p.type).a if curve.kind == "N" else p.type.a) for p in points)
+            num = -sum(den // p.type.n * (self.types[p.type].a_dual if curve.kind == "N" else p.type.a)
+                       for p in points)
             value, rest = divmod(num, den)
             if rest:
                 raise ValidationError(
@@ -161,16 +203,36 @@ class SurfaceModel:
                 )
             self._set(curve, curve, value)
 
+    def _check_fibre_relations(self, ends: dict[tuple[int, int], list[int]]) -> None:
+        """The fibre m_i N_i + sum d Z over branch point i of system1 meets M_j
+        as F1 does, and m'_j M_j + sum d Z meets N_i as F2 does, in every cell."""
+        counts = self.locus.free_orbit_counts
+        for i, (n_curve, m) in enumerate(zip(self.N, self.sig1), start=1):
+            for j, (m_curve, m2) in enumerate(zip(self.M, self.sig2), start=1):
+                count = counts.get((i, j), 0)
+                last, first = ends.get((i, j), (0, 0))
+                for fibre, m_fibre, general, curve, meets in (
+                    (n_curve, m, self.F1, m_curve, m * count + last),
+                    (m_curve, m2, self.F2, n_curve, m2 * count + first),
+                ):
+                    expected = self._rows[general][curve]
+                    if meets != expected:
+                        raise EngineInconsistencyError(
+                            f"fibre relation fails in cell {(i, j)}: ({m_fibre} {fibre.label} + sum d Z).{curve.label}"
+                            f" = {meets} != {general.label}.{curve.label} = {expected}"
+                        )
+
     # -- queries -----------------------------------------------------------
 
     def intersect(self, d1: Mapping[BasisCurve, Fraction], d2: Mapping[BasisCurve, Fraction]) -> Fraction:
         """D1.D2 of two divisors given as {basis curve: coefficient} maps."""
-        for c in (*d1, *d2):
-            self._row(c)  # raises on a curve outside the basis
+        rows = [(self._row(c1), v1) for c1, v1 in d1.items()]  # each raises on a curve outside the basis
+        for c in d2:
+            self._row(c)
         total = Fraction(0)
-        for c1, v1 in d1.items():
+        for row, v1 in rows:
             for c2, v2 in d2.items():
-                total += v1 * v2 * self.pair(c1, c2)
+                total += v1 * v2 * Fraction(row.get(c2, 0))
         return total
 
     def canonical_class(self) -> dict[BasisCurve, int]:
@@ -197,11 +259,15 @@ class SurfaceModel:
         of rank 2 + sum l_x (l_x the length of the string of point x) inside
         H^{1,1}, so 2 + sum l_x <= h^{1,1} = e - 2 - 2 P_g, as q = 0.  The
         gate is one-sided: it catches an e too small or a P_g too large, not
-        the reverse."""
+        the reverse.
+
+        Last the closed form: the lattice K^2 must equal
+        8(g1-1)(g2-1)/|G| - sum_x k_x, read off the type records."""
         ksq = self.intersect(self._k, self._k)
         if ksq.denominator != 1:
             raise EngineInconsistencyError(f"K^2 = {ksq} is not an integer")
-        sings = singularity_multiset((t.n, t.a, c) for t, c in self.locus.type_counts().items())
+        type_counts = self.locus.type_counts()
+        sings = singularity_multiset((t.n, t.a, c) for t, c in type_counts.items())
         try:
             e, chi, pg = euler_chi_pg(self.group.order, self.g1, self.g2, sings, int(ksq))
         except ValidationError as exc:
@@ -209,6 +275,14 @@ class SurfaceModel:
         rank, h11 = 2 + sum(map(len, self.Z)), e - 2 - 2 * pg
         if rank > h11:
             raise EngineInconsistencyError(f"rank 2 + sum l_x = {rank} exceeds h^1,1 = e - 2 - 2 p_g = {h11}")
+        order = self.group.order
+        den = lcm(order, *(t.n for t in type_counts))
+        closed = 8 * (self.g1 - 1) * (self.g2 - 1) * (den // order) - sum(
+            c * self.types[t].k_num * (den // t.n) for t, c in type_counts.items())
+        if closed != ksq * den:
+            raise EngineInconsistencyError(
+                f"K^2 = {ksq} from the lattice != 8(g1-1)(g2-1)/|G| - sum k_x = {Fraction(closed, den)}"
+            )
         return TableRowSummary("", self.group.order, self.g1, self.g2, sings, e, int(ksq), chi, 0, pg)
 
     def lattice_numbers(self, curve: BasisCurve) -> tuple[int, int, int]:

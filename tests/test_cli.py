@@ -235,6 +235,13 @@ ENGINE_FAULTS = {
                         ["bounds", TOY], "Riemann-Hurwitz gives 2g - 2 = -1 on N1"),
     "rank-h11": (surface, "euler_chi_pg", lambda f: lambda *args: (*f(*args)[:2], f(*args)[2] + 1),
                  ["invariants", BEAUVILLE], "rank 2 + sum l_x = 2 exceeds h^1,1 = e - 2 - 2 p_g = 0"),
+    # K^2 + 12 keeps chi integral and the rank under h^1,1 on the toy surface
+    "ksq-closed-form": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + 12,
+                        ["invariants", TOY], "K^2 = 16 from the lattice != 8(g1-1)(g2-1)/|G| - sum k_x = 4"),
+    "fibre-relation": (surface, "_string_multiplicities",
+                       lambda f: lambda b, n, m, first_end: (*f(b, n, m, first_end)[:-1],
+                                                             f(b, n, m, first_end)[-1] + first_end),
+                       ["invariants", TOY], "fibre relation fails in cell (1, 1): (2 N1 + sum d Z).M1 = 2 != F1.M1 = 1"),
 }
 
 

@@ -5,10 +5,16 @@ orders.  The genus of every central component, read off the locus by
 ``central_component_genus_crosscheck``, equals the fibre-route oracle, and
 the N1_E of every curve, read as E.C off the lattice, is the number of
 singular points over its branch point.  (K.C, E.C, C^2), read off the row of
-each basis curve, equals the same three numbers through ``intersect``.  Every
-branch fibre of a drawn system is the left cosets of its branch element, with
-the conjugate cyclic groups as stabilizers."""
+each basis curve, equals the same three numbers through ``intersect``.  The
+model's record of each singularity type equals ``dual_type``, ``hj_expand``
+and ``_string_multiplicities`` taken point by point, both fibre relations
+hold in every cell, and K^2 equals the Bauer-Pignatelli closed form summed
+point by point in Fractions.  Every branch fibre of a drawn system is the
+left cosets of its branch element, with the conjugate cyclic groups as
+stabilizers."""
 
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -19,9 +25,10 @@ from pqsurf.bounds import central_component_genus_crosscheck, degree_bound_repor
 from pqsurf.covers import SphericalSystem, rh_genus
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
+from pqsurf.hj import dual_type, hj_expand
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
-from pqsurf.surface import SurfaceModel, build_surface_model
+from pqsurf.surface import SurfaceModel, _string_multiplicities, build_surface_model
 from tests.conftest import fixture_path, power
 from tests.locus_oracle import enumerate_singularities as oracle_singularities
 from tests.locus_oracle import fibre_genus
@@ -101,6 +108,37 @@ def assert_rows_agree_with_intersect(model):
         assert model.lattice_numbers(curve) == numbers, curve.label
 
 
+def assert_type_records_and_fibre_relations(model):
+    """Each point's string data equals the per-point route, and over every
+    cell (i, j): m_i N_i.M_j + sum d^{sigma1}_last = |G|/m'_j and
+    m'_j N_i.M_j + sum d^{sigma2}_first = |G|/m_i."""
+    last, first = Counter(), Counter()
+    for point, string in zip(model.locus.points, model.strings, strict=True):
+        (i, j), t = point.branch_pair, point.type
+        a_dual = dual_type(t).a
+        b = tuple(hj_expand(t.n, a_dual))
+        sigma1 = _string_multiplicities(b, t.n, model.sig1[i - 1], first_end=True)
+        sigma2 = _string_multiplicities(b, t.n, model.sig2[j - 1], first_end=False)
+        assert model.types[t][:2] == (a_dual, b)
+        assert string == (b, sigma1, sigma2)
+        last[(i, j)] += sigma1[-1]
+        first[(i, j)] += sigma2[0]
+    order = model.group.order
+    for (i, j), count in model.locus.free_orbit_counts.items():
+        m, m2 = model.sig1[i - 1], model.sig2[j - 1]
+        assert m * count + last[(i, j)] == order // m2, (i, j)
+        assert m2 * count + first[(i, j)] == order // m, (i, j)
+
+
+def closed_form_ksq(model) -> Fraction:
+    """8(g1-1)(g2-1)/|G| - sum_x k_x, k_x = -2 + (2+a+a')/n + sum(b_i-2), point by point."""
+    ksq = Fraction(8 * (model.g1 - 1) * (model.g2 - 1), model.group.order)
+    for point in model.locus.points:
+        n, a = point.type
+        ksq -= -2 + Fraction(2 + a + dual_type(point.type).a, n) + sum(b - 2 for b in hj_expand(n, a))
+    return ksq
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(system_pairs())
 def test_class_count_matches_pair_enumeration(pair):
@@ -108,7 +146,8 @@ def test_class_count_matches_pair_enumeration(pair):
     for a, b in (pair, pair[::-1]):
         # genera below 2 are kept: Riemann-Hurwitz and adjunction hold for them too
         model = SurfaceModel(a, b, enumerate_singularities(a, b), rh_genus(a), rh_genus(b))
-        model.numerical_invariants()
+        assert model.numerical_invariants().ksq == closed_form_ksq(model)
+        assert_type_records_and_fibre_relations(model)
         assert_same_central_genera(model)
         assert_n1_e_counts_locus_points(model)
         assert_rows_agree_with_intersect(model)

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from pqsurf import covers
+from pqsurf import covers, surface
+from pqsurf.cli import main
 from pqsurf.errors import EngineInconsistencyError, ValidationError
 from pqsurf.hj import hj_expand
 from pqsurf.inputs import parse_input, realize
@@ -17,6 +18,11 @@ from tests.test_covers import z2_system
 
 def basis(m):
     return [m.F1, m.F2, *m.N, *m.M, *(c for comps in m.Z for c in comps)]
+
+
+def pair(m, c1, c2):
+    """C1.C2, through ``intersect`` on the two curves."""
+    return m.intersect({c1: 1}, {c2: 1})
 
 
 class TestDivisorAlgebra:
@@ -35,18 +41,18 @@ class TestDivisorAlgebra:
 class TestBeauville:
     def test_fibers(self, beauville_model):
         m = beauville_model
-        assert m.pair(m.F1, m.F2) == 25
-        assert m.pair(m.F1, m.F1) == 0
+        assert pair(m, m.F1, m.F2) == 25
+        assert pair(m, m.F1, m.F1) == 0
         for n_curve in m.N:
-            assert m.pair(m.F2, n_curve) == 5
-            assert m.pair(m.F1, n_curve) == 0
-            assert m.pair(n_curve, n_curve) == 0  # no strings attached
+            assert pair(m, m.F2, n_curve) == 5
+            assert pair(m, m.F1, n_curve) == 0
+            assert pair(m, n_curve, n_curve) == 0  # no strings attached
 
     def test_central_crossings_are_free_orbit_counts(self, beauville_model):
         m = beauville_model
         for n_curve in m.N:
             for m_curve in m.M:
-                assert m.pair(n_curve, m_curve) == 1
+                assert pair(m, n_curve, m_curve) == 1
 
     def test_canonical_class(self, beauville_model):
         m = beauville_model
@@ -90,19 +96,19 @@ class TestToySurface:
     def test_central_self_intersections(self, toy_model):
         m = toy_model
         for curve in m.N + m.M:
-            assert m.pair(curve, curve) == -3
+            assert pair(m, curve, curve) == -3
 
     def test_string_attachments(self, toy_model):
         m = toy_model
         for point, comps in zip(m.locus.points, m.Z):
             (comp,) = comps
             i, j = point.branch_pair
-            assert m.pair(comp, comp) == -2
-            assert m.pair(comp, m.N[i - 1]) == 1
-            assert m.pair(comp, m.M[j - 1]) == 1
+            assert pair(m, comp, comp) == -2
+            assert pair(m, comp, m.N[i - 1]) == 1
+            assert pair(m, comp, m.M[j - 1]) == 1
         # each central component meets exactly 6 strings
         for curve in m.N + m.M:
-            assert sum(1 for (comp,) in m.Z if m.pair(curve, comp)) == 6
+            assert sum(1 for (comp,) in m.Z if pair(m, curve, comp)) == 6
 
     def test_canonical_class(self, toy_model):
         m = toy_model
@@ -196,8 +202,8 @@ class TestGates:
         m = z4_mixed_model
         for c1 in basis(m):
             for c2 in basis(m):
-                assert m.pair(c1, c2) == m.pair(c2, c1)
-                assert isinstance(m.pair(c1, c2), Fraction)
+                assert pair(m, c1, c2) == pair(m, c2, c1)
+                assert isinstance(pair(m, c1, c2), Fraction)
 
 
 class TestStringBlocks:
@@ -236,13 +242,15 @@ class TestLatticeNumbers:
     @pytest.mark.parametrize("fixture", PQ_FIXTURES)
     def test_stored_values_are_ints(self, fixture):
         """Every stored pairing and every coefficient of K and E is an int,
-        not a bool and not a Fraction; ``pair`` still answers in Fractions."""
+        not a bool and not a Fraction; ``intersect`` still answers in Fractions."""
         _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
         m = build_surface_model(sys1, sys2)
         stored = [v for row in m._rows.values() for v in row.values()]
         stored += [*m.canonical_class().values(), *m.exceptional_class().values()]
         assert stored and all(type(v) is int for v in stored)
-        assert all(type(m.pair(c, c)) is Fraction for c in basis(m))
+        assert all(type(m.intersect({c: 1}, {c: 1})) is Fraction for c in basis(m))
+        k = m.canonical_class()
+        assert type(m.intersect(k, k)) is Fraction
 
     def test_fiber_degree_is_gated_to_divide(self, beauville, monkeypatch):
         # |G|/m is exact by Lagrange; a remainder is an engine fault, not a truncation
@@ -255,6 +263,58 @@ class TestLatticeNumbers:
     def test_unknown_curve_rejected(self, toy_model):
         with pytest.raises(ValidationError, match="unknown basis element N99"):
             toy_model.lattice_numbers(BasisCurve("N", 99))
+
+
+class TestFibreRelations:
+    """Every fibre is numerically a general fibre, checked cell by cell while
+    the model is built: a free-orbit count, or the multiplicity of a string
+    end that meets the other side's central component, moved by one ends in
+    exit 4 with the cell named."""
+
+    @pytest.mark.parametrize("fixture", PQ_FIXTURES)
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_changed_free_orbit_count_is_refused_in_its_cell(self, fixture, delta):
+        _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
+        locus = enumerate_singularities(sys1, sys2)
+        for (i, j), count in locus.free_orbit_counts.items():
+            changed = locus._replace(free_orbit_counts={**locus.free_orbit_counts, (i, j): count + delta})
+            with pytest.raises(EngineInconsistencyError, match=rf"^fibre relation fails in cell \({i}, {j}\): "):
+                build_surface_model(sys1, sys2, changed)
+
+    @pytest.mark.parametrize("fixture", [f for f in PQ_FIXTURES if f != "beauville_55.pq"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("side", [True, False])
+    def test_changed_string_multiplicity_exits_4_naming_the_cell(self, capsys, monkeypatch, fixture, delta, side):
+        original, changed = _string_multiplicities, []
+
+        def off_by_one(b, n, m, first_end):
+            c = list(original(b, n, m, first_end))
+            if first_end == side and not changed:
+                changed.append(b)
+                c[-1 if first_end else 0] += delta  # the end that meets the other side's central component
+            return tuple(c)
+
+        monkeypatch.setattr(surface, "_string_multiplicities", off_by_one)
+        path = str(fixture_path(fixture))
+        assert main(["invariants", path]) == 4
+        _, sys1, sys2 = realize(parse_input(fixture_path(fixture).read_text()))
+        cell = enumerate_singularities(sys1, sys2).points[0].branch_pair  # the first string built
+        out, err = capsys.readouterr()
+        assert changed and out == ""
+        assert err.startswith(f"error: {path}: fibre relation fails in cell {cell}: ")
+
+    def test_changed_free_orbit_count_exits_4(self, capsys, monkeypatch):
+        def one_more_in_cell_2_3(sys1, sys2):
+            locus = enumerate_singularities(sys1, sys2)
+            counts = locus.free_orbit_counts
+            return locus._replace(free_orbit_counts={**counts, (2, 3): counts[(2, 3)] + 1})
+
+        monkeypatch.setattr(surface, "enumerate_singularities", one_more_in_cell_2_3)
+        path = str(fixture_path("beauville_55.pq"))
+        assert main(["invariants", path]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {path}: fibre relation fails in cell (2, 3): (5 N2 + sum d Z).M3 = 10 != F1.M3 = 5\n"
+        )
 
 
 def eliminated_multiplicities(b: tuple[int, ...], m: int, first_end: bool) -> tuple[int, ...]:
