@@ -38,24 +38,16 @@ SCHEMA_VERSION = 1
 EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2))
-
-
-def _require_at_most(flag: str, value: int, ceiling: int) -> None:
-    if value > ceiling:
-        raise ValidationError(f"{flag} = {shortened(str(value))} is above the ceiling {ceiling}")
-
-
-def _require_at_least(flag: str, value: int, floor: int) -> None:
+def _require_range(flag: str, value: int, floor: int, ceiling: int | None = None) -> None:
     if value < floor:
         raise ValidationError(f"{flag} = {shortened(str(value))} is below the floor {floor}")
+    if ceiling is not None and value > ceiling:
+        raise ValidationError(f"{flag} = {shortened(str(value))} is above the ceiling {ceiling}")
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a byte-order mark is no text
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -324,8 +316,7 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 def cmd_local_check(args) -> dict:
     from .differentials import SourceSection, gamma_closed_form, gamma_pullback, invariance_check, is_holomorphic
 
-    _require_at_least("local-check --m", args.m, 1)
-    _require_at_most("local-check --m", args.m, MAX_LOCAL_M)
+    _require_range("local-check --m", args.m, 1, MAX_LOCAL_M)
     section = SourceSection(args.m, parse_polynomial(args.section))
     pullback = gamma_pullback(section)
     if pullback != gamma_closed_form(section):
@@ -355,11 +346,10 @@ def cmd_bigness(args) -> dict:
     from .differentials import bigness_certificate
 
     # the plurigenus formula holds on a minimal surface of general type: K^2 >= 1 and chi >= 1
-    _require_at_least("bigness --ksq", args.ksq, 1)
-    _require_at_least("bigness --chi", args.chi, 1)
-    _require_at_least("bigness --points", args.points, 0)
-    _require_at_least("bigness --max-m", args.max_m, 2)  # the search starts at m = 2
-    _require_at_most("bigness --max-m", args.max_m, MAX_CERTIFICATE_SEARCH)
+    _require_range("bigness --ksq", args.ksq, 1)
+    _require_range("bigness --chi", args.chi, 1)
+    _require_range("bigness --points", args.points, 0)
+    _require_range("bigness --max-m", args.max_m, 2, MAX_CERTIFICATE_SEARCH)  # the search starts at m = 2
     cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
     return {
         "ksq": args.ksq,
@@ -382,11 +372,11 @@ def render_bigness(p: dict) -> None:
 
 
 def _int(text: str) -> int:
-    """The type of every int argument: argparse's own ``int`` quotes a bad
-    value in full, so a long one would make a long error line."""
+    """The type of every int argument, by ``parse_int``'s grammar: argparse's
+    own ``int`` reads '1_0' as 10 and quotes a long bad value in full."""
     try:
-        return int(text)
-    except ValueError:
+        return parse_int(text, "")
+    except (ValueError, ParseError):
         raise argparse.ArgumentTypeError(f"invalid int value: {shortened(text)!r}") from None
 
 
@@ -453,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _require_at_least("--max-group-order", args.max_group_order, 1)
-        _require_at_most("--max-group-order", args.max_group_order, MAX_ORDER_CAP)
+        _require_range("--max-group-order", args.max_group_order, 1, MAX_ORDER_CAP)
         result = args.func(args)
     except PQError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -462,7 +451,7 @@ def main(argv=None) -> int:
     payload, code = result if isinstance(result, tuple) else (result, 0)
     try:
         if args.json:
-            _emit_json(payload)
+            print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
         else:
             args.render(payload)
         sys.stdout.flush()

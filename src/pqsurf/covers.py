@@ -27,7 +27,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
-from .groups import FiniteGroup, element_order, spans_more_than
+from .groups import FiniteGroup, spans_more_than
 
 
 class _SphericalSystemFields(NamedTuple):
@@ -50,7 +50,7 @@ class SphericalSystem(_SphericalSystemFields):
     @property
     def signature(self) -> tuple[int, ...]:
         """The orders m_i of the elements, from the group's cached powers."""
-        return tuple(element_order(self.group, g) for g in self.generators)
+        return tuple(len(self.group.powers(g)) for g in self.generators)
 
     @property
     def branch_count(self) -> int:

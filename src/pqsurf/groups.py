@@ -25,8 +25,9 @@ whose result caches its hash.  ``product_images`` builds the table of its
 left factor on each call, for ``FiniteGroup.mul`` and the words of a
 ``.pq`` file.  A span (the closure and ``covers``' generation check) builds
 one table per generator and multiplies on the left, g * p being
-``p.translate(table_g)``; a conjugacy class builds the table of each member
-once.  Neither builds a ``Permutation``.
+``p.translate(table_g)``; a conjugacy class, a query cached on the group as
+powers are, builds the table of each member once.  Neither builds a
+``Permutation``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class Permutation(_PermutationFields):
             if seen & set(cyc):
                 raise ParseError(f"cycles are not disjoint: {shortened(text)!r}")
             seen |= set(cyc)
-        d = degree if degree is not None else (max(seen) + 1 if seen else 1)
+        # an inferred domain stops at the ceiling, so a larger point is refused before d images are built
+        d = degree if degree is not None else min(max(seen, default=0) + 1, MAX_DEGREE)
         if seen and max(seen) >= d:
             raise ParseError(f"point {shortened(str(max(seen)))} out of domain 0..{d - 1}")
         images = list(range(d))
@@ -110,6 +112,10 @@ class FiniteGroup:
         if self.images[0] != _POINTS[:len(self.images[0])]:
             raise EngineInconsistencyError("element 0 must be the identity")
         self._powers: dict[int, list[int]] = {}
+        tail = _POINTS[len(self.images[0]):]  # c^-1 and the table of c, once per generator c
+        self._conjugators = [(_inverse_images(self.images[c]), self.images[c] + tail)
+                             for c in dict.fromkeys(self.generator_indices)]
+        self._classes: list[dict[bytes, int]] = []
 
     @property
     def order(self) -> int:
@@ -137,6 +143,28 @@ class FiniteGroup:
                 acc = self.mul(i, acc)
             self._powers[i] = cached
         return cached
+
+    def conjugacy_class(self, x: int) -> dict[bytes, int]:
+        """The class of element x, keyed by the image bytes of its members;
+        closed when first asked for and cached on the group, so asking again,
+        through any member, returns the same dict.  It is closed on image
+        bytes, conjugating by ``generator_indices``: with the table of y
+        built once, c y c^-1 is ``c_inv.translate(table_y).translate(table_c)``."""
+        key = self.images[x]
+        for members in self._classes:
+            if key in members:
+                return members
+        tail = _POINTS[len(key):]
+        found, members = [key], {key: 0}
+        for y in found:  # a list iterator also yields what is appended
+            table = y + tail
+            for c_inv, table_c in self._conjugators:
+                q = c_inv.translate(table).translate(table_c)
+                if q not in members:
+                    members[q] = len(found)
+                    found.append(q)
+        self._classes.append(members)
+        return members
 
 
 def _inverse_images(p: bytes) -> bytes:
@@ -223,39 +251,3 @@ def spans_more_than(group: FiniteGroup, generators: Sequence[int], bound: int) -
     the span is closed only until it passes the bound."""
     found, _ = _span(group.images[0], [group.images[g] for g in generators], bound)
     return len(found) > bound
-
-
-class ConjugacyClasses:
-    """The conjugacy classes of a group, each closed when first asked for.
-
-    ``conjugators`` must generate the group.  The closure works on image
-    bytes: with the table of y built once, c y c^-1 is
-    ``c_inv.translate(table_y).translate(table_c)``.  A class asked for
-    again, through any of its members, is found among those already closed."""
-
-    def __init__(self, group: FiniteGroup, conjugators: Sequence[int]) -> None:
-        images = self._images = group.images
-        self._tail = _POINTS[len(images[0]):]
-        self._moves = [(_inverse_images(images[c]), images[c] + self._tail) for c in dict.fromkeys(conjugators)]
-        self._closed: list[dict] = []
-
-    def of(self, x: int) -> dict[bytes, int]:
-        """The class of element x, keyed by the image bytes of its members."""
-        key = self._images[x]
-        for members in self._closed:
-            if key in members:
-                return members
-        found, members = [key], {key: 0}
-        for y in found:  # a list iterator also yields what is appended
-            table = y + self._tail
-            for c_inv, table_c in self._moves:
-                q = c_inv.translate(table).translate(table_c)
-                if q not in members:
-                    members[q] = len(found)
-                    found.append(q)
-        self._closed.append(members)
-        return members
-
-
-def element_order(group: FiniteGroup, g: int) -> int:
-    return len(group.powers(g))

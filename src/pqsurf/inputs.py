@@ -10,9 +10,10 @@ Two input modes:
   when K^2 is supplied, the Noether chi and P_g.  This exists because the
   classification tables list invariants, not spherical systems.
 
-Both modes compute e, chi and P_g in ``euler_chi_pg``; full mode feeds it
-the K^2 of the divisor lattice.  Both report the singularity multiset
-through ``singularity_multiset``, which merges each type with its dual.
+Both modes build their summary in ``summarize``: the singularity multiset
+through ``singularity_multiset``, which merges each type with its dual, then
+e, chi and P_g through ``euler_chi_pg``; full mode feeds it the K^2 of the
+divisor lattice.
 
 .pq grammar::
 
@@ -129,8 +130,8 @@ def parse_input(text: str) -> InputDescription:
     if "degree" not in group_section:
         raise ParseError("missing 'degree' in [group]")
     try:
-        degree = int(group_section["degree"])
-    except ValueError:
+        degree = parse_int(group_section["degree"], "degree")
+    except (ValueError, ParseError):
         raise ParseError(f"bad degree {shortened(group_section['degree'])!r}") from None
     if degree < 1:
         raise ParseError(f"degree = {shortened(str(degree))} in [group]: a permutation domain needs at least one point")
@@ -152,8 +153,8 @@ def parse_input(text: str) -> InputDescription:
                 f"[{section}] lists {len(words)} generators, above the ceiling {MAX_BRANCH_POINTS} on branch points"
             )
         try:
-            base_genus = int(sec.get("base_genus", "0"))
-        except ValueError:
+            base_genus = parse_int(sec.get("base_genus", "0"), "base_genus")
+        except (ValueError, ParseError):
             raise ParseError(f"bad base_genus {shortened(sec['base_genus'])!r} in [{section}]") from None
         if base_genus != 0:
             raise ParseError(
@@ -162,8 +163,8 @@ def parse_input(text: str) -> InputDescription:
         signature = None
         if "signature" in sec:
             try:
-                signature = tuple(int(x) for x in sec["signature"].split(","))
-            except ValueError:
+                signature = tuple(parse_int(x, "signature") for x in sec["signature"].split(","))
+            except (ValueError, ParseError):
                 raise ParseError(f"bad signature in [{section}]") from None
         systems.append(SystemSpec(words, signature))
     flag = parser.get("flags", {}).get("in_scope_c1sq6", "false")
@@ -253,7 +254,6 @@ class FormulaRow(NamedTuple):
 
 
 _SING_ITEM = re.compile(r"^(\d+)/(\d+)x(\d+)$")
-_INT_CELL = re.compile(r"[+-]?\d+")
 
 
 def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -293,9 +293,10 @@ def format_singularity_multiset(items) -> str:
 
 def _integer_cell(record: dict, column: str) -> int:
     text = record[column].strip()
-    if not _INT_CELL.fullmatch(text):
-        raise ParseError(f"{column} {shortened(text)!r} is not an integer")
-    return parse_int(text, column)
+    try:
+        return parse_int(text, column)
+    except ValueError:
+        raise ParseError(f"{column} {shortened(text)!r} is not an integer") from None
 
 
 def parse_rows(text: str) -> list[FormulaRow]:
@@ -356,6 +357,15 @@ def euler_chi_pg(group_order: int, g1: int, g2: int, singularities, ksq: int | N
     return e, chi, chi - 1
 
 
+def summarize(name: str, group_order: int, g1: int, g2: int, items, ksq: int | None) -> TableRowSummary:
+    """The summary of a surface in either mode: its (n, a, count) points as
+    ``singularity_multiset`` reports them, then e, chi and P_g from
+    ``euler_chi_pg``, with q = 0 as both base quotients are rational."""
+    sings = singularity_multiset(items)
+    e, chi, pg = euler_chi_pg(group_order, g1, g2, sings, ksq)
+    return TableRowSummary(name, group_order, g1, g2, sings, e, ksq, chi, 0, pg)
+
+
 def formula_invariants(row: FormulaRow) -> TableRowSummary:
     """The invariants of a table row; base quotients are rational (q = 0), as
     in the P_g = 0 classification."""
@@ -369,17 +379,4 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
         if n > MAX_ORDER_CAP:
             point = f"1/{shortened(str(n))}(1,{shortened(str(a))})"
             raise ValidationError(f"{point}: n is above the ceiling {MAX_ORDER_CAP} of the group order")
-    sings = singularity_multiset(row.singularities)
-    e, chi, pg = euler_chi_pg(row.group_order, row.g1, row.g2, sings, row.ksq)
-    return TableRowSummary(
-        name=row.name,
-        group_order=row.group_order,
-        g1=row.g1,
-        g2=row.g2,
-        singularities=sings,
-        e=e,
-        ksq=row.ksq,
-        chi=chi,
-        q=0,
-        pg=pg,
-    )
+    return summarize(row.name, row.group_order, row.g1, row.g2, row.singularities, row.ksq)

@@ -15,10 +15,10 @@ splits each exact count into orbits of size |G|/n, free for n = 1 and one
 singular point each otherwise.  Points are listed by cell and by (n, a) within
 a cell, so no output depends on the order of the group's elements.
 
-The class of u is closed by ``groups.ConjugacyClasses`` on image bytes,
-conjugating by the elements of the first system but its last: the long
-relation makes the last one the inverse of the product of the others, so
-those others already generate G.
+The class of u is a query cached on the group (``FiniteGroup.conjugacy_class``)
+and conjugates by its generators: for a .pq file, the first system but its
+last element, the inverse of the product of the others by the long relation.
+A call makes one ``SingularityType`` per type, shared by its points.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 from .covers import SphericalSystem
 from .errors import EngineInconsistencyError, ValidationError
-from .groups import ConjugacyClasses
 from .hj import SingularityType
 
 
@@ -74,11 +73,11 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
     if sys1.group is not sys2.group:
         raise ValidationError("systems must be over the same group")
     group, order = sys1.group, sys1.group.order
-    classes = ConjugacyClasses(group, sys1.generators[:-1])  # they generate G
 
     points: list[SingularPoint] = []
     free_counts: dict[tuple[int, int], int] = {}
     by_elements: dict[tuple[int, int], dict[tuple[int, int], int]] = {}  # equal (g_i, h_j), equal counts
+    types: dict[tuple[int, int], SingularityType] = {}
     for i, g in enumerate(sys1.generators, start=1):
         powers1 = group.powers(g)
         m = len(powers1)
@@ -89,7 +88,7 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
                 m2 = len(powers2)
                 fixed: dict[tuple[int, int], int] = {}
                 for n in (n for n in range(1, m + 1) if m % n == m2 % n == 0):
-                    u_class = classes.of(powers1[m // n % m])
+                    u_class = group.conjugacy_class(powers1[m // n % m])
                     pairs = order * (order // len(u_class)) // (m * m2)
                     for a in (a for a in range(n) if gcd(a, n) == 1):
                         v = powers2[a * (m2 // n) % m2]
@@ -98,5 +97,6 @@ def enumerate_singularities(sys1: SphericalSystem, sys2: SphericalSystem) -> Sin
             free_counts[(i, j)] = counts[(1, 0)]
             for (n, a), k in counts.items():
                 if n > 1:
-                    points += [SingularPoint((i, j), SingularityType(n, a), order // n)] * k
+                    t = types.get((n, a)) or types.setdefault((n, a), SingularityType(n, a))
+                    points += [SingularPoint((i, j), t, order // n)] * k
     return SingularLocus(tuple(points), free_counts)

@@ -5,7 +5,7 @@ from importlib.resources import files
 import pytest
 
 from pqsurf.covers import SphericalSystem
-from pqsurf.groups import ConjugacyClasses, Permutation, _span, group_from_generators
+from pqsurf.groups import FiniteGroup, Permutation, _span, group_from_generators
 from pqsurf.inputs import parse_input, realize
 from pqsurf.surface import build_surface_model
 
@@ -20,10 +20,10 @@ def power(group, i: int, k: int) -> int:
 def span_compositions():
     """Count the products the spans compose while the block runs: the calls
     of ``bytes.translate`` made from the frame of ``groups._span`` or of
-    ``ConjugacyClasses.of`` (two per conjugation), seen by a profiler, so the
+    ``FiniteGroup.conjugacy_class`` (two per conjugation), seen by a profiler, so the
     program keeps no seam for the count.  The count is calls[0]."""
     calls = [0]
-    spans = {_span.__code__, ConjugacyClasses.of.__code__}
+    spans = {_span.__code__, FiniteGroup.conjugacy_class.__code__}
 
     def profile(frame, event, arg):
         if event == "c_call" and frame.f_code in spans and getattr(arg, "__qualname__", "") == "bytes.translate":

@@ -28,7 +28,7 @@ from typing import Callable, Hashable, Iterable
 
 from pqsurf.covers import SphericalSystem, branch_fiber, rh_genus
 from pqsurf.errors import EngineInconsistencyError, ValidationError
-from pqsurf.groups import FiniteGroup, element_order
+from pqsurf.groups import FiniteGroup
 from pqsurf.hj import SingularityType
 from pqsurf.singularities import SingularLocus, SingularPoint
 from pqsurf.surface import BasisCurve, SurfaceModel
@@ -179,7 +179,7 @@ def _classify_pair(group: FiniteGroup, p, q) -> SingularityType | None:
     if n == 1:
         return None
     for h in sorted(inter):
-        if element_order(group, h) != n:
+        if len(group.powers(h)) != n:
             continue
         if rotation_exponent(group, p.rotation_generator, h, n) == 1:
             a = rotation_exponent(group, q.rotation_generator, h, n)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pqsurf
-from pqsurf import bounds, hj, surface
+from pqsurf import bounds, hj, inputs, surface
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import EngineInconsistencyError, ParseError, PQError, ValidationError
 from pqsurf.limits import shortened
@@ -233,7 +233,7 @@ ENGINE_FAULTS = {
                      ["bounds", TOY], "Y.E + Y^2 = 3 != r - sum a/n = 4 on N1"),
     "riemann-hurwitz": (surface, "build_surface_model", _cover_genus_plus_one,
                         ["bounds", TOY], "Riemann-Hurwitz gives 2g - 2 = -1 on N1"),
-    "rank-h11": (surface, "euler_chi_pg", lambda f: lambda *args: (*f(*args)[:2], f(*args)[2] + 1),
+    "rank-h11": (inputs, "euler_chi_pg", lambda f: lambda *args: (*f(*args)[:2], f(*args)[2] + 1),
                  ["invariants", BEAUVILLE], "rank 2 + sum l_x = 2 exceeds h^1,1 = e - 2 - 2 p_g = 0"),
     # K^2 + 12 keeps chi integral and the rank under h^1,1 on the toy surface
     "ksq-closed-form": (surface.SurfaceModel, "intersect", lambda f: lambda m, a, b: f(m, a, b) + 12,
@@ -342,10 +342,11 @@ class TestOversizedLiterals:
             ("a = (0 1 2 3 4)", f"a = (0 1 2 3 {BIG})", f"point {TOO_LONG}"),
             ("generators = a, b, a^4*b^4", f"generators = a, b, a^{BIG}*b^4", f"power {TOO_LONG}"),
             ("degree = 10", f"degree = {BIG}", f"bad degree {SHORTENED}"),
+            ("degree = 10", "degree = 1_0", "bad degree '1_0'"),  # int() alone reads 10
             ("base_genus = 0", f"base_genus = {BIG}", f"bad base_genus {SHORTENED} in [system1]"),
             ("in_scope_c1sq6 = false", f"in_scope_c1sq6 = {BIG}", f"bad in_scope_c1sq6 {SHORTENED} in [flags]"),
         ],
-        ids=["cycle-point", "word-power", "degree", "base-genus", "in-scope"],
+        ids=["cycle-point", "word-power", "degree", "degree-underscore", "base-genus", "in-scope"],
     )
     def test_pq_file(self, capsys, tmp_path, old, new, message):
         path = tmp_path / "big.pq"
@@ -363,8 +364,9 @@ class TestOversizedLiterals:
             (f"Z2xD4,16,3,7,2/1x2,{BIG}", f"bad row 'Z2xD4': ksq {TOO_LONG}"),
             (f"Z2xD4,16,3,7,2/1x{BIG},6", f"bad row 'Z2xD4': singularity count {TOO_LONG}"),
             (f"{'n' * 5000},x,3,7,2/1x2,6", "bad row 'nnnnnnnnnn...nnnnnnnnnn': group_order 'x' is not an integer"),
+            ("Z2xD4,16,3,7,2/1x2,1_0", "bad row 'Z2xD4': ksq '1_0' is not an integer"),
         ],
-        ids=["group-order", "g1", "g2", "ksq", "singularity-count", "long-name"],
+        ids=["group-order", "g1", "g2", "ksq", "singularity-count", "long-name", "ksq-underscore"],
     )
     def test_rows_file(self, capsys, tmp_path, row, message):
         path = tmp_path / "big.rows"
@@ -497,8 +499,10 @@ class TestOversizedLiterals:
         "argv, quoted",
         [(["hj", "7", BIG], SHORTENED),
          (["local-check", "--m", BIG, "--section", "z1"], SHORTENED),
-         (["--max-group-order", f"-{BIG}", "hj", "7", "3"], "'-999999999...9999999999'")],
-        ids=["hj", "local-check", "max-group-order"],
+         (["--max-group-order", f"-{BIG}", "hj", "7", "3"], "'-999999999...9999999999'"),
+         (["hj", "7", "1_0"], "'1_0'"),  # int() alone reads 10
+         (["--max-group-order", "1_0_0", "hj", "7", "3"], "'1_0_0'")],
+        ids=["hj", "local-check", "max-group-order", "hj-underscore", "max-group-order-underscore"],
     )
     def test_long_int_argument(self, capsys, argv, quoted):
         with pytest.raises(SystemExit) as info:
@@ -577,6 +581,10 @@ class TestInputErrors:
         code, out, err = run(capsys, "invariants", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "base_genus" in err and "[system1]" in err
+        path.write_text(text.replace("base_genus = 0", "base_genus = 0_0", 1))  # int() alone reads 0
+        assert run(capsys, "invariants", str(path)) == (2, "", f"error: {path}: bad base_genus '0_0' in [system1]\n")
+        path.write_text(text.replace("signature = 5, 5, 5", "signature = 5, 5, 5_0", 1))
+        assert run(capsys, "invariants", str(path)) == (2, "", f"error: {path}: bad signature in [system1]\n")
 
     @pytest.mark.parametrize("value", ["1", "-1"])
     def test_nonzero_base_genus(self, capsys, tmp_path, value):
@@ -618,6 +626,14 @@ class TestInputErrors:
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err == f"error: cannot read {path}: byte 28 is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("name, commands", [("beauville_55.pq", ["invariants", "table"]),
+                                                ("table_c1sq6.rows", ["table"])])
+    def test_byte_order_mark_is_not_text(self, capsys, tmp_path, name, commands):
+        path = tmp_path / name  # the same stem names the surface
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path(name).read_bytes())
+        for command in commands:
+            assert run(capsys, command, str(path)) == run(capsys, command, str(fixture_path(name)))
 
     def test_file_not_utf8_in_table(self, capsys, tmp_path):
         rows = tmp_path / "bad.rows"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pqsurf import covers
 from pqsurf.covers import SphericalSystem, branch_fiber, validate_system
 from pqsurf.errors import EngineInconsistencyError, ParseError, ValidationError
-from pqsurf.groups import FiniteGroup, Permutation, element_order, group_from_generators, power_images, product_images
+from pqsurf.groups import FiniteGroup, Permutation, group_from_generators, power_images, product_images
 from pqsurf.inputs import parse_input, realize
 from pqsurf.singularities import enumerate_singularities
 from tests.conftest import fixture_path, power, span_compositions
@@ -82,6 +82,12 @@ class TestPermutation:
     def test_bad_notation(self, text):
         with pytest.raises(ParseError):
             Permutation.from_cycles(text)
+
+    def test_inferred_domain_stops_at_the_ceiling(self):
+        # without a degree the domain is the largest point + 1, at most MAX_DEGREE points
+        assert Permutation.from_cycles("(0 255)").degree == 256
+        with pytest.raises(ParseError, match=r"^point 256 out of domain 0\.\.255$"):
+            Permutation.from_cycles("(0 256)")
 
     def test_not_a_bijection(self):
         with pytest.raises(ValidationError):
@@ -203,7 +209,7 @@ class TestPower:
 class TestElementOrder:
     def test_identity(self):
         group = group_from_generators([SWAP])
-        assert element_order(group, group.identity) == 1
+        assert len(group.powers(group.identity)) == 1
 
     @pytest.mark.parametrize(
         "cycles, expected", [("(0 1)", 2), ("(0 1 2 3 4)", 5), ("(0 1)(2 3 4)", 6)]
@@ -211,7 +217,18 @@ class TestElementOrder:
     def test_orders(self, cycles, expected):
         p = Permutation.from_cycles(cycles, 5)
         group = group_from_generators([p])
-        assert element_order(group, index_of(group, p)) == expected
+        assert len(group.powers(index_of(group, p))) == expected
+
+
+@pytest.mark.parametrize("name", ["a5_255_335.pq", "a6_245_334.pq"])
+def test_conjugacy_class_is_every_conjugate(name):
+    group, _, _ = realize(parse_input(fixture_path(name).read_text()))
+    for x in range(group.order):
+        members = group.conjugacy_class(x)
+        # t x t^-1 for every t, t^-1 the last of t's powers
+        assert set(members) == {group.images[group.mul(group.mul(t, x), group.powers(t)[-1])]
+                                for t in range(group.order)}
+        assert all(group.conjugacy_class(group.index[y]) is members for y in members)
 
 
 class TestSubgroups:

@@ -52,6 +52,8 @@ class TestParseInput:
             lambda t: t.replace("generators = t, t, t, t, t, t\n\n[system2]", "[system2]"),
             lambda t: t[: len(t) // 2],  # truncated file
             lambda t: "not an ini file [",
+            lambda t: t.replace("degree = 2", "degree = 1_0"),  # int() alone reads 10
+            lambda t: t + "signature = 2, 2, 2, 2, 2, 1_0\n",
         ],
     )
     def test_malformed_inputs(self, mutation):

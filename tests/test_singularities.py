@@ -137,3 +137,20 @@ class TestOrbitCounts:
     def test_negative_or_partial_orbits_raise(self, fixed, message):
         with pytest.raises(EngineInconsistencyError, match=message):
             orbit_counts(fixed, 20, (2, 3))
+
+
+def test_one_singularity_type_record_per_type(monkeypatch, toy):
+    # the counts of a cell may come from an earlier cell with the same
+    # elements; either way each type is built once per locus
+    made = Counter()
+    new = SingularityType.__new__
+
+    def counted(cls, n, a):
+        made[n, a] += 1
+        return new(cls, n, a)
+
+    monkeypatch.setattr(SingularityType, "__new__", counted)
+    _, sys1, sys2 = toy
+    locus = enumerate_singularities(sys1, sys2)
+    assert len(locus.points) > 1
+    assert made == Counter(set(locus.type_counts()))
