@@ -47,7 +47,8 @@ def _require_range(flag: str, value: int, floor: int, ceiling: int | None = None
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a byte-order mark is no text
+        with open(path, encoding="utf-8") as file:
+            return file.read().removeprefix("\ufeff")  # a byte-order mark is no text
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -68,21 +68,32 @@ class Permutation(_PermutationFields):
 
     @classmethod
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()"."""
+        """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()".
+
+        One pattern match reads the whole text, so a point is read by ``int``
+        (``parse_int`` only names a token too long to convert), and one set
+        of the points seen finds a repeat, inside a cycle or across two."""
         stripped = text.replace(",", " ").strip()
         if not _CYCLES.fullmatch(stripped):
             raise ParseError(f"bad cycle notation: {shortened(text)!r}")
         cycles = []
-        for body in stripped[1:-1].split(")("):
-            entries = [parse_int(tok, "point") for tok in body.split()]
-            if len(set(entries)) != len(entries):
-                raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
-            cycles.append(entries)
         seen: set[int] = set()
-        for cyc in cycles:
-            if seen & set(cyc):
-                raise ParseError(f"cycles are not disjoint: {shortened(text)!r}")
-            seen |= set(cyc)
+        disjoint = True
+        for body in stripped[1:-1].split(")("):
+            tokens = body.split()
+            try:
+                cyc = [int(tok) for tok in tokens]
+            except ValueError:
+                cyc = [parse_int(tok, "point") for tok in tokens]
+            size = len(seen)
+            seen.update(cyc)
+            if len(seen) - size != len(cyc):  # a repeat inside a cycle is named before cycles that meet
+                if len(set(cyc)) != len(cyc):
+                    raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
+                disjoint = False
+            cycles.append(cyc)
+        if not disjoint:
+            raise ParseError(f"cycles are not disjoint: {shortened(text)!r}")
         # an inferred domain stops at the ceiling, so a larger point is refused before d images are built
         d = degree if degree is not None else min(max(seen, default=0) + 1, MAX_DEGREE)
         if seen and max(seen) >= d:

@@ -179,18 +179,23 @@ _WORD_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(-?\d+))?$")
 
 def _evaluate_word(named: dict[str, bytes], word: str) -> bytes:
     """The image string of a word in the named generators; a power is read
-    off the cycles of its generator (``groups.power_images``)."""
+    off the cycles of its generator (``groups.power_images``).  A bare name
+    of a generator is looked up before the factor pattern is tried."""
     from .groups import power_images, product_images
 
     acc = b""
     for factor in word.split("*"):
-        match = _WORD_FACTOR.match(factor.strip())
-        if not match:
-            raise ParseError(f"bad factor {shortened(factor)!r} in word {shortened(word)!r}")
-        name, power = match.group(1), parse_int(match.group(2) or "1", "power")
-        if name not in named:
-            raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
-        p = named[name] if power == 1 else power_images(named[name], power)
+        name = factor.strip()
+        p = named.get(name)
+        # on ASCII text isidentifier() is _WORD_FACTOR's name; any other factor goes through the pattern
+        if p is None or not (name.isascii() and name.isidentifier()):
+            match = _WORD_FACTOR.match(name)
+            if not match:
+                raise ParseError(f"bad factor {shortened(factor)!r} in word {shortened(word)!r}")
+            name, power = match.group(1), parse_int(match.group(2), "power") if match.group(2) else 1
+            if name not in named:
+                raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
+            p = named[name] if power == 1 else power_images(named[name], power)
         acc = product_images(acc, p) if acc else p
     return acc
 

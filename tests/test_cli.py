@@ -20,6 +20,8 @@ from tests.conftest import fixture_path
 
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
 TOY = str(fixture_path("z2_hyperelliptic.pq"))
+A5 = str(fixture_path("a5_255_335.pq"))
+Z5 = str(Path(__file__).resolve().parent / "data" / "z5_orientation.pq")
 ROWS = str(fixture_path("table_c1sq6.rows"))
 
 
@@ -214,6 +216,23 @@ def _cover_genus_plus_one(build):
     return wrapped
 
 
+def _first_point_dualized(enumerate_singularities):
+    """The locus with its first point of order n > 2 retyped (n, a) -> (n, n - a)."""
+    def wrapped(sys1, sys2):
+        locus = enumerate_singularities(sys1, sys2)
+        points = list(locus.points)
+        k = next(k for k, p in enumerate(points) if p.type.n > 2)
+        n, a = points[k].type
+        points[k] = points[k]._replace(type=hj.SingularityType(n, n - a))
+        return locus._replace(points=tuple(points))
+    return wrapped
+
+
+def _string_of_n_over_a(type_data):
+    """Type records whose string expands n/a, not the dual n/a'."""
+    return lambda t: type_data(t)._replace(b=tuple(hj.hj_expand(t.n, t.a)))
+
+
 # one injected fault per engine gate: (owner, attribute, wrapper of the original, command, error
 # line); an error of a command that reads a .pq file names the file first
 ENGINE_FAULTS = {
@@ -242,6 +261,11 @@ ENGINE_FAULTS = {
                        lambda f: lambda b, n, m, first_end: (*f(b, n, m, first_end)[:-1],
                                                              f(b, n, m, first_end)[-1] + first_end),
                        ["invariants", TOY], "fibre relation fails in cell (1, 1): (2 N1 + sum d Z).M1 = 2 != F1.M1 = 1"),
+    "central-self-intersection": (surface, "enumerate_singularities", _first_point_dualized,
+                                  ["invariants", A5], "central component N2 has non-integral self-intersection -8/5"),
+    # only a point whose cell lacks its dual type shows the orientation of its string
+    "string-orientation": (surface, "_type_data", _string_of_n_over_a,
+                           ["bounds", Z5], "adjunction gives 2g - 2 = -1 on N3"),
 }
 
 
@@ -253,6 +277,18 @@ def test_engine_gate_exits_4(capsys, monkeypatch, fault):
     named = f"{argv[1]}: " if argv[1].endswith(".pq") else ""
     assert code == 4 and out == ""
     assert err == f"error: {named}{message}\n"
+
+
+def test_string_orientation_shows_on_one_fixture_only(monkeypatch):
+    # every asymmetric type of the other inputs shares its cell with its dual, so
+    # reversing every string only swaps the two: z5_orientation.pq is the one witness
+    from tests.test_golden_outputs import CASES, EXIT_CODES, GOLDEN, run as run_case
+
+    monkeypatch.setattr(surface, "_type_data", _string_of_n_over_a(surface._type_data))
+    codes = json.loads(EXIT_CODES.read_text())
+    for case, argv in sorted(CASES.items()):
+        if Z5 not in argv:
+            assert run_case(argv) == (codes[case], (GOLDEN / f"{case}.out").read_bytes()), case
 
 
 @pytest.mark.parametrize("error, code", [(ParseError, 2), (ValidationError, 3), (EngineInconsistencyError, 4),

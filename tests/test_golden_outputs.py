@@ -4,8 +4,9 @@ Each case runs ``pqsurf.cli.main`` in this process and compares what it
 prints with ``tests/golden/<case>.out`` and its exit code with
 ``tests/golden/exit_codes.json``.  The cases: ``invariants``,
 ``singularities`` and ``bounds`` (text and ``--json``) on the five ``.pq``
-fixtures and on the two in-scope copies in ``tests/data/`` (whose Lemma CC
-verdicts differ), ``table`` (default, ``--csv`` and ``--json``) on all six
+fixtures and on ``tests/data/z5_orientation.pq`` (the one input whose
+output reads the orientation of a string), ``bounds`` on the two in-scope
+copies in ``tests/data/`` (whose Lemma CC verdicts differ), ``table`` (default, ``--csv`` and ``--json``) on all six
 fixtures together and (text and ``--json``) on a ``.rows`` file with a
 failing row, and ``hj``, ``local-check`` and ``bigness`` calls, text and
 ``--json``, one of them a ``bigness`` search that finds no certificate.
@@ -43,13 +44,14 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 PQ = ["a5_255_335", "a6_245_334", "a7_247_357", "beauville_55", "z2_hyperelliptic"]
 ALL_FIXTURES = [str(fixture_path(f"{stem}.pq")) for stem in PQ] + [str(fixture_path("table_c1sq6.rows"))]
+# the .pq fixtures and the one input whose output reads the orientation of a string
+SURFACES = {stem: str(fixture_path(f"{stem}.pq")) for stem in PQ} | {"z5_orientation": str(DATA / "z5_orientation.pq")}
 
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for command in ("invariants", "singularities", "bounds"):
-        for stem in PQ:
-            path = str(fixture_path(f"{stem}.pq"))
+        for stem, path in SURFACES.items():
             cases[f"{command}-{stem}"] = [command, path]
             cases[f"{command}-{stem}-json"] = [command, path, "--json"]
     for stem in ("beauville_55_in_scope", "z2_hyperelliptic_in_scope"):

@@ -83,6 +83,23 @@ class TestPermutation:
         with pytest.raises(ParseError):
             Permutation.from_cycles(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(0 1)(1 2)", "cycles are not disjoint: '(0 1)(1 2)'"),
+            # every cycle is read before cycles that meet are named
+            ("(0 1)(1 2)(3 4 3)", "repeated point inside a cycle: '(0 1)(1 2)(3 4 3)'"),
+            (f"(0 1)(1 2)(3 {'9' * 5000})", "point '9999999999...9999999999' has 5000 digits, "
+                                            "more than Python converts to an integer"),
+            (f"(0 0)(3 {'9' * 5000})", "repeated point inside a cycle: '(0 0)(3 99...999999999)'"),
+        ],
+        ids=["overlap", "repeat-after-overlap", "long-point-after-overlap", "repeat-before-long-point"],
+    )
+    def test_first_fault_is_named(self, text, message):
+        with pytest.raises(ParseError) as info:
+            Permutation.from_cycles(text)
+        assert str(info.value) == message
+
     def test_inferred_domain_stops_at_the_ceiling(self):
         # without a degree the domain is the largest point + 1, at most MAX_DEGREE points
         assert Permutation.from_cycles("(0 255)").degree == 256

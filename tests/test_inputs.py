@@ -1,11 +1,15 @@
 import configparser
 import json
+import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqsurf import groups, inputs
 from pqsurf.cli import main
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.inputs import (
@@ -18,6 +22,7 @@ from pqsurf.inputs import (
     parse_singularity_multiset,
     realize,
 )
+from pqsurf.limits import parse_int
 from tests.conftest import fixture_path, run_invariants
 
 MINIMAL = """\
@@ -161,6 +166,59 @@ class TestRunInvariants:
         assert record["name"] == "toy"
         assert record["singularities"] == [{"n": 2, "a": 1, "count": 36}]
         assert record["Ksq"] == 4
+
+
+PACKAGE = str(Path(inputs.__file__).parent)
+
+
+def realize_work(desc) -> tuple[Counter, int]:
+    """Run ``realize`` on a description under a profiler, as
+    ``conftest.span_compositions`` counts products: the matches of compiled
+    patterns made from pqsurf's frames, by pattern, and the calls of
+    ``limits.parse_int`` (whose own match runs in a frame of ``re``)."""
+    matches: Counter = Counter()
+    parse_ints = [0]
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and isinstance(getattr(arg, "__self__", None), re.Pattern)
+                and frame.f_code.co_filename.startswith(PACKAGE)):
+            matches[arg.__self__] += 1
+        elif event == "call" and frame.f_code is parse_int.__code__:
+            parse_ints[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        realize(desc)
+    finally:
+        sys.setprofile(previous)
+    return matches, parse_ints[0]
+
+
+class TestFrontEndWork:
+    """The cycles of a generator are read by one pattern match, its points by
+    ``int``; a bare name in a word is looked up, with no pattern and no
+    ``parse_int``.  Counts, not times, so the guard does not depend on the
+    machine's speed."""
+
+    def test_a6_reads_each_generator_with_one_match(self):
+        desc = parse_input(fixture_path("a6_245_334.pq").read_text())
+        assert len(desc.generators) == 6
+        assert all(w.isidentifier() for spec in (desc.system1, desc.system2) for w in spec.words)
+        assert realize_work(desc) == (Counter({groups._CYCLES: 6}), 0)
+
+    def test_a_key_outside_the_word_grammar_is_not_a_name(self):
+        # the keys "b^2" and "1x" name generators that no word reaches: "b^2" is b squared, "1x" a bad factor
+        text = "[group]\ndegree = 3\nb = (0 1 2)\nb^2 = ()\n1x = ()\n\n[system1]\ngenerators = b, b, b\n\n[system2]\n"
+        group, _, sys2 = realize(parse_input(text + "generators = b^2, b^2, b^2\n"))
+        assert [group.images[g] for g in sys2.generators] == [bytes((2, 0, 1))] * 3
+        with pytest.raises(ParseError, match=r"^bad factor '1x' in word '1x'$"):
+            realize(parse_input(text + "generators = b, b, 1x\n"))
+
+    def test_powers_alone_take_the_word_pattern(self):
+        # a, b, a^4*b^4 and a*b^2, a^3*b^4, a*b^4: six factors with a power, four bare names
+        desc = parse_input(fixture_path("beauville_55.pq").read_text())
+        assert realize_work(desc) == (Counter({groups._CYCLES: 2, inputs._WORD_FACTOR: 6}), 6)
 
 
 class TestSingularityMultisets:
