@@ -319,8 +319,11 @@ def cmd_local_check(args) -> dict:
 
     _require_range("local-check --m", args.m, 1, MAX_LOCAL_M)
     section = SourceSection(args.m, parse_polynomial(args.section))
-    pullback = gamma_pullback(section)
-    if pullback != gamma_closed_form(section):
+    try:  # the section is checked, so a pullback that fails its own check is the engine's fault
+        pullback, closed = gamma_pullback(section), gamma_closed_form(section)
+    except ValidationError as exc:
+        raise EngineInconsistencyError(f"local-check: {exc}") from None
+    if pullback != closed:
         raise EngineInconsistencyError(f"local-check: the pullback for m = {args.m} differs from its closed form")
     order = pullback.min_mu1_exponent()
     return {

@@ -26,26 +26,19 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
-from .groups import FiniteGroup, spans_more_than
+from .errors import ValidationError, checked
+from .groups import FiniteGroup, inverse_images, spans_more_than
 
 
-class _SphericalSystemFields(NamedTuple):
+@checked
+class SphericalSystem(NamedTuple):
+    """Checked by ``validate_system`` on every build, so no invalid system exists."""
+
     group: FiniteGroup
     generators: tuple[int, ...]
 
-
-class SphericalSystem(_SphericalSystemFields):
-    """Checked by ``validate_system`` when it is built, also by ``_make`` and
-    ``_replace``, so no invalid system exists."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, group: FiniteGroup, generators: tuple[int, ...]):
-        self = super().__new__(cls, group, generators)
+    def _check(self) -> None:
         validate_system(self)
-        return self
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -141,7 +134,7 @@ def branch_fiber(sys: SphericalSystem, i: int) -> list[CoverPoint]:
         if not covered[t]:
             for h in base:
                 covered[group.mul(t, h)] = True
-            rotation = group.conjugate(g, t)
+            rotation = group.mul(group.mul(t, g), group.index[inverse_images(group.images[t])])  # t g t^-1
             points.append(CoverPoint(i, t, frozenset(group.powers(rotation)), rotation))
     assert len(points) * len(base) == group.order
     return points

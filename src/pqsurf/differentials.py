@@ -15,48 +15,38 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .limits import MAX_CERTIFICATE_POWER
 
 
-class _SourceSectionFields(NamedTuple):
+@checked
+class SourceSection(NamedTuple):
+    """a(z1,z2) (dz1 dz2)^m with a = sum of c * z1^i * z2^j."""
+
     m: int
     terms: tuple[tuple[int, int, Fraction], ...]
 
-
-class SourceSection(_SourceSectionFields):
-    """a(z1,z2) (dz1 dz2)^m with a = sum of c * z1^i * z2^j."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, m: int, terms: tuple[tuple[int, int, Fraction], ...]):
-        if m < 1:
+    def _check(self) -> None:
+        if self.m < 1:
             raise ValidationError("tensor power m must be >= 1")
-        for i, j, _ in terms:
+        for i, j, _ in self.terms:
             if i < 0 or j < 0:
                 raise ValidationError("source exponents must be non-negative")
-        return super().__new__(cls, m, terms)
 
 
-class _PuiseuxDifferentialFields(NamedTuple):
+@checked
+class PuiseuxDifferential(NamedTuple):
+    """sum of c * mu1^p * mu2^q * dmu1^alpha * dmu2^beta with alpha + beta = 2m."""
+
     m: int
     terms: tuple[tuple[Fraction, int, int, int, Fraction], ...]  # (p, q, alpha, beta, c)
 
-
-class PuiseuxDifferential(_PuiseuxDifferentialFields):
-    """sum of c * mu1^p * mu2^q * dmu1^alpha * dmu2^beta with alpha + beta = 2m."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, m: int, terms: tuple[tuple[Fraction, int, int, int, Fraction], ...]):
-        for p, q, alpha, beta, _ in terms:
-            if alpha + beta != 2 * m:
+    def _check(self) -> None:
+        for p, q, alpha, beta, _ in self.terms:
+            if alpha + beta != 2 * self.m:
                 raise ValidationError("every term must have total differential degree 2m")
             if p.denominator not in (1, 2):
                 raise ValidationError("mu1 exponents must be half-integers")
-        return super().__new__(cls, m, terms)
 
     def min_mu1_exponent(self) -> Fraction | None:
         """Vanishing (or pole) order along mu1 = 0; None for the zero section."""

@@ -36,7 +36,7 @@ import re
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .errors import EngineInconsistencyError, ParseError, ValidationError
+from .errors import EngineInconsistencyError, ParseError, ValidationError, checked
 from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int, shortened
 
 
@@ -44,27 +44,18 @@ _POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table
 _CYCLES = re.compile(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+")  # cycles, each "(" points ")", none between them
 
 
-class _PermutationFields(NamedTuple):
-    images: tuple[int, ...]
-
-
-class Permutation(_PermutationFields):
+@checked
+class Permutation(NamedTuple):
     """A bijection of {0..d-1}, stored as the tuple of images.
 
     Products are taken in a ``FiniteGroup``, on element indices: the
     tuple's own ``*`` and ``+`` are repetition and concatenation."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    images: tuple[int, ...]
 
-    def __new__(cls, images: tuple[int, ...]):
-        if sorted(images) != list(range(len(images))):
-            raise ValidationError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        return super().__new__(cls, images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+    def _check(self) -> None:
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValidationError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
 
     @classmethod
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
@@ -124,7 +115,7 @@ class FiniteGroup:
             raise EngineInconsistencyError("element 0 must be the identity")
         self._powers: dict[int, list[int]] = {}
         tail = _POINTS[len(self.images[0]):]  # c^-1 and the table of c, once per generator c
-        self._conjugators = [(_inverse_images(self.images[c]), self.images[c] + tail)
+        self._conjugators = [(inverse_images(self.images[c]), self.images[c] + tail)
                              for c in dict.fromkeys(self.generator_indices)]
         self._classes: list[dict[bytes, int]] = []
 
@@ -138,10 +129,6 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.index[product_images(self.images[i], self.images[j])]
-
-    def conjugate(self, i: int, t: int) -> int:
-        """t i t^-1."""
-        return self.mul(self.mul(t, i), self.index[_inverse_images(self.images[t])])
 
     def powers(self, i: int) -> list[int]:
         """[e, i, i^2, ..., i^(m-1)] with m the order of i; cached on the group."""
@@ -178,7 +165,7 @@ class FiniteGroup:
         return members
 
 
-def _inverse_images(p: bytes) -> bytes:
+def inverse_images(p: bytes) -> bytes:
     """The images of p^-1: the table mapping each p[x] back to x, cut to degree."""
     return bytes.maketrans(p, _POINTS[:len(p)])[:len(p)]
 
@@ -249,8 +236,8 @@ def group_from_generators(
     act on one domain of at most ``MAX_DEGREE`` points."""
     if not gens:
         raise ValidationError("need at least one generator")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
+    degree = len(gens[0].images)
+    if any(len(g.images) != degree for g in gens):
         raise ValidationError("generators act on different domains")
     if degree > MAX_DEGREE:
         raise ValidationError(f"degree {degree} is above the ceiling {MAX_DEGREE}")

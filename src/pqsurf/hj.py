@@ -12,28 +12,19 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import EngineInconsistencyError, ValidationError
+from .errors import EngineInconsistencyError, ValidationError, checked
 from .limits import shortened
 
 
-# Records are named tuples: ``dataclasses`` imports ``inspect``, which costs a
-# short command more than its arithmetic.  A record that checks its fields
-# does so in the ``__new__`` of a thin subclass, since a NamedTuple body may
-# not define ``__new__``, and routes ``_make`` (which ``_replace`` calls)
-# through that constructor, so that no copy skips the check.
-class _SingularityTypeFields(NamedTuple):
+@checked
+class SingularityType(NamedTuple):
     n: int
     a: int
 
-
-class SingularityType(_SingularityTypeFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, n: int, a: int):
+    def _check(self) -> None:
+        n, a = self
         if n < 2 or not 1 <= a <= n - 1 or gcd(a, n) != 1:
             raise ValidationError(f"not a valid singularity type 1/{shortened(str(n))}(1,{shortened(str(a))})")
-        return super().__new__(cls, n, a)
 
 
 def dual_type(t: SingularityType) -> SingularityType:

@@ -3,9 +3,12 @@
 Basis curves: the two generic fiber classes F1, F2, one central component
 N[i] / M[j] per branch point of each system, and the components Z[p][k] of
 the Hirzebruch-Jung string resolving each singular point p.  Every pairing
-is an integer, and so is every coefficient of K and E; the global self-tests
-(Noether divisibility, adjunction on fibers and strings) live in the
-invariants of this module.
+is an integer, and so is every coefficient of K and E.  Where the classical
+self-tests run: Noether's 12 | K^2 + e in ``inputs.euler_chi_pg``, which
+``numerical_invariants`` reports as an engine fault; adjunction on F1, F2,
+N and M only, in ``adjunction_genus``, for the bound reports; K.Z = b - 2
+on the string components only in ``tests/test_acceptance.py``.  The two
+second routes at the end of this docstring are gated on every call.
 
 Pairing rules:
   F1.F1 = F2.F2 = 0, F1.F2 = |G|;

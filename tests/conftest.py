@@ -16,6 +16,11 @@ def power(group, i: int, k: int) -> int:
     return cycle[k % len(cycle)]
 
 
+def conjugate(group, i: int, t: int) -> int:
+    """t i t^-1 in the group."""
+    return group.mul(group.mul(t, i), power(group, t, -1))
+
+
 @contextmanager
 def span_compositions():
     """Count the products the spans compose while the block runs: the calls

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pqsurf
-from pqsurf import bounds, hj, inputs, surface
+from pqsurf import bounds, differentials, hj, inputs, surface
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import EngineInconsistencyError, ParseError, PQError, ValidationError
 from pqsurf.limits import shortened
@@ -266,6 +266,11 @@ ENGINE_FAULTS = {
     # only a point whose cell lacks its dual type shows the orientation of its string
     "string-orientation": (surface, "_type_data", _string_of_n_over_a,
                            ["bounds", Z5], "adjunction gives 2g - 2 = -1 on N3"),
+    # the section passed its check, so a pullback term of the wrong degree is the engine's
+    "puiseux-degree": (differentials, "_multiply",
+                       lambda f: lambda x, y: {(p, q, a + 1, b): c for (p, q, a, b), c in f(x, y).items()},
+                       ["local-check", "--m", "2", "--section", "z1^2 + z2^2"],
+                       "local-check: every term must have total differential degree 2m"),
 }
 
 

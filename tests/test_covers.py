@@ -12,7 +12,7 @@ from pqsurf.covers import (
 )
 from pqsurf.errors import ValidationError
 from pqsurf.groups import Permutation, group_from_generators
-from tests.conftest import power
+from tests.conftest import conjugate, power
 
 
 def exactly(message: str) -> str:
@@ -82,9 +82,9 @@ def assert_fibre_is_cosets(sys, i):
     for point, coset in zip(fibre, cosets):
         t = point.coset_rep
         assert point.branch_index == i and t == min(coset)
-        assert point.stabilizer == {group.conjugate(h, t) for h in cyclic}
+        assert point.stabilizer == {conjugate(group, h, t) for h in cyclic}
         assert len(point.stabilizer) == sys.signature[i - 1]
-        assert point.rotation_generator == group.conjugate(g, t)
+        assert point.rotation_generator == conjugate(group, g, t)
 
 
 class TestValidation:

@@ -28,15 +28,9 @@ _BRANCH_FIBER = ("called by the benchmark's staged covers.fiber_ms layer and the
 _PERMUTATION_GROUPS = ("builds a group from Permutation objects, for the benchmark's groups.closure_ms layer and "
                        "the tests; a command closes its group over the image strings of its first system")
 UNREACHED = {
-    "pqsurf.covers.SphericalSystem.<lambda>": _RECORD_COPY,
-    "pqsurf.differentials.SourceSection.<lambda>": _RECORD_COPY,
-    "pqsurf.differentials.PuiseuxDifferential.<lambda>": _RECORD_COPY,
-    "pqsurf.groups.Permutation.<lambda>": _RECORD_COPY,
-    "pqsurf.hj.SingularityType.<lambda>": _RECORD_COPY,
+    "pqsurf.errors.checked.<locals>.<lambda>": _RECORD_COPY,
     "pqsurf.covers.branch_fiber": _BRANCH_FIBER,
-    "pqsurf.groups.FiniteGroup.conjugate": "used only by branch_fiber: " + _BRANCH_FIBER,
     "pqsurf.groups.group_from_generators": _PERMUTATION_GROUPS,
-    "pqsurf.groups.Permutation.degree": "used only by group_from_generators: " + _PERMUTATION_GROUPS,
 }
 
 # Runs in the fresh interpreter: prints [file name, first line, qualified

@@ -3,10 +3,13 @@
 Every record is immutable, equal fields give equal records with equal
 hashes, keywords and defaults of the constructor still work, records that
 check themselves raise the same errors with the same messages (also when
-built by the tuple's ``_make`` or ``_replace``), and the ordering of
+built by the tuple's ``_make`` or ``_replace``, by ``copy`` or by
+unpickling), and the ordering of
 ``SingularityType`` and ``BasisCurve`` is unchanged.
 """
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +45,24 @@ RECORDS = {
     "InputDescription": lambda: InputDescription(2, (("t", "(0 1)"),), SystemSpec(("t", "t")), SystemSpec(("t", "t"))),
     "TableRowSummary": lambda: TableRowSummary("r", 25, 6, 6, (), 16, 8, 2, 0, 1),
     "FormulaRow": lambda: FormulaRow("r", 25, 6, 6, ((5, 2, 2),)),
+}
+
+
+# One record of each checked type, built past its check (``tuple.__new__``)
+# as the source of a copy, with the message its check gives.
+INVALID = {
+    "SingularityType": (lambda: tuple.__new__(SingularityType, (5, 5)), "not a valid singularity type 1/5(1,5)"),
+    "SourceSection": (lambda: tuple.__new__(SourceSection, (0, ())), "tensor power m must be >= 1"),
+    "PuiseuxDifferential": (lambda: tuple.__new__(PuiseuxDifferential, (1, ((F(1, 3), 0, 1, 1, F(1)),))),
+                            "mu1 exponents must be half-integers"),
+    "Permutation": (lambda: tuple.__new__(Permutation, ((0, 0),)), "not a bijection of 0..1: (0, 0)"),
+    "SphericalSystem": (lambda: tuple.__new__(SphericalSystem, (Z2, (1, 0))),
+                        "invalid spherical system: long relation: product of generators is not the identity"),
+}
+COPIES = {
+    "_make": lambda record: type(record)._make(record),
+    "copy": copy.copy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
 }
 
 
@@ -107,6 +128,10 @@ def test_validation_errors_keep_their_messages(make, message):
          "mu1 exponents must be half-integers"),
         (lambda: SphericalSystem(Z2, (1, 1))._replace(generators=(1, 0)),
          "invalid spherical system: long relation: product of generators is not the identity"),
+        pytest.param(lambda: Permutation((1, 0))._replace(images=(0, 0)), "not a bijection of 0..1: (0, 0)",
+                     id="Permutation-_replace"),
+        *(pytest.param(lambda forge=forge, copied=copied: copied(forge()), message, id=f"{name}-{path}")
+          for name, (forge, message) in sorted(INVALID.items()) for path, copied in COPIES.items()),
     ],
 )
 def test_replace_and_make_check_too(make, message):
