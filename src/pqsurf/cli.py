@@ -22,7 +22,6 @@ import contextlib
 import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -268,15 +267,13 @@ def render_table(p: dict) -> None:
     writer.writerows(p["rows"])
 
 
-_POLY_FACTOR = re.compile(r"(?P<num>\d+)(?:/(?P<den>\d+))?|z(?P<var>[12])(?:\^(?P<exp>\d+))?")
-
-
 def _poly_terms(text: str):
     """(sign, term) pairs: a + or - opens a new term unless it follows * or ^,
     where it stays inside the term (and the term's factors refuse it)."""
-    pieces = re.split(r"([+-])", text)
-    terms = [["+", pieces[0]]]
-    for sign, rest in zip(pieces[1::2], pieces[2::2]):
+    first, *pieces = text.replace("-", "+-").split("+")  # each piece after the first follows one sign
+    terms = [["+", first]]
+    for piece in pieces:
+        sign, rest = ("-", piece[1:]) if piece[:1] == "-" else ("+", piece)
         if terms[-1][1].rstrip().endswith(("*", "^")):
             terms[-1][1] += sign + rest
         else:
@@ -289,8 +286,8 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
 
     A term is an optional sign, then *-separated factors: at most one
     coefficient p or p/q, and z1 and z2 at most once each, with an optional
-    exponent ^k, k >= 0.  Empty terms between + signs are skipped; anything
-    else is a parse error quoting the term."""
+    exponent ^k, k >= 0 (p, q and k decimal digits).  Empty terms between
+    + signs are skipped; anything else is a parse error quoting the term."""
     terms = []
     for sign, term in _poly_terms(text):
         if not term and sign == "+":
@@ -298,16 +295,19 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
         coeff = Fraction(-1 if sign == "-" else 1)
         exponents = {}
         for factor in term.split("*"):
-            match = _POLY_FACTOR.fullmatch(factor.strip())
-            kind = match and (match["var"] or "coefficient")
-            if not match or kind in exponents:
+            var, caret, exp = factor.strip().partition("^")
+            num, slash, den = factor.strip().partition("/")
+            kind = "coefficient" if num.isdecimal() and (den.isdecimal() or not slash) else None
+            if var in ("z1", "z2") and (exp.isdecimal() or not caret):
+                kind = var[1]
+            if kind is None or kind in exponents:
                 raise ParseError(f"bad polynomial term {shortened(term or sign)!r}")
             if kind == "coefficient":
-                den = parse_int(match["den"] or "1", "denominator")
+                den = parse_int(den or "1", "denominator")
                 if not den:
                     raise ParseError(f"zero denominator in polynomial term {shortened(term)!r}")
-                coeff *= Fraction(parse_int(match["num"], "coefficient"), den)
-            exponents[kind] = parse_int(match["exp"], "exponent") if match["exp"] else 1
+                coeff *= Fraction(parse_int(num, "coefficient"), den)
+            exponents[kind] = parse_int(exp, "exponent") if caret else 1
         terms.append((exponents.get("1", 0), exponents.get("2", 0), coeff))
     if not terms:
         raise ParseError(f"empty polynomial {shortened(text)!r}")

@@ -36,8 +36,9 @@ def checked(cls):
     costs a short command more than its arithmetic.  A NamedTuple body may
     not define ``__new__`` or ``_make``, so both are set here, after the
     class is made: ``__new__`` checks what the tuple's own builds, and
-    ``_make`` (which ``_replace`` calls) goes through it, as ``copy`` and
-    unpickling do already (pickle protocol 2 or later, the default)."""
+    ``_make`` (which ``_replace`` calls) goes through it.  So do ``copy``
+    and unpickling, at every pickle protocol, by ``__reduce__``: protocols
+    0 and 1 would otherwise rebuild the tuple past ``__new__``."""
     build = cls.__new__
 
     def __new__(klass, *args, **kwargs):
@@ -47,4 +48,5 @@ def checked(cls):
 
     cls.__new__ = staticmethod(__new__)
     cls._make = classmethod(lambda klass, fields: klass(*fields))
+    cls.__reduce__ = lambda self: (type(self), tuple(self))
     return cls

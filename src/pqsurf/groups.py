@@ -32,8 +32,7 @@ powers are, builds the table of each member once.  Neither builds a
 
 from __future__ import annotations
 
-import re
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 from .errors import EngineInconsistencyError, ParseError, ValidationError, checked
@@ -41,7 +40,6 @@ from .limits import DEFAULT_ORDER_CAP, MAX_DEGREE, parse_int, shortened
 
 
 _POINTS = bytes(range(MAX_DEGREE))  # every point an element can name; p's table is p + _POINTS[len(p):]
-_CYCLES = re.compile(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+")  # cycles, each "(" points ")", none between them
 
 
 @checked
@@ -61,29 +59,27 @@ class Permutation(NamedTuple):
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
         """Parse disjoint-cycle notation, e.g. "(0 1 2)(3 4)"; identity is "()".
 
-        One pattern match reads the whole text, so a point is read by ``int``
-        (``parse_int`` only names a token too long to convert), and one set
-        of the points seen finds a repeat, inside a cycle or across two."""
+        The text is one or more cycles, each "(", points split by white
+        space, ")", with nothing between them; a point is decimal digits.
+        Only a text that is all notation is read: each point by ``int``
+        (``parse_int`` only names a token too long to convert), each cycle
+        then checked for a repeated point, and at the end two cycles for
+        a shared one."""
         stripped = text.replace(",", " ").strip()
-        if not _CYCLES.fullmatch(stripped):
+        tokens = [body.split() for body in stripped[1:-1].split(")(")]
+        if not (stripped[:1] == "(" and stripped[-1:] == ")" and all(map(str.isdecimal, chain(*tokens)))):
             raise ParseError(f"bad cycle notation: {shortened(text)!r}")
         cycles = []
-        seen: set[int] = set()
-        disjoint = True
-        for body in stripped[1:-1].split(")("):
-            tokens = body.split()
+        for cyc in tokens:
             try:
-                cyc = [int(tok) for tok in tokens]
+                points = [int(tok) for tok in cyc]
             except ValueError:
-                cyc = [parse_int(tok, "point") for tok in tokens]
-            size = len(seen)
-            seen.update(cyc)
-            if len(seen) - size != len(cyc):  # a repeat inside a cycle is named before cycles that meet
-                if len(set(cyc)) != len(cyc):
-                    raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
-                disjoint = False
-            cycles.append(cyc)
-        if not disjoint:
+                points = [parse_int(tok, "point") for tok in cyc]
+            if len(set(points)) != len(points):  # a repeat inside a cycle is named before cycles that meet
+                raise ParseError(f"repeated point inside a cycle: {shortened(text)!r}")
+            cycles.append(points)
+        seen = set(chain(*cycles))
+        if len(seen) != sum(map(len, cycles)):
             raise ParseError(f"cycles are not disjoint: {shortened(text)!r}")
         # an inferred domain stops at the ceiling, so a larger point is refused before d images are built
         d = degree if degree is not None else min(max(seen, default=0) + 1, MAX_DEGREE)

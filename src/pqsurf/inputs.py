@@ -47,13 +47,14 @@ each is a ``ParseError`` that names the line.  ``in_scope_c1sq6`` is one of
 shown are read: any other section, or any other key in a system section or
 in ``[flags]``, is a ``ParseError`` that names it.
 
-Generator words are '*'-separated factors ``name`` or ``name^k`` (k may be
-negative).
+Generator words are '*'-separated factors ``name`` or ``name^k``: a name is
+an ASCII letter or '_', then letters, digits or '_', and k is an optional
+'-' and decimal digits.  A ``[group]`` key that is not a name is no word's
+factor.  Every text is read with ``str`` methods, in one pass.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
@@ -174,28 +175,26 @@ def parse_input(text: str) -> InputDescription:
     return InputDescription(degree, generators, systems[0], systems[1], in_scope)
 
 
-_WORD_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(-?\d+))?$")
+def _is_name(text: str) -> bool:
+    """Whether text is a generator name: an ASCII letter or '_', then
+    letters, digits or '_'."""
+    return text.replace("_", "a").isalnum() and text[0].isascii() and not text[0].isdigit()
 
 
 def _evaluate_word(named: dict[str, bytes], word: str) -> bytes:
-    """The image string of a word in the named generators; a power is read
-    off the cycles of its generator (``groups.power_images``).  A bare name
-    of a generator is looked up before the factor pattern is tried."""
+    """The image string of a word in the named generators, whose keys are
+    names; a power is read off the cycles of its generator
+    (``groups.power_images``)."""
     from .groups import power_images, product_images
 
     acc = b""
     for factor in word.split("*"):
-        name = factor.strip()
-        p = named.get(name)
-        # on ASCII text isidentifier() is _WORD_FACTOR's name; any other factor goes through the pattern
-        if p is None or not (name.isascii() and name.isidentifier()):
-            match = _WORD_FACTOR.match(name)
-            if not match:
-                raise ParseError(f"bad factor {shortened(factor)!r} in word {shortened(word)!r}")
-            name, power = match.group(1), parse_int(match.group(2), "power") if match.group(2) else 1
-            if name not in named:
-                raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
-            p = named[name] if power == 1 else power_images(named[name], power)
+        name, caret, power = factor.strip().partition("^")
+        if caret and not power.removeprefix("-").isdecimal() or name not in named and not _is_name(name):
+            raise ParseError(f"bad factor {shortened(factor)!r} in word {shortened(word)!r}")
+        if name not in named:
+            raise ParseError(f"unknown generator {shortened(name)!r} in word {shortened(word)!r}")
+        p = power_images(named[name], parse_int(power, "power")) if caret else named[name]
         acc = product_images(acc, p) if acc else p
     return acc
 
@@ -211,11 +210,12 @@ def realize(
     from .covers import NOT_GENERATING, SphericalSystem, check_relation
     from .groups import Permutation, group_spanned_by, product_images
 
-    named = {name: bytes(Permutation.from_cycles(text, desc.degree).images) for name, text in desc.generators}
+    images = {name: bytes(Permutation.from_cycles(text, desc.degree).images) for name, text in desc.generators}
+    named = {name: p for name, p in images.items() if _is_name(name)}  # a key such as "b^2" is no word's factor
     elements1 = [_evaluate_word(named, w) for w in desc.system1.words]
     check_relation(elements1, bytes(range(desc.degree)), product_images)
     group = group_spanned_by(elements1[:-1], cap)
-    if not all(p in group.index for p in named.values()):
+    if not all(p in group.index for p in images.values()):
         raise ValidationError(NOT_GENERATING)
 
     def system(spec: SystemSpec, elements: list[bytes]) -> SphericalSystem:
@@ -258,9 +258,6 @@ class FormulaRow(NamedTuple):
     ksq: int | None = None
 
 
-_SING_ITEM = re.compile(r"^(\d+)/(\d+)x(\d+)$")
-
-
 def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
     """Parse "2/1x2+3/1x1" into ((2, 1, 2), (3, 1, 1)); empty means none."""
     text = text.strip()
@@ -268,10 +265,11 @@ def parse_singularity_multiset(text: str) -> tuple[tuple[int, int, int], ...]:
         return ()
     items = []
     for chunk in text.split("+"):
-        match = _SING_ITEM.match(chunk.strip())
-        if not match:
+        n, _, rest = chunk.strip().partition("/")
+        fields = (n, *rest.partition("x")[::2])
+        if not all(map(str.isdecimal, fields)):
             raise ParseError(f"bad singularity item {shortened(chunk)!r} (expected n/axcount)")
-        n, a, count = (parse_int(t, f"singularity {w}") for t, w in zip(match.groups(), ("n", "a", "count")))
+        n, a, count = (parse_int(t, f"singularity {w}") for t, w in zip(fields, ("n", "a", "count")))
         try:
             SingularityType(n, a)  # validates n, a
         except ValidationError as exc:

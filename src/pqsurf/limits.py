@@ -5,8 +5,6 @@ parser can show them as defaults without importing those modules.  The
 command line refuses a value above its ceiling before any work starts.
 """
 
-import re
-
 from .errors import ParseError
 
 DEFAULT_ORDER_CAP = 10_000  # largest group closed unless --max-group-order says otherwise
@@ -39,7 +37,8 @@ def parse_int(token: str, what: str) -> int:
     or none, then decimal digits, white space around them allowed; other text,
     such as '1_0' (10 to ``int``), is a ValueError.  Python converts at most
     4300 digits by default; a longer token is a ParseError that names it."""
-    if not re.fullmatch(r"\s*[+-]?\d+\s*", token):
+    text = token.strip()
+    if not (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
         raise ValueError(f"not an integer: {shortened(token)!r}")
     try:
         return int(token)

@@ -4,15 +4,17 @@ Each case runs ``pqsurf.cli.main`` in this process and compares what it
 prints with ``tests/golden/<case>.out`` and its exit code with
 ``tests/golden/exit_codes.json``.  The cases: ``invariants``,
 ``singularities`` and ``bounds`` (text and ``--json``) on the five ``.pq``
-fixtures and on ``tests/data/z5_orientation.pq`` (the one input whose
-output reads the orientation of a string), ``bounds`` on the two in-scope
-copies in ``tests/data/`` (whose Lemma CC verdicts differ), ``table`` (default, ``--csv`` and ``--json``) on all six
-fixtures together and (text and ``--json``) on a ``.rows`` file with a
-failing row, and ``hj``, ``local-check`` and ``bigness`` calls, text and
-``--json``, one of them a ``bigness`` search that finds no certificate.
-Each text golden is also rendered from the payload of its ``--json`` twin,
-and the surface commands print the same bytes on copies of the ``.pq``
-fixtures whose points are relabelled, so that their group elements have
+fixtures, on ``tests/data/z5_orientation.pq`` (the one input whose output
+reads the orientation of a string) and on the paper's six surfaces
+(``tests/data/c1sq6/*.pq``, the cases ``c1sq6_<stem>``), ``bounds`` on the
+two in-scope copies in ``tests/data/`` (whose Lemma CC verdicts differ),
+``table`` (default, ``--csv`` and ``--json``) on all six fixtures together
+and (text and ``--json``) on a ``.rows`` file with a failing row, and
+``hj``, ``local-check`` and ``bigness`` calls, text and ``--json``, one of
+them a ``bigness`` search that finds no certificate.  Each text golden is
+also rendered from the payload of its ``--json`` twin, and the surface
+commands print the same bytes on copies of the ``.pq`` fixtures and of the
+six surfaces whose points are relabelled, so that their group elements have
 other image strings.
 
 A change that is meant to change output rewrites the files from the root of
@@ -44,8 +46,9 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 PQ = ["a5_255_335", "a6_245_334", "a7_247_357", "beauville_55", "z2_hyperelliptic"]
 ALL_FIXTURES = [str(fixture_path(f"{stem}.pq")) for stem in PQ] + [str(fixture_path("table_c1sq6.rows"))]
-# the .pq fixtures and the one input whose output reads the orientation of a string
-SURFACES = {stem: str(fixture_path(f"{stem}.pq")) for stem in PQ} | {"z5_orientation": str(DATA / "z5_orientation.pq")}
+C1SQ6 = {f"c1sq6_{path.stem}": str(path) for path in sorted((DATA / "c1sq6").glob("*.pq"))}  # the paper's six surfaces
+# the .pq fixtures, the one input whose output reads the orientation of a string, and the six surfaces
+SURFACES = {stem: str(fixture_path(f"{stem}.pq")) for stem in PQ} | {"z5_orientation": str(DATA / "z5_orientation.pq")} | C1SQ6
 
 
 def _cases() -> dict[str, list[str]]:
@@ -116,10 +119,11 @@ def _with_points_relabelled(text: str) -> str:
     return re.sub(r"(?m)^(\w+ = )(\(.*)$", lambda m: m[1] + relabel(m[2]), text)
 
 
-@pytest.mark.parametrize("stem", PQ)
+@pytest.mark.parametrize("stem", [*PQ, *C1SQ6])
 def test_output_does_not_depend_on_element_order(stem, tmp_path):
-    text = fixture_path(f"{stem}.pq").read_text()
-    relabelled = tmp_path / f"{stem}.pq"
+    path = Path(SURFACES[stem])
+    text = path.read_text()
+    relabelled = tmp_path / path.name  # a surface is named by its file, so the copy takes the same name
     relabelled.write_text(_with_points_relabelled(text))
     if stem != "z2_hyperelliptic":  # Z/2 on two points: every relabelling fixes its involution
         assert realize(parse_input(relabelled.read_text()))[0].images != realize(parse_input(text))[0].images

@@ -4,7 +4,8 @@ Every record is immutable, equal fields give equal records with equal
 hashes, keywords and defaults of the constructor still work, records that
 check themselves raise the same errors with the same messages (also when
 built by the tuple's ``_make`` or ``_replace``, by ``copy`` or by
-unpickling), and the ordering of
+unpickling at any protocol), every record survives a pickle round trip at
+every protocol, and the ordering of
 ``SingularityType`` and ``BasisCurve`` is unchanged.
 """
 
@@ -59,10 +60,13 @@ INVALID = {
     "SphericalSystem": (lambda: tuple.__new__(SphericalSystem, (Z2, (1, 0))),
                         "invalid spherical system: long relation: product of generators is not the identity"),
 }
+# the pickle round trips: at the default protocol, and at each protocol by number
+PICKLES = {"pickle": None} | {f"pickle{protocol}": protocol for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}
 COPIES = {
     "_make": lambda record: type(record)._make(record),
     "copy": copy.copy,
-    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+    **{path: lambda record, protocol=protocol: pickle.loads(pickle.dumps(record, protocol))
+       for path, protocol in PICKLES.items()},
 }
 
 
@@ -160,3 +164,14 @@ def test_a_valid_system_is_a_spherical_system():
     system = SphericalSystem(Z2, (1, 1))
     assert validate_system(system) is None and system.signature == (2, 2)
     assert SphericalSystem._make(system) == system == system._replace(generators=(1, 1))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_pickle_round_trip_at_every_protocol(name, protocol):
+    record = RECORDS[name]()
+    copied = pickle.loads(pickle.dumps(record, protocol))
+    assert type(copied) is type(record)
+    # a group compares by identity, so a copied system is compared by its group's elements
+    assert {key: getattr(value, "images", value) for key, value in fields(copied).items()} == {
+        key: getattr(value, "images", value) for key, value in fields(record).items()}
