@@ -27,8 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
-from .limits import (DEFAULT_ORDER_CAP, MAX_CERTIFICATE_POWER, MAX_CERTIFICATE_SEARCH, MAX_HJ_ORDER,
-                     MAX_LOCAL_M, MAX_ORDER_CAP, parse_int, shortened)
+from .limits import DEFAULT_ORDER_CAP, MAX_HJ_ORDER, MAX_LOCAL_M, MAX_ORDER_CAP, parse_int, shortened
 
 # Each subcommand imports the layers it uses when it runs, so that a short
 # command such as `hj` or `bigness` does not load the group engine.
@@ -353,13 +352,11 @@ def cmd_bigness(args) -> dict:
     _require_range("bigness --ksq", args.ksq, 1)
     _require_range("bigness --chi", args.chi, 1)
     _require_range("bigness --points", args.points, 0)
-    _require_range("bigness --max-m", args.max_m, 2, MAX_CERTIFICATE_SEARCH)  # the search starts at m = 2
-    cert = bigness_certificate(args.ksq, args.chi, args.points, m_max=args.max_m)
+    cert = bigness_certificate(args.ksq, args.chi, args.points)
     return {
         "ksq": args.ksq,
         "chi": args.chi,
         "points": args.points,
-        "max_m": args.max_m,
         "certificate": None if cert is None else {"m_star": cert.m_star, "value": str(cert.value)},
     }
 
@@ -367,7 +364,7 @@ def cmd_bigness(args) -> dict:
 def render_bigness(p: dict) -> None:
     cert = p["certificate"]
     if cert is None:
-        print(f"no certificate for m <= {p['max_m']}")
+        print("no certificate for any m >= 2")
     else:
         print(f"m* = {cert['m_star']}, section-count lower bound = {cert['value']}")
 
@@ -422,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="batch table from .pq and/or .rows files")
     p.add_argument("files", nargs="+")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--csv", action="store_true", help="CSV output (the default)")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table, render=render_table)
 
     p = sub.add_parser("local-check", help="pull a section back through the 1/2(1,1) chart")
@@ -437,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ksq", type=_int, required=True)
     p.add_argument("--chi", type=_int, required=True)
     p.add_argument("--points", type=_int, required=True)
-    p.add_argument("--max-m", type=_int, default=MAX_CERTIFICATE_POWER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bigness, render=render_bigness)
 

@@ -12,11 +12,10 @@ floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 from .errors import ValidationError, checked
-from .limits import MAX_CERTIFICATE_POWER
 
 
 @checked
@@ -142,16 +141,20 @@ def certificate_lower_bound(ksq: int, chi: int, k: int, m: int) -> Fraction:
     return plurigenus_lower_bound(ksq, chi, m) - vanishing_conditions(m, k)
 
 
-def bigness_certificate(
-    ksq: int, chi: int, k: int, m_max: int = MAX_CERTIFICATE_POWER
-) -> BignessCertificate | None:
+def bigness_certificate(ksq: int, chi: int, k: int) -> BignessCertificate | None:
     """Smallest m >= 2 with a positive section-count lower bound for m(K-E), or None.
 
-    The count is a lower bound only: the vanishing conditions are sufficient,
-    not known to be independent.
+    m* is exact, and the work does not grow with m.  Twice the bound is
+    g(m) = A m^2 - B m + 2 chi with A = K^2 - 2k, B = K^2 + k = A + 3k.  If
+    g(2) <= 0 and A <= 0, g(m+1) - g(m) = 2Am - 3k <= 0, so no m exists; if
+    A > 0, m* is the first integer past the larger root.  The count is a lower
+    bound only: the vanishing conditions are sufficient, not known to be independent.
     """
-    for m in range(2, m_max + 1):
-        value = certificate_lower_bound(ksq, chi, k, m)
-        if value > 0:
-            return BignessCertificate(m, value)
-    return None
+    a, b, m = ksq - 2 * k, ksq + k, 2
+    if certificate_lower_bound(ksq, chi, k, m) <= 0:  # a negative k is refused here
+        if a <= 0:
+            return None
+        m = max(2, (b + isqrt(b * b - 8 * a * chi)) // (2 * a))  # g(2) <= 0 < A: real roots, m* - m <= 2
+        while a * m * m - b * m + 2 * chi <= 0:
+            m += 1
+    return BignessCertificate(m, certificate_lower_bound(ksq, chi, k, m))

@@ -6,9 +6,10 @@ the Hirzebruch-Jung string resolving each singular point p.  Every pairing
 is an integer, and so is every coefficient of K and E.  Where the classical
 self-tests run: Noether's 12 | K^2 + e in ``inputs.euler_chi_pg``, which
 ``numerical_invariants`` reports as an engine fault; adjunction on F1, F2,
-N and M only, in ``adjunction_genus``, for the bound reports; K.Z = b - 2
-on the string components only in ``tests/test_acceptance.py``.  The two
-second routes at the end of this docstring are gated on every call.
+N and M only, in ``adjunction_genus``, for the bound reports and for
+Zeuthen-Segre; K.Z = b - 2 on the string components only in
+``tests/test_acceptance.py``.  The three second routes at the end of this
+docstring are gated on every call.
 
 Pairing rules:
   F1.F1 = F2.F2 = 0, F1.F2 = |G|;
@@ -51,7 +52,7 @@ to 5.3 ms at the median, and its peak RSS from 22.6 to 29.5 MB, as a run
 completed 932 operations in place of 254 and kept every output (2 vCPUs,
 Python 3.11.7).
 
-Two second routes are gated on every call.  Every fibre is numerically a
+Three second routes are gated on every call.  Every fibre is numerically a
 general fibre (Serrano): over the cell (i, j),
   m_i N_i.M_j + sum_p d^{sigma1}_last(p) = F1.M_j = |G|/m'_j and
   m'_j N_i.M_j + sum_p d^{sigma2}_first(p) = F2.N_i = |G|/m_i,
@@ -59,7 +60,8 @@ the sums over the points p of the cell, which reads the free-orbit counts
 and the string multiplicities twice.  And K^2 from the lattice equals the
 closed form 8(g1-1)(g2-1)/|G| - sum_x k_x, k_x = -2 + (2+a+a')/n + sum(b_i-2)
 (Bauer-Pignatelli, Math. Comp. 2012), summed in integers over a common
-denominator.
+denominator.  And e equals Zeuthen-Segre on both fibrations (see
+``numerical_invariants``).
 """
 
 from __future__ import annotations
@@ -263,6 +265,15 @@ class SurfaceModel:
         """The summary of S, unnamed: K^2 from the lattice, the rest from
         ``inputs.summarize``, whose failed gates are engine inconsistencies here.
 
+        Then Zeuthen-Segre on each fibration: S -> C1/G has general fibre C2,
+        and its fibre over branch point i is m_i N_i plus the strings of the
+        points over i, each a chain of l_x rational curves meeting N_i once, so
+        e = 2(2 - 2g2) + sum_i (2g2 - 2g(N_i) + sum_{x over i} l_x), and the
+        same over C2/G with g1 and the M_j.  The genera come by adjunction and
+        l_x is the length of the model's string, so this route shares no
+        arithmetic with ``inputs.euler_chi_pg``.  Formula mode has no lattice:
+        there e has that one route.
+
         Then the rank gate: F1, F2 and the string components span a lattice
         of rank 2 + sum l_x (l_x the length of the string of point x) inside
         H^{1,1}, so 2 + sum l_x <= h^{1,1} = e - 2 - 2 P_g, as q = 0.  The
@@ -279,6 +290,15 @@ class SurfaceModel:
             summary = summarize("", order, self.g1, self.g2, ((*t, c) for t, c in type_counts.items()), int(ksq))
         except ValidationError as exc:
             raise EngineInconsistencyError(str(exc)) from None
+        lengths = {c: 0 for c in (*self.N, *self.M)}  # sum l_x over the points whose strings meet c
+        for point, comps in zip(self.locus.points, self.Z):
+            i, j = point.branch_pair
+            lengths[self.N[i - 1]] += len(comps)
+            lengths[self.M[j - 1]] += len(comps)
+        for base, centrals, g in (("C1/G", self.N, self.g2), ("C2/G", self.M, self.g1)):
+            e = 2 * (2 - 2 * g) + sum(2 * g - 2 * self.adjunction_genus(c) + lengths[c] for c in centrals)
+            if e != summary.e:
+                raise EngineInconsistencyError(f"e = {summary.e} != {e} by Zeuthen-Segre on S -> {base}")
         rank, h11 = 2 + sum(map(len, self.Z)), summary.e - 2 - 2 * summary.pg
         if rank > h11:
             raise EngineInconsistencyError(f"rank 2 + sum l_x = {rank} exceeds h^1,1 = e - 2 - 2 p_g = {h11}")

@@ -21,8 +21,12 @@ from tests.conftest import fixture_path
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
 TOY = str(fixture_path("z2_hyperelliptic.pq"))
 A5 = str(fixture_path("a5_255_335.pq"))
-Z5 = str(Path(__file__).resolve().parent / "data" / "z5_orientation.pq")
+DATA = Path(__file__).resolve().parent / "data"
+Z5 = str(DATA / "z5_orientation.pq")
 ROWS = str(fixture_path("table_c1sq6.rows"))
+# every shipped .pq file and every one under tests/data, by its name relative to its folder
+PQ_FILES = {path.name: str(path) for path in Path(BEAUVILLE).parent.glob("*.pq")} | {
+    str(path.relative_to(DATA)): str(path) for path in DATA.rglob("*.pq")}
 
 
 def run(capsys, *argv):
@@ -266,6 +270,9 @@ ENGINE_FAULTS = {
     # only a point whose cell lacks its dual type shows the orientation of its string
     "string-orientation": (surface, "_type_data", _string_of_n_over_a,
                            ["bounds", Z5], "adjunction gives 2g - 2 = -1 on N3"),
+    # e + 36, chi + 3 and p_g + 3 keep Noether's divisibility on the toy surface's 36 nodes
+    "euler-zeuthen-segre": (inputs, "string_length", lambda f: lambda t: f(t) + 1,
+                            ["invariants", TOY], "e = 92 != 56 by Zeuthen-Segre on S -> C1/G"),
     # the section passed its check, so a pullback term of the wrong degree is the engine's
     "puiseux-degree": (differentials, "_multiply",
                        lambda f: lambda x, y: {(p, q, a + 1, b): c for (p, q, a, b), c in f(x, y).items()},
@@ -282,6 +289,20 @@ def test_engine_gate_exits_4(capsys, monkeypatch, fault):
     named = f"{argv[1]}: " if argv[1].endswith(".pq") else ""
     assert code == 4 and out == ""
     assert err == f"error: {named}{message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(PQ_FILES))
+def test_string_length_fault_exits_4_wherever_there_is_a_string(capsys, monkeypatch, name):
+    # Zeuthen-Segre reads the model's strings, so their lengths in e cannot drift unseen
+    path = PQ_FILES[name]
+    code, out, _ = run(capsys, "invariants", path, "--json")
+    assert code == 0
+    monkeypatch.setattr(inputs, "string_length", lambda t, f=inputs.string_length: f(t) + 1)
+    if json.loads(out)["singularities"]:
+        code, out, err = run(capsys, "invariants", path, "--json")
+        assert code == 4 and out == "" and err.startswith(f"error: {path}: ")
+    else:
+        assert run(capsys, "invariants", path, "--json") == (0, out, "")
 
 
 def test_string_orientation_shows_on_one_fixture_only(monkeypatch):
@@ -581,6 +602,19 @@ class TestBigness:
         # K^2 = 1, chi = 1 and no points is the smallest input refused by none of the floors
         code, out, _ = run(capsys, "bigness", "--ksq", "1", "--chi", "1", "--points", "0")
         assert code == 0 and out == "m* = 2, section-count lower bound = 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "3"], "--max-m 3"),  # m* is exact
+     (["table", ROWS, "--csv"], "--csv")],  # CSV is the text view
+    ids=["bigness-max-m", "table-csv"],
+)
+def test_retired_flag_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"unrecognized arguments: {flag}")
 
 
 PARSE_ERRORS = [
@@ -1020,7 +1054,7 @@ class TestInputErrors:
         "ceiling, flag, argv",
         [
             ("MAX_LOCAL_M", "--m", ["local-check", "--section", "z1^2", "--m", None]),
-            ("MAX_CERTIFICATE_SEARCH", "--max-m", ["bigness", "--ksq", "1", "--chi", "1", "--points", "8", "--max-m", None]),
+            ("MAX_HJ_ORDER", "hj", ["hj", None, "1"]),
             ("MAX_ORDER_CAP", "--max-group-order", ["--max-group-order", None, "invariants", BEAUVILLE]),
         ],
     )
@@ -1038,10 +1072,6 @@ class TestInputErrors:
         [
             (["--max-group-order", "0", "invariants", BEAUVILLE], "--max-group-order = 0 is below the floor 1"),
             (["--max-group-order", "-5", "invariants", "no-such-file.pq"], "--max-group-order = -5 is below the floor 1"),
-            (["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "1"],
-             "bigness --max-m = 1 is below the floor 2"),
-            (["bigness", "--ksq", "6", "--chi", "1", "--points", "2", "--max-m", "-1"],
-             "bigness --max-m = -1 is below the floor 2"),
             # the plurigenus formula holds only with K^2 >= 1 and chi >= 1
             (["bigness", "--ksq", "-2", "--chi", "40", "--points", "0"], "bigness --ksq = -2 is below the floor 1"),
             (["bigness", "--ksq", "0", "--chi", "1", "--points", "0"], "bigness --ksq = 0 is below the floor 1"),
@@ -1051,8 +1081,7 @@ class TestInputErrors:
             (["local-check", "--m", "0", "--section", "z1"], "local-check --m = 0 is below the floor 1"),
             (["local-check", "--m", "-3", "--section", "z1"], "local-check --m = -3 is below the floor 1"),
         ],
-        ids=["order-0", "order-negative-before-read", "max-m-1", "max-m-negative",
-             "ksq-negative", "ksq-0", "chi-negative", "chi-0", "points-negative", "local-m-0", "local-m-negative"],
+        ids=["order-0", "order-negative-before-read", "ksq-negative", "ksq-0", "chi-negative", "chi-0", "points-negative", "local-m-0", "local-m-negative"],
     )
     def test_below_floor(self, capsys, argv, message):
         # refused before any work: the missing file is never read

@@ -24,6 +24,16 @@ def coefficient(d, p, q: int, alpha: int, beta: int) -> Fraction:
     return {t[:4]: t[4] for t in d.terms}.get((F(p), q, alpha, beta), F(0))
 
 
+def searched_certificate(ksq: int, chi: int, k: int, m_max: int):
+    """The first m in 2..m_max with a positive bound, as a search finds it:
+    the oracle of the closed form in ``bigness_certificate``."""
+    for m in range(2, m_max + 1):
+        value = certificate_lower_bound(ksq, chi, k, m)
+        if value > 0:
+            return BignessCertificate(m, value)
+    return None
+
+
 def monomial(m: int, i: int, j: int, coeff=1) -> SourceSection:
     """The section coeff * z1^i z2^j (dz1 dz2)^m."""
     return SourceSection(m, ((i, j, F(coeff)),))
@@ -148,5 +158,18 @@ class TestCounting:
     def test_certificate_fails_when_points_dominate(self):
         assert bigness_certificate(4, 5, 36) is None
 
-    def test_certificate_respects_m_max(self):
-        assert bigness_certificate(6, 1, 2, m_max=3) is None
+    @pytest.mark.parametrize("ksq", range(-12, 40))
+    def test_certificate_equals_the_search(self, ksq):
+        # 15 x 40 inputs per K^2; the largest m* on the grid is 59, so a search
+        # to 64 finds every certificate there (one to 3000 found the same)
+        for chi in range(-3, 12):
+            for k in range(40):
+                assert bigness_certificate(ksq, chi, k) == searched_certificate(ksq, chi, k, 64), (ksq, chi, k)
+
+    def test_certificate_past_one_hundred(self):
+        cert = bigness_certificate(81, 1, 40)
+        assert cert == searched_certificate(81, 1, 40, 200) == BignessCertificate(121, F(1))
+
+    def test_certificate_refuses_negative_points(self):
+        with pytest.raises(ValidationError):
+            bigness_certificate(6, 1, -1)

@@ -8,10 +8,10 @@ fixtures, on ``tests/data/z5_orientation.pq`` (the one input whose output
 reads the orientation of a string) and on the paper's six surfaces
 (``tests/data/c1sq6/*.pq``, the cases ``c1sq6_<stem>``), ``bounds`` on the
 two in-scope copies in ``tests/data/`` (whose Lemma CC verdicts differ),
-``table`` (default, ``--csv`` and ``--json``) on all six fixtures together
+``table`` (text and ``--json``) on all six fixtures together
 and (text and ``--json``) on a ``.rows`` file with a failing row, and
-``hj``, ``local-check`` and ``bigness`` calls, text and ``--json``, one of
-them a ``bigness`` search that finds no certificate.  Each text golden is
+``hj``, ``local-check`` and ``bigness`` calls, text and ``--json``: one
+``bigness`` call has no certificate and one has m* = 121.  Each text golden is
 also rendered from the payload of its ``--json`` twin, and the surface
 commands print the same bytes on copies of the ``.pq`` fixtures and of the
 six surfaces whose points are relabelled, so that their group elements have
@@ -62,7 +62,6 @@ def _cases() -> dict[str, list[str]]:
         cases[f"bounds-{stem}"] = ["bounds", path]
         cases[f"bounds-{stem}-json"] = ["bounds", path, "--json"]
     cases["table"] = ["table", *ALL_FIXTURES]
-    cases["table-csv"] = ["table", *ALL_FIXTURES, "--csv"]
     cases["table-json"] = ["table", *ALL_FIXTURES, "--json"]
     cases["table-failing-row"] = ["table", str(DATA / "failing_row.rows")]
     cases["table-failing-row-json"] = ["table", str(DATA / "failing_row.rows"), "--json"]
@@ -70,7 +69,8 @@ def _cases() -> dict[str, list[str]]:
         "hj-7-3": ["hj", "7", "3"],
         "local-check": ["local-check", "--m", "2", "--section", "z1^2 + 3*z1*z2 - 1/2*z2^2"],
         "bigness": ["bigness", "--ksq", "6", "--chi", "1", "--points", "2"],
-        "bigness-no-certificate": ["bigness", "--ksq", "1", "--chi", "1", "--points", "40", "--max-m", "3"],
+        "bigness-no-certificate": ["bigness", "--ksq", "1", "--chi", "1", "--points", "40"],
+        "bigness-m-star-121": ["bigness", "--ksq", "81", "--chi", "1", "--points", "40"],
     }
     for case, argv in single.items():
         cases[case] = argv
