@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ValidationError, checked
 from .groups import FiniteGroup, inverse_images, spans_more_than
@@ -62,39 +62,30 @@ class CoverPoint(NamedTuple):
 NOT_GENERATING = "invalid spherical system: generators do not generate the whole group"
 
 
-def check_relation(elements: Sequence, identity, mul) -> None:
-    """The checks of ``validate_system`` that need no span, in its order: the
-    long relation, no identity element, at least one element.  The elements
-    may be indices of a group (with its ``mul``) or image strings (with
-    ``groups.product_images``)."""
-    acc = identity
+def validate_system(sys: SphericalSystem) -> None:
+    """Check the long relation, that no element is the identity, that there
+    is an element, and generation, in this order, on element indices; raise
+    ``ValidationError`` on the first failure.  When the elements contain the
+    group's ``generator_indices`` they generate it, and no span is taken: so
+    it is for the first system of a ``.pq`` file, whose span is the group
+    (``inputs.realize``).  Otherwise, once the product of the elements is
+    known to be the identity, the last element is the inverse of the product
+    of the others, so the span is closed over those others alone, on image
+    bytes (``groups.spans_more_than``), and only until it holds more than
+    |G|/2 elements: by Lagrange a proper subgroup has at most half of them."""
+    group, elements = sys.group, sys.generators
+    acc = group.identity
     for g in elements:
-        acc = mul(acc, g)
-    if acc != identity:
+        acc = group.mul(acc, g)
+    if acc != group.identity:
         raise ValidationError(
             "invalid spherical system: long relation: product of generators is not the identity"
         )
-    if identity in elements:
+    if group.identity in elements:
         raise ValidationError("invalid spherical system: signature entry 1 < 2")
     if not elements:
         raise ValidationError("need at least one generator")
-
-
-def validate_system(sys: SphericalSystem) -> None:
-    """Check the long relation, that no element is the identity, and
-    generation, in this order; raise ``ValidationError`` on the first
-    failure.  The order matters: once the product of the elements is known to
-    be the identity, the last element is the inverse of the product of the
-    others, so generation is decided over those others alone.  When they
-    contain the group's ``generator_indices`` they generate it, and no span
-    is taken: so it is for the first system of a ``.pq`` file, whose span is
-    the group (``inputs.realize``).  Otherwise the span is closed on image
-    bytes (``groups.spans_more_than``), and only until it holds more than
-    |G|/2 elements: by Lagrange a proper subgroup has at most half of them."""
-    group = sys.group
-    check_relation(sys.generators, group.identity, group.mul)
-    others = sys.generators[:-1]
-    if not set(group.generator_indices) <= set(others) and not spans_more_than(group, others, group.order // 2):
+    if not set(group.generator_indices) <= set(elements) and not spans_more_than(group, elements[:-1], group.order // 2):
         raise ValidationError(NOT_GENERATING)
 
 

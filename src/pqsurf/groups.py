@@ -13,10 +13,11 @@ appends, in order, each g * p for the elements p found so far (all new, as
 the span found so far is a group without g); then the elements appended are
 taken in turn, and each is multiplied on the left by every generator kept so
 far, in their order, appending what is new.  A redundant generator thus
-costs one lookup.  A ``.pq`` file's group is spanned by its first system
-without the last element (``inputs.realize``), so the element order follows
-that system, not the order of the ``[group]`` lines.  No output depends on
-the order: the singular locus lists its points by cell and type.
+costs one lookup, and only the kept ones are the group's
+``generator_indices``.  A ``.pq`` file's group is spanned by its first
+system (``inputs.realize``), so the element order follows that system, not
+the order of the ``[group]`` lines.  No output depends on the order: the
+singular locus lists its points by cell and type.
 
 An element is one ``bytes`` string of its images, so a degree is at most 256
 (``limits.MAX_DEGREE``).  With the 256-byte table of p (its images, then the
@@ -99,8 +100,9 @@ class FiniteGroup:
     a product translates the images of the right factor by the table of the
     left one and looks the result up by its images; ``images[i]`` is the
     image bytes of element i, and ``index`` maps images[i] to i.  The
-    elements ``generator_indices`` span the group, so a tuple that contains
-    them generates it (``covers.validate_system`` relies on this).
+    elements ``generator_indices``, each of which grew the span, span the
+    group, so a tuple that contains them generates it
+    (``covers.validate_system`` relies on this).
     """
 
     def __init__(self, images: Sequence[bytes], generator_indices: Sequence[int], index: dict):
@@ -112,7 +114,7 @@ class FiniteGroup:
         self._powers: dict[int, list[int]] = {}
         tail = _POINTS[len(self.images[0]):]  # c^-1 and the table of c, once per generator c
         self._conjugators = [(inverse_images(self.images[c]), self.images[c] + tail)
-                             for c in dict.fromkeys(self.generator_indices)]
+                             for c in self.generator_indices]
         self._classes: list[dict[bytes, int]] = []
 
     @property
@@ -189,16 +191,18 @@ def power_images(p: bytes, k: int) -> bytes:
     return bytes(images)
 
 
-def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[list, dict]:
+def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[list, dict, list]:
     """The image bytes of the group spanned by ``generators`` (of the degree
-    of ``identity``), in the element order of the module docstring, and the
-    position of each; stops as soon as more than ``stop`` are found."""
-    found, index = [identity], {identity: 0}
+    of ``identity``), in the element order of the module docstring, the
+    position of each, and the generators that grew the span; stops as soon as
+    more than ``stop`` are found."""
+    found, index, kept = [identity], {identity: 0}, []
     tail = _POINTS[len(identity):]
     tables: list[bytes] = []
     for g in generators:
         if g in index:
             continue
+        kept.append(g)
         tables.append(g + tail)
         old = len(found)
         # the coset g S, then the closure of what it added; a list iterator
@@ -211,18 +215,18 @@ def _span(identity: bytes, generators: Sequence[bytes], stop: float) -> tuple[li
                         index[q] = len(found)
                         found.append(q)
                         if len(found) > stop:
-                            return found, index
-    return found, index
+                            return found, index, kept
+    return found, index, kept
 
 
-def group_spanned_by(generators: Sequence[bytes], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The group that non-empty image strings of one degree span, elements
-    in the order of the module docstring; refused as soon as the span passes
-    ``cap``.  Its ``generator_indices`` are those of ``generators``."""
-    images, index = _span(_POINTS[:len(generators[0])], generators, cap)
+def group_spanned_by(degree: int, generators: Sequence[bytes], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """The group that image strings of the degree span, elements in the
+    order of the module docstring; refused as soon as the span passes
+    ``cap``.  Its ``generator_indices`` are the generators that grew it."""
+    images, index, kept = _span(_POINTS[:degree], generators, cap)
     if len(images) > cap:
         raise ValidationError(f"group order exceeds cap {cap}")
-    return FiniteGroup(images, [index[g] for g in generators], index)
+    return FiniteGroup(images, [index[g] for g in kept], index)
 
 
 def group_from_generators(
@@ -237,11 +241,11 @@ def group_from_generators(
         raise ValidationError("generators act on different domains")
     if degree > MAX_DEGREE:
         raise ValidationError(f"degree {degree} is above the ceiling {MAX_DEGREE}")
-    return group_spanned_by([bytes(g.images) for g in gens], cap)
+    return group_spanned_by(degree, [bytes(g.images) for g in gens], cap)
 
 
 def spans_more_than(group: FiniteGroup, generators: Sequence[int], bound: int) -> bool:
     """Whether the elements span a subgroup of more than ``bound`` elements;
     the span is closed only until it passes the bound."""
-    found, _ = _span(group.images[0], [group.images[g] for g in generators], bound)
+    found, _, _ = _span(group.images[0], [group.images[g] for g in generators], bound)
     return len(found) > bound

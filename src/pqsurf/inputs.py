@@ -47,6 +47,10 @@ each is a ``ParseError`` that names the line.  ``in_scope_c1sq6`` is one of
 shown are read: any other section, or any other key in a system section or
 in ``[flags]``, is a ``ParseError`` that names it.
 
+The words of ``generators`` and the entries of ``signature`` are separated
+by commas, and none may be empty: ``t,,t``, a trailing comma and an empty
+value are each a ``ParseError`` that names the section.
+
 Generator words are '*'-separated factors ``name`` or ``name^k``: a name is
 an ASCII letter or '_', then letters, digits or '_', and k is an optional
 '-' and decimal digits.  A ``[group]`` key that is not a name is no word's
@@ -148,7 +152,9 @@ def parse_input(text: str) -> InputDescription:
         sec = parser[section]
         if "generators" not in sec:
             raise ParseError(f"missing 'generators' in [{section}]")
-        words = tuple(w.strip() for w in sec["generators"].split(",") if w.strip())
+        words = tuple(w.strip() for w in sec["generators"].split(","))
+        if "" in words:
+            raise ParseError(f"empty generator word in [{section}]: {shortened(sec['generators'])!r}")
         if len(words) > MAX_BRANCH_POINTS:
             raise ValidationError(
                 f"[{section}] lists {len(words)} generators, above the ceiling {MAX_BRANCH_POINTS} on branch points"
@@ -204,30 +210,30 @@ def realize(
 ) -> tuple[FiniteGroup, SphericalSystem, SphericalSystem]:
     """The group and the two systems of a description.  The words are
     evaluated on image strings, and the group is closed once, as the span of
-    the first system without its last element, once that system has passed
-    the checks that need no span; every named generator must then lie in
-    it, or the first system does not generate the group the file names."""
-    from .covers import NOT_GENERATING, SphericalSystem, check_relation
-    from .groups import Permutation, group_spanned_by, product_images
+    the first system, which is then validated; every named generator must
+    lie in the span, or the first system does not generate the group the
+    file names."""
+    from .covers import NOT_GENERATING, SphericalSystem
+    from .groups import Permutation, group_spanned_by
 
     images = {name: bytes(Permutation.from_cycles(text, desc.degree).images) for name, text in desc.generators}
     named = {name: p for name, p in images.items() if _is_name(name)}  # a key such as "b^2" is no word's factor
     elements1 = [_evaluate_word(named, w) for w in desc.system1.words]
-    check_relation(elements1, bytes(range(desc.degree)), product_images)
-    group = group_spanned_by(elements1[:-1], cap)
+    group = group_spanned_by(desc.degree, elements1, cap)
+    sys1 = SphericalSystem(group, tuple(group.index[p] for p in elements1))
     if not all(p in group.index for p in images.values()):
         raise ValidationError(NOT_GENERATING)
 
-    def system(spec: SystemSpec, elements: list[bytes]) -> SphericalSystem:
-        sys = SphericalSystem(group, tuple(group.index[p] for p in elements))
+    def with_signature(spec: SystemSpec, sys: SphericalSystem) -> SphericalSystem:
         if spec.signature is not None and spec.signature != sys.signature:
             raise ValidationError(
                 f"declared signature {shortened(str(spec.signature))} != derived {shortened(str(sys.signature))}"
             )
         return sys
 
-    sys1 = system(desc.system1, elements1)
-    return group, sys1, system(desc.system2, [_evaluate_word(named, w) for w in desc.system2.words])
+    with_signature(desc.system1, sys1)
+    sys2 = SphericalSystem(group, tuple(group.index[_evaluate_word(named, w)] for w in desc.system2.words))
+    return group, sys1, with_signature(desc.system2, sys2)
 
 
 # -- summaries ---------------------------------------------------------------

@@ -16,8 +16,8 @@ singular point each otherwise.  Points are listed by cell and by (n, a) within
 a cell, so no output depends on the order of the group's elements.
 
 The class of u is a query cached on the group (``FiniteGroup.conjugacy_class``)
-and conjugates by its generators: for a .pq file, the first system but its
-last element, the inverse of the product of the others by the long relation.
+and conjugates by its generators: for a .pq file, the elements of the first
+system that grew the group's span.
 A call makes one ``SingularityType`` per type, shared by its points.
 """
 

@@ -661,6 +661,31 @@ class TestInputErrors:
         path.write_text(text.replace("signature = 5, 5, 5", "signature = 5, 5, 5_0", 1))
         assert run(capsys, "invariants", str(path)) == (2, "", f"error: {path}: bad signature in [system1]\n")
 
+    @pytest.mark.parametrize("section", ["system1", "system2"])
+    @pytest.mark.parametrize("words", ["t,,t, t, t , t,t", "t, t, t, t, t, t,", ",t, t, t, t, t, t",
+                                       "t, t, t, , t, t, t", ""],
+                             ids=["double-comma", "trailing-comma", "leading-comma", "blank-word", "no-word"])
+    def test_empty_generator_word(self, capsys, tmp_path, section, words):
+        # each of these held six words t once the empty ones were dropped, and
+        # `generators =` held none: exit 0, and exit 3 for the empty system
+        path = tmp_path / "toy.pq"
+        good = "generators = t, t, t, t, t, t\n"
+        text = f"[group]\ndegree = 2\nt = (0 1)\n\n[system1]\n{good}\n[system2]\n{good}"
+        path.write_text(text)
+        assert run(capsys, "invariants", str(path))[0] == 0
+        head, _, tail = text.partition(f"[{section}]\n{good}")
+        path.write_text(f"{head}[{section}]\ngenerators = {words}\n{tail}")
+        message = f"empty generator word in [{section}]: {shortened(words)!r}"
+        assert run(capsys, "invariants", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("section", ["system1", "system2"])
+    @pytest.mark.parametrize("entries", ["5,,5, 5", "5, 5, 5,", ", 5, 5, 5"])
+    def test_empty_signature_entry(self, capsys, tmp_path, section, entries):
+        path = tmp_path / "beauville_55.pq"
+        head, _, tail = fixture_path("beauville_55.pq").read_text().partition(f"[{section}]")
+        path.write_text(head + f"[{section}]" + tail.replace("signature = 5, 5, 5", f"signature = {entries}", 1))
+        assert run(capsys, "invariants", str(path)) == (2, "", f"error: {path}: bad signature in [{section}]\n")
+
     @pytest.mark.parametrize("value", ["1", "-1"])
     def test_nonzero_base_genus(self, capsys, tmp_path, value):
         # only rational bases: refused at parse time, before the group is closed
@@ -1009,6 +1034,19 @@ class TestInputErrors:
         a7 = fixture_path("a7_247_357.pq")
         code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(a7))
         assert code == 3 and err == f"error: {a7}: group order exceeds cap 100\n"
+
+    def test_cap_is_met_before_the_long_relation_of_the_first_system(self, capsys, tmp_path):
+        # the group is spanned by the whole first system before that system is
+        # validated, so x1 x2 x2 != 1 is not seen when x1 and x2 span past the
+        # cap; under the default cap the long relation is reported
+        path = tmp_path / "a7_247_357.pq"
+        path.write_text(fixture_path("a7_247_357.pq").read_text().replace("x1, x2, x3", "x1, x2, x2", 1))
+        code, out, err = run(capsys, "--max-group-order", "100", "invariants", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: {path}: group order exceeds cap 100\n"
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: {path}: invalid spherical system: long relation: product of generators is not the identity\n"
 
     @pytest.mark.parametrize("shift, message", [
         (0, "invalid spherical system: generators do not generate the whole group"),

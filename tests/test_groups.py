@@ -154,7 +154,8 @@ class TestClosure:
         plain = group_from_generators(gens)
         repeated = group_from_generators(gens * 24)
         assert repeated.images == plain.images
-        assert repeated.generator_indices == plain.generator_indices * 24
+        # a repeat grows nothing, so only the first copy is kept
+        assert repeated.generator_indices == plain.generator_indices
 
     def test_element_zero_must_be_the_identity(self):
         images = [b"\x01\x00", b"\x00\x01"]
@@ -414,8 +415,11 @@ class TestClosureAgainstOracle:
     def test_generator_already_in_the_span_adds_nothing(self, gens):
         g1, g2 = gens
         with_product = group_from_generators([g1, g2, product(g1, g2)])
-        assert with_product.images == group_from_generators([g1, g2]).images
-        assert elements(with_product)[with_product.generator_indices[2]] == product(g1, g2).images
+        plain = group_from_generators([g1, g2])
+        assert with_product.images == plain.images
+        # the product lies in the span of g1 and g2, so it is not kept
+        assert with_product.generator_indices == plain.generator_indices
+        assert [elements(plain)[g] for g in plain.generator_indices] == [g1.images, g2.images]
 
     @pytest.mark.parametrize("redundant", [False, True], ids=["two-generators", "with-their-product"])
     def test_cap_is_the_largest_order_accepted(self, redundant):
@@ -445,8 +449,9 @@ class TestClosureAgainstOracle:
 # generation check of each system and of the class closures of the locus.
 # They are deterministic, so a span that closes over more generators than it
 # needs fails here instead of hiding in timing noise.
-# realize closes the group once, over system1 without its last element, so
-# system1's generation check takes no span (it was 277 on A6, 1974 on A7).
+# realize closes the group once, over all of system1, whose elements then
+# contain the generators that grew the span, so system1's generation check
+# takes no span (it was 277 on A6, 1974 on A7, before the first of them).
 # A conjugation c y c^-1 is two translates, so the classes count 2 per
 # conjugation: 136 conjugations on A6, 722 on A7.
 SPAN_COMPOSITIONS = {
@@ -481,10 +486,11 @@ def test_span_compositions_are_pinned(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["a5_255_335.pq", "a6_245_334.pq", "a7_247_357.pq", "beauville_55.pq"])
 def test_realize_closes_the_group_over_system1(name):
-    # the element order is the discovery order over system1[:-1], whatever
-    # the [group] lines name
+    # the element order is the discovery order over system1, whatever the
+    # [group] lines name; its last element, the inverse of the product of the
+    # others, grows nothing
     group, sys1, _ = realize(parse_input(fixture_path(name).read_text()))
-    assert elements(group) == closure_images([group.images[g] for g in sys1.generators[:-1]])
+    assert elements(group) == closure_images([elements(group)[g] for g in sys1.generators])
     assert group.generator_indices == sys1.generators[:-1]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsurf import inputs
+from pqsurf import groups, inputs
 from pqsurf.cli import main
 from pqsurf.errors import ParseError, ValidationError
 from pqsurf.inputs import (
@@ -214,6 +214,28 @@ class TestFrontEndWork:
         assert [group.images[g] for g in sys2.generators] == [bytes((2, 0, 1))] * 3
         with pytest.raises(ParseError, match=r"^bad factor '1x' in word '1x'$"):
             realize(parse_input(text + "generators = b, b, 1x\n"))
+
+    @pytest.mark.parametrize("name, word_products, group_products",
+                             [("a6_245_334.pq", 0, 6), ("z2_hyperelliptic.pq", 0, 13), ("beauville_55.pq", 4, 30)])
+    def test_image_string_products_are_those_of_the_words(self, monkeypatch, name, word_products, group_products):
+        # the long relation is checked once, on element indices, where the
+        # system is validated: the only products of image strings outside
+        # FiniteGroup.mul are those inside the words (a^4*b^4 and the like)
+        calls = {"product_images": 0, "mul": 0}
+
+        def counted(owner, attribute, key):
+            function = getattr(owner, attribute)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return function(*args)
+
+            monkeypatch.setattr(owner, attribute, wrapper)
+
+        counted(groups, "product_images", "product_images")
+        counted(groups.FiniteGroup, "mul", "mul")
+        realize(parse_input(fixture_path(name).read_text()))
+        assert (calls["product_images"] - calls["mul"], calls["mul"]) == (word_products, group_products)
 
     def test_each_power_takes_one_parse_int(self):
         # a, b, a^4*b^4 and a*b^2, a^3*b^4, a*b^4: six factors with a power, four bare names
