@@ -27,7 +27,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import EngineInconsistencyError, ParseError, PQError, ValidationError
-from .limits import DEFAULT_ORDER_CAP, MAX_HJ_ORDER, MAX_LOCAL_M, MAX_ORDER_CAP, parse_int, shortened
+from .limits import (
+    DEFAULT_ORDER_CAP, MAX_DIGITS, MAX_HJ_ORDER, MAX_LOCAL_M, MAX_ORDER_CAP, parse_int, require_digits, shortened,
+)
 
 # Each subcommand imports the layers it uses when it runs, so that a short
 # command such as `hj` or `bigness` does not load the group engine.
@@ -41,6 +43,7 @@ def _require_range(flag: str, value: int, floor: int, ceiling: int | None = None
         raise ValidationError(f"{flag} = {shortened(str(value))} is below the floor {floor}")
     if ceiling is not None and value > ceiling:
         raise ValidationError(f"{flag} = {shortened(str(value))} is above the ceiling {ceiling}")
+    require_digits(value, flag)
 
 
 def _read_text(path: str) -> str:
@@ -286,8 +289,10 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
     A term is an optional sign, then *-separated factors: at most one
     coefficient p or p/q, and z1 and z2 at most once each, with an optional
     exponent ^k, k >= 0 (p, q and k decimal digits).  Empty terms between
-    + signs are skipped; anything else is a parse error quoting the term."""
-    terms = []
+    + signs are skipped; anything else is a parse error quoting the term.
+    The numbers of all terms have at most ``MAX_DIGITS`` digits in all, as
+    the pullback sums coefficients over a common denominator."""
+    terms, digits = [], 0
     for sign, term in _poly_terms(text):
         if not term and sign == "+":
             continue
@@ -301,6 +306,7 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
                 kind = var[1]
             if kind is None or kind in exponents:
                 raise ParseError(f"bad polynomial term {shortened(term or sign)!r}")
+            digits += len(num) + len(den) if kind == "coefficient" else len(exp)
             if kind == "coefficient":
                 den = parse_int(den or "1", "denominator")
                 if not den:
@@ -310,6 +316,10 @@ def parse_polynomial(text: str) -> tuple[tuple[int, int, Fraction], ...]:
         terms.append((exponents.get("1", 0), exponents.get("2", 0), coeff))
     if not terms:
         raise ParseError(f"empty polynomial {shortened(text)!r}")
+    if digits > MAX_DIGITS:
+        raise ValidationError(
+            f"local-check --section has {digits} digits in its numbers, above the ceiling {MAX_DIGITS}"
+        )
     return tuple(terms)
 
 

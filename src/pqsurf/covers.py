@@ -73,19 +73,19 @@ def validate_system(sys: SphericalSystem) -> None:
     of the others, so the span is closed over those others alone, on image
     bytes (``groups.spans_more_than``), and only until it holds more than
     |G|/2 elements: by Lagrange a proper subgroup has at most half of them."""
-    group, elements = sys.group, sys.generators
+    group, gens = sys.group, sys.generators
     acc = group.identity
-    for g in elements:
+    for g in gens:
         acc = group.mul(acc, g)
     if acc != group.identity:
         raise ValidationError(
             "invalid spherical system: long relation: product of generators is not the identity"
         )
-    if group.identity in elements:
+    if group.identity in gens:
         raise ValidationError("invalid spherical system: signature entry 1 < 2")
-    if not elements:
+    if not gens:
         raise ValidationError("need at least one generator")
-    if not set(group.generator_indices) <= set(elements) and not spans_more_than(group, elements[:-1], group.order // 2):
+    if not set(group.generator_indices) <= set(gens) and not spans_more_than(group, gens[:-1], group.order // 2):
         raise ValidationError(NOT_GENERATING)
 
 

@@ -65,7 +65,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hj import SingularityType, normalized_key, string_length
-from .limits import DEFAULT_ORDER_CAP, MAX_BRANCH_POINTS, MAX_DEGREE, MAX_ORDER_CAP, parse_int, shortened
+from .limits import (
+    DEFAULT_ORDER_CAP, MAX_BRANCH_POINTS, MAX_DEGREE, MAX_ORDER_CAP, parse_int, require_digits, shortened,
+)
 
 if TYPE_CHECKING:
     from .covers import SphericalSystem
@@ -388,4 +390,6 @@ def formula_invariants(row: FormulaRow) -> TableRowSummary:
         if n > MAX_ORDER_CAP:
             point = f"1/{shortened(str(n))}(1,{shortened(str(a))})"
             raise ValidationError(f"{point}: n is above the ceiling {MAX_ORDER_CAP} of the group order")
+    for what, value in (("g1", row.g1), ("g2", row.g2), *(("count", c) for _, _, c in row.singularities)):
+        require_digits(value, what)  # e grows with g1 g2 and with the counts
     return summarize(row.name, row.group_order, row.g1, row.g2, row.singularities, row.ksq)

@@ -1,4 +1,5 @@
-"""Ceilings on work whose size comes from user input.
+"""Ceilings on work, and on the digits of exact results, whose size comes
+from user input.
 
 They live apart from the modules that enforce them, so that the command-line
 parser can show them as defaults without importing those modules.  The
@@ -7,7 +8,7 @@ bigness certificate needs none: its m* is exact, and the work does not grow
 with m (``differentials.bigness_certificate``).
 """
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 DEFAULT_ORDER_CAP = 10_000  # largest group closed unless --max-group-order says otherwise
 MAX_ORDER_CAP = 100_000  # largest --max-group-order accepted
@@ -24,6 +25,12 @@ MAX_DEGREE = 256  # largest [group] degree accepted in a .pq file
 # (best of 7, 2 vCPUs, Python 3.11.7); the .pq parser checks this ceiling
 # before any group work.
 MAX_BRANCH_POINTS = 20  # largest number of generator words in a [systemN] section
+# Python writes an int of at most 4300 digits as text by default, and a result
+# can have about twice the digits of what it is computed from: a table row's e
+# is about 4 g1 g2 / |G|.  So a number that an exact result grows with has at
+# most MAX_DIGITS digits, and the numbers of a local-check section, whose
+# coefficients are summed over a common denominator, that many in all.
+MAX_DIGITS = 2000
 
 
 def shortened(text: str) -> str:
@@ -47,3 +54,9 @@ def parse_int(token: str, what: str) -> int:
         raise ParseError(
             f"{what} {shortened(token)!r} has {digits} digits, more than Python converts to an integer"
         ) from None
+
+
+def require_digits(value: int, what: str) -> None:
+    """Refuse a number of more than ``MAX_DIGITS`` digits, before any work."""
+    if abs(value) >= 10**MAX_DIGITS:
+        raise ValidationError(f"{what} = {shortened(str(value))} is above the ceiling of {MAX_DIGITS} digits")

@@ -15,7 +15,7 @@ import pqsurf
 from pqsurf import bounds, differentials, hj, inputs, surface
 from pqsurf.cli import main, parse_polynomial
 from pqsurf.errors import EngineInconsistencyError, ParseError, PQError, ValidationError
-from pqsurf.limits import shortened
+from pqsurf.limits import MAX_DIGITS, shortened
 from tests.conftest import fixture_path
 
 BEAUVILLE = str(fixture_path("beauville_55.pq"))
@@ -577,6 +577,73 @@ class TestOversizedLiterals:
         code, out, err = run(capsys, "local-check", "--m", "1", "--section", "z1 - 1/0*z2")
         assert code == 2 and out == ""
         assert err == "error: zero denominator in polynomial term '1/0*z2'\n"
+
+
+CONVERTS = "9" * 4300  # the most digits Python converts to an int, and writes back as text
+
+
+class TestLongExactResults:
+    """An exact result can have more digits than Python writes as text (4300
+    by default) when each input has fewer: such inputs are refused before any
+    work, with one line that names the value or the flag, not a traceback.
+    Inputs of up to MAX_DIGITS digits are computed and printed in full."""
+
+    def test_table_row(self, capsys, tmp_path):
+        # e = (2 - 2 g1)(2 - 2 g2) / |G| has 8601 digits here
+        path = tmp_path / "long.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,1,{CONVERTS},{CONVERTS},,\n")
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 3 and err == ""
+        assert record["error"] == f"r: g1 = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits"
+
+    def test_table_row_count(self, capsys, tmp_path):
+        path = tmp_path / "long.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,1,2,2,2/1x{CONVERTS},\n")
+        code, out, _ = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 3
+        assert record["error"] == f"r: count = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits"
+
+    def test_table_row_at_the_ceiling(self, capsys, tmp_path):
+        # g1 = g2 = 10^2000 - 1 and an even count of 2000 digits: e = 4 (g1 - 1)^2
+        # + 3 count / 2 has 4001 digits
+        g, count = "9" * MAX_DIGITS, "8" * MAX_DIGITS
+        path = tmp_path / "long.rows"
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,1,{g},{g},2/1x{count},\n")
+        code, out, err = run(capsys, "table", str(path))
+        (record,) = csv.DictReader(io.StringIO(out))
+        assert code == 0 and err == ""
+        assert int(record["e"]) == 4 * (int(g) - 1) ** 2 + 3 * int(count) // 2
+
+    @pytest.mark.parametrize("flag", ["--ksq", "--chi", "--points"])
+    def test_bigness(self, capsys, flag):
+        argv = {"--ksq": "1", "--chi": "1", "--points": "0"} | {flag: CONVERTS}
+        code, out, err = run(capsys, "bigness", *(x for item in argv.items() for x in item))
+        assert code == 3 and out == ""
+        assert err == f"error: bigness {flag} = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits\n"
+
+    def test_bigness_reproduction(self, capsys):
+        code, out, err = run(capsys, "bigness", "--ksq", CONVERTS, "--chi", CONVERTS, "--points", "0")
+        assert code == 3 and out == ""
+        assert err == f"error: bigness --ksq = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits\n"
+
+    @pytest.mark.parametrize("view", [[], ["--json"]], ids=["text", "json"])
+    def test_local_check(self, capsys, view):
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section", f"z1^{CONVERTS}*z2^{CONVERTS}", *view)
+        assert code == 3 and out == ""
+        assert err == f"error: local-check --section has 8600 digits in its numbers, above the ceiling {MAX_DIGITS}\n"
+
+    def test_local_check_counts_every_number_of_the_section(self, capsys):
+        # two denominators of 1001 and 1002 digits are multiplied when the two
+        # coefficients are summed; z1 and z2 name variables and count no digit
+        third = "3" * 1001
+        code, out, err = run(capsys, "local-check", "--m", "1", "--section", f"z1 + 1/{third}*z2 + 1/{third}7*z2")
+        assert code == 3 and out == ""
+        assert err == f"error: local-check --section has 2005 digits in its numbers, above the ceiling {MAX_DIGITS}\n"
+        at_the_ceiling = f"1/{third}*z1 + 1/{'7' * 997}*z1"  # 2000 digits
+        code, out, err = run(capsys, "local-check", "--m", "200", "--section", at_the_ceiling)
+        assert code == 0 and err == ""
 
 
 class TestBigness:
