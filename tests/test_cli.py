@@ -221,11 +221,14 @@ def _cover_genus_plus_one(build):
 
 
 def _first_point_dualized(enumerate_singularities):
-    """The locus with its first point of order n > 2 retyped (n, a) -> (n, n - a)."""
+    """The locus with its first point of order n > 2 retyped (n, a) -> (n, n - a);
+    a locus without one is left as it is."""
     def wrapped(sys1, sys2):
         locus = enumerate_singularities(sys1, sys2)
         points = list(locus.points)
-        k = next(k for k, p in enumerate(points) if p.type.n > 2)
+        k = next((k for k, p in enumerate(points) if p.type.n > 2), None)
+        if k is None:
+            return locus
         n, a = points[k].type
         points[k] = points[k]._replace(type=hj.SingularityType(n, n - a))
         return locus._replace(points=tuple(points))
