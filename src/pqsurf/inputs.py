@@ -359,12 +359,12 @@ def euler_chi_pg(group_order: int, g1: int, g2: int, singularities, ksq: int | N
     )
     e, rest = divmod(num, den)
     if rest:
-        raise ValidationError(f"Euler number {shortened(str(Fraction(num, den)))} is not an integer")
+        raise ValidationError(f"Euler number {shortened(Fraction(num, den))} is not an integer")
     if ksq is None:
         return e, None, None
     chi, rest = divmod(ksq + e, 12)
     if rest or chi <= 0:
-        raise ValidationError(f"chi = (K^2 + e)/12 = {shortened(str(Fraction(ksq + e, 12)))} is not a positive integer")
+        raise ValidationError(f"chi = (K^2 + e)/12 = {shortened(Fraction(ksq + e, 12))} is not a positive integer")
     return e, chi, chi - 1
 
 

@@ -33,10 +33,16 @@ MAX_BRANCH_POINTS = 20  # largest number of generator words in a [systemN] secti
 MAX_DIGITS = 2000
 
 
-def shortened(text: str) -> str:
+def shortened(value) -> str:
     """An input value as an error message quotes it: whole up to 24 characters,
-    else its first and last ten, so that no value makes a long line."""
-    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+    else its first and last ten, so that no value makes a long line.  A number
+    (an int or a Fraction) is written through ``decimal``, which writes an int
+    of any length, where ``str`` refuses one of more than 4300 digits."""
+    if not isinstance(value, str):
+        from decimal import Decimal
+
+        value = str(Decimal(value.numerator)) + ("" if value.denominator == 1 else f"/{Decimal(value.denominator)}")
+    return value if len(value) <= 24 else f"{value[:10]}...{value[-10:]}"
 
 
 def parse_int(token: str, what: str) -> int:

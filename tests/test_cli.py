@@ -393,7 +393,9 @@ BIG = "9" * 5000  # more digits than Python converts to an int (4300 by default)
 SHORTENED = "'9999999999...9999999999'"
 TOO_LONG = f"{SHORTENED} has 5000 digits, more than Python converts to an integer"
 PARSED = "9" * 4000  # converts, but no check downstream accepts it
+CONVERTS = "9" * 4300  # the most digits Python converts to an int, and writes back as text
 PRIMES = [p for p in range(2, 1224) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+ODD_PRIMES = [p for p in range(3, 12570) if all(p % q for q in range(2, math.isqrt(p) + 1))]  # the first 1500
 
 
 class TestOversizedLiterals:
@@ -512,8 +514,12 @@ class TestOversizedLiterals:
             # 200 distinct primes p, each 1/p(1,p-1): e has their product as denominator
             ("+".join(f"{p}/{p - 1}x1" for p in PRIMES), "", "Euler number 5520170531...8203880710 is not an integer"),
             ("2/1x36", PARSED, "chi = (K^2 + e)/12 = 1000000000...0000055/12 is not a positive integer"),
+            # the product of the first 1500 odd primes has 5400 digits, more than Python writes as text
+            ("+".join(f"{p}/{p - 1}x1" for p in ODD_PRIMES), "",
+             "Euler number 3618148469...8431036045 is not an integer"),
+            ("2/1x36", CONVERTS, "chi = (K^2 + e)/12 = 1000000000...0000055/12 is not a positive integer"),
         ],
-        ids=["euler", "chi"],
+        ids=["euler", "chi", "euler-past-the-digit-limit", "chi-past-the-digit-limit"],
     )
     def test_rows_long_fraction(self, capsys, tmp_path, singularities, ksq, message):
         path = tmp_path / "long.rows"
@@ -582,8 +588,6 @@ class TestOversizedLiterals:
         assert err == "error: zero denominator in polynomial term '1/0*z2'\n"
 
 
-CONVERTS = "9" * 4300  # the most digits Python converts to an int, and writes back as text
-
 
 class TestLongExactResults:
     """An exact result can have more digits than Python writes as text (4300
@@ -591,22 +595,16 @@ class TestLongExactResults:
     work, with one line that names the value or the flag, not a traceback.
     Inputs of up to MAX_DIGITS digits are computed and printed in full."""
 
-    def test_table_row(self, capsys, tmp_path):
-        # e = (2 - 2 g1)(2 - 2 g2) / |G| has 8601 digits here
+    @pytest.mark.parametrize("row, what", [(f"r,1,{CONVERTS},{CONVERTS},,", "g1"),
+                                           (f"r,1,2,2,2/1x{CONVERTS},", "count")], ids=["genera", "count"])
+    def test_table_row(self, capsys, tmp_path, row, what):
+        # e = (2 - 2 g1)(2 - 2 g2) / |G| + 3 count / 2 has 8601 and 4301 digits here
         path = tmp_path / "long.rows"
-        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,1,{CONVERTS},{CONVERTS},,\n")
+        path.write_text(f"name,group_order,g1,g2,singularities,ksq\n{row}\n")
         code, out, err = run(capsys, "table", str(path))
         (record,) = csv.DictReader(io.StringIO(out))
         assert code == 3 and err == ""
-        assert record["error"] == f"r: g1 = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits"
-
-    def test_table_row_count(self, capsys, tmp_path):
-        path = tmp_path / "long.rows"
-        path.write_text(f"name,group_order,g1,g2,singularities,ksq\nr,1,2,2,2/1x{CONVERTS},\n")
-        code, out, _ = run(capsys, "table", str(path))
-        (record,) = csv.DictReader(io.StringIO(out))
-        assert code == 3
-        assert record["error"] == f"r: count = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits"
+        assert record["error"] == f"r: {what} = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits"
 
     def test_table_row_at_the_ceiling(self, capsys, tmp_path):
         # g1 = g2 = 10^2000 - 1 and an even count of 2000 digits: e = 4 (g1 - 1)^2
@@ -619,17 +617,13 @@ class TestLongExactResults:
         assert code == 0 and err == ""
         assert int(record["e"]) == 4 * (int(g) - 1) ** 2 + 3 * int(count) // 2
 
-    @pytest.mark.parametrize("flag", ["--ksq", "--chi", "--points"])
-    def test_bigness(self, capsys, flag):
-        argv = {"--ksq": "1", "--chi": "1", "--points": "0"} | {flag: CONVERTS}
-        code, out, err = run(capsys, "bigness", *(x for item in argv.items() for x in item))
+    @pytest.mark.parametrize("values, flag", [((CONVERTS, CONVERTS, "0"), "--ksq"), (("1", CONVERTS, "0"), "--chi"),
+                                              (("1", "1", CONVERTS), "--points")], ids=["ksq-and-chi", "chi", "points"])
+    def test_bigness(self, capsys, values, flag):
+        ksq, chi, points = values
+        code, out, err = run(capsys, "bigness", "--ksq", ksq, "--chi", chi, "--points", points)
         assert code == 3 and out == ""
         assert err == f"error: bigness {flag} = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits\n"
-
-    def test_bigness_reproduction(self, capsys):
-        code, out, err = run(capsys, "bigness", "--ksq", CONVERTS, "--chi", CONVERTS, "--points", "0")
-        assert code == 3 and out == ""
-        assert err == f"error: bigness --ksq = {SHORTENED[1:-1]} is above the ceiling of {MAX_DIGITS} digits\n"
 
     @pytest.mark.parametrize("view", [[], ["--json"]], ids=["text", "json"])
     def test_local_check(self, capsys, view):

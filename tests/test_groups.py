@@ -530,9 +530,13 @@ class TestGenerationCheck:
                 SphericalSystem(group, generators)
 
     def test_generating_system_stops_past_half_the_group(self, monkeypatch):
+        # the group's generators conjugated by (1 2 3): a system that does not
+        # contain them, so generation is decided by a span
         group = symmetric_group(6)
-        x, y = group.generator_indices
+        t = index_of(group, Permutation.from_cycles("(1 2 3)", 6))
+        x, y = (conjugate(group, g, t) for g in group.generator_indices)
         z = power(group, group.mul(x, y), -1)
+        assert not set(group.generator_indices) <= {x, y, z}
         products = count_mul(monkeypatch)
         with span_compositions() as calls:
             SphericalSystem(group, (x, y, z))
@@ -540,7 +544,7 @@ class TestGenerationCheck:
         # y, without the redundant last element: 2 per element taken while at
         # most |G|/2 are found; a full closure over the system would take 3
         # per element of the group
-        assert products[0] + calls[0] <= 3 + 2 * (group.order // 2 + 1)
+        assert calls[0] and products[0] + calls[0] <= 3 + 2 * (group.order // 2 + 1)
 
     def test_proper_subgroup_is_closed_in_full(self):
         # (0 1 2) and its inverse span A_3 inside S_6: order 3, not 720
