@@ -65,4 +65,4 @@ def parse_int(token: str, what: str) -> int:
 def require_digits(value: int, what: str) -> None:
     """Refuse a number of more than ``MAX_DIGITS`` digits, before any work."""
     if abs(value) >= 10**MAX_DIGITS:
-        raise ValidationError(f"{what} = {shortened(str(value))} is above the ceiling of {MAX_DIGITS} digits")
+        raise ValidationError(f"{what} = {shortened(value)} is above the ceiling of {MAX_DIGITS} digits")
